@@ -10,16 +10,19 @@ identities.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebinterpolate
 from scipy.integrate import solve_ivp
 
-from .clifford import Spinor, build_representation, tensor_clifford
+from .clifford import Spinor, _slot_action, build_representation
 from .fields import ChartField, Poly, constant_jet, jet_einsum
-from .spinops import GateError, SpinorChartField, _cov_frame, constant_spinor
-from .weyl import (Gauge, curvature, einstein_weyl_residual, relative_residual,
+from .spinops import (GateError, SpinorChartField, _cov_frame, _per_point,
+                      _spin_connection, constant_spinor)
+from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
                    weyl_christoffels)
 
 __all__ = [
@@ -41,8 +44,8 @@ component), and the Clifford representation the components refer to."""
 
 def _nabla_beta_frame(pack, b):
     """Frame components of the covariant derivative of a weight -1 density."""
-    chart = b.g - pack.TH.v * b.v
-    return np.einsum("a,ai->i", chart, pack.S.v)
+    chart = b.g - pack.TH.v * np.asarray(b.v)[..., None]
+    return np.einsum("...a,...ai->...i", chart, pack.S.v)
 
 
 def _killing_parts(gauge, d, x):
@@ -50,17 +53,38 @@ def _killing_parts(gauge, d, x):
     psi = d.psi.jet(x)
     P = _cov_frame(pack, d.rep, psi, d.psi.weight)
     b = d.beta.jet(x)
-    rhs = complex(b.v) * np.einsum("ist,t->is", d.rep.gammas, psi.v)
+    rhs = (_per_point(np.asarray(b.v, dtype=complex), 2)
+           * np.einsum("ist,...t->...is", d.rep.gammas, psi.v))
     return pack, psi, b, P, rhs
 
 
-def _killing_gate(P, rhs, psiv, gate_tol, what):
+def _killing_gate(P, rhs, psiv, gate_tol, what, nb=0):
+    """The largest Killing equation residual over the point(s); raises when
+    it exceeds the gate."""
     # The field norm joins the scale so that exactly parallel data (both
     # sides ~ 0) does not divide rounding noise by itself.
-    rel = relative_residual(P.v - rhs, P.v, rhs, psiv)
+    rel = float(np.max(relative_residual(P.v - rhs, P.v, rhs, psiv, batch=nb)))
     if rel > gate_tol:
         raise GateError(f"{what} needs a field satisfying the Killing equation; "
                         f"equation residual {rel:.3e} exceeds gate {gate_tol:.1e}")
+    return rel
+
+
+def _integrability_terms(pack, bund, rep, psiv, b, w):
+    """The Faraday action on the field, the frame gradient of the density,
+    its Clifford product with the field, and the four terms of the scalar
+    integrability condition, which sum to zero for Killing fields.  One
+    point or a batch."""
+    n = pack.n
+    bv = _per_point(np.asarray(b.v, dtype=complex))
+    fhat = _slot_action(bund.faraday.comp, rep, psiv)
+    nabla_b = _nabla_beta_frame(pack, b)
+    grad_cliff = np.einsum("...i,ist,...t->...s", nabla_b, rep.gammas, psiv)
+    terms = (_per_point(bund.scalar.value) * psiv,
+             (n - 2 + 2 * float(w)) * fhat,
+             -4.0 * n * (n - 1) * bv ** 2 * psiv,
+             4.0 * (n - 1) * grad_cliff)
+    return fhat, nabla_b, grad_cliff, terms
 
 
 def killing_residual(gauge, d, x):
@@ -77,18 +101,9 @@ def integrability_residual(gauge, d, x, gate_tol=1e-8):
     density gradient.  Gated on the Killing equation holding at x."""
     pack, psi, b, P, rhs = _killing_parts(gauge, d, x)
     _killing_gate(P, rhs, psi.v, gate_tol, "the integrability condition")
-    rep = d.rep
-    n, w = gauge.n, float(d.psi.weight)
     bund = curvature(gauge, x, pack=pack)
-    spin = Spinor(rep, psi.v, d.psi.weight)
-    fhat = tensor_clifford(bund.faraday, spin).comp
-    nb = _nabla_beta_frame(pack, b)
-    grad_cliff = np.einsum("i,ist,t->s", nb, rep.gammas, psi.v)
-    comp = (bund.scalar.value * psi.v
-            + (n - 2 + 2 * w) * fhat
-            - 4.0 * n * (n - 1) * complex(b.v) ** 2 * psi.v
-            + 4.0 * (n - 1) * grad_cliff)
-    return Spinor(rep, comp, d.psi.weight - 2)
+    *_, terms = _integrability_terms(pack, bund, d.rep, psi.v, b, d.psi.weight)
+    return Spinor(d.rep, sum(terms), d.psi.weight - 2)
 
 
 def _classify(betas, class_tol):
@@ -106,97 +121,94 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
     """Classify the Killing density over the sample and evaluate the
     pointwise necessary conditions of the integrability chain.
 
-    Items are maximum relative residuals over the sample points.  Global
-    conclusions (exactness of the gauge class, Einstein-type structure)
-    are reported as pointwise residuals only, never asserted.  Items with
-    an (n - 2) denominator are skipped for n = 2.
+    Items are maximum relative residuals over the sample points, which are
+    evaluated as one batch; the Killing equation gate applies at every
+    point.  Global conclusions (exactness of the gauge class,
+    Einstein-type structure) are reported as pointwise residuals only,
+    never asserted.  Items with an (n - 2) denominator are skipped for
+    n = 2.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     rep = d.rep
     n, w = gauge.n, d.psi.weight
     wf = float(w)
-    betas = np.array([complex(d.beta.jet(x).v) for x in points])
+    gammas = rep.gammas
+    pack, psi, b, P, rhs = _killing_parts(gauge, d, points)
+    psiv = psi.v
+    killing = _killing_gate(P, rhs, psiv, gate_tol, "the integrability report", nb=1)
+    betas = np.asarray(b.v, dtype=complex)
     cls = _classify(betas, class_tol)
     items = {}
     notes = ["global conclusions are reported as pointwise necessary conditions only"]
 
-    def bump(key, val):
-        items[key] = max(items.get(key, 0.0), float(val))
+    def put(key, per_point):
+        items[key] = float(np.max(per_point))
 
     if cls in ("imaginary", "zero"):
         items["pairing-coefficient"] = wf + (n - 2) / 2.0
     if n >= 3 and not (cls in ("real", "zero") and w == 0):
         notes.append("the contraction-chain items are derived for real densities "
                      "of weight 0; treat them as diagnostics here")
+    items["killing"] = killing
 
-    for x, bv in zip(points, betas):
-        pack, psi, b, P, rhs = _killing_parts(gauge, d, x)
-        _killing_gate(P, rhs, psi.v, gate_tol, "the integrability report")
-        bump("killing", relative_residual(P.v - rhs, P.v, rhs, psi.v))
-        bund = curvature(gauge, x, pack=pack)
-        spin = Spinor(rep, psi.v, w)
-        psiv = psi.v
-        gammas = rep.gammas
-        fhat = tensor_clifford(bund.faraday, spin).comp
-        nb = _nabla_beta_frame(pack, b)
-        grad_cliff = np.einsum("i,ist,t->s", nb, gammas, psiv)
-        R = bund.scalar.value
+    bund = curvature(gauge, points, pack=pack)
+    fhat, nabla_b, grad_cliff, terms = _integrability_terms(pack, bund, rep, psiv, b, w)
+    R = bund.scalar.value
+    bv = _per_point(betas)
+    # The field norm joins the scale of every item whose terms can all
+    # vanish together (parallel data in a rescaled flat gauge), so that
+    # rounding noise is not divided by itself.
+    put("integrability", relative_residual(sum(terms), *terms, psiv, batch=1))
 
-        rterm = R * psiv
-        faterm = (n - 2 + 2 * wf) * fhat
-        bterm = 4.0 * n * (n - 1) * bv ** 2 * psiv
-        gterm = 4.0 * (n - 1) * grad_cliff
-        bump("integrability",
-             relative_residual(rterm + faterm - bterm + gterm,
-                               rterm, faterm, bterm, gterm))
+    dvals = np.einsum("ist,...it->...s", gammas, P.v)
+    put("dirac-eigen",
+        relative_residual(dvals + n * bv * psiv, dvals, n * bv * psiv, psiv, batch=1))
+    tw = P.v + (1.0 / n) * np.einsum("ist,...t->...is", gammas, dvals)
+    put("twistor", relative_residual(tw, P.v, np.abs(dvals), psiv, batch=1))
 
-        dvals = np.einsum("ist,it->s", gammas, P.v)
-        bump("dirac-eigen",
-             relative_residual(dvals + n * bv * psiv, dvals, n * bv * psiv, psiv))
-        tw = P.v + (1.0 / n) * np.einsum("ist,t->is", gammas, dvals)
-        bump("twistor", relative_residual(tw, P.v, np.abs(dvals), psiv))
-
-        if cls in ("imaginary", "zero"):
-            pair = complex(np.vdot(fhat, psiv))
-            scale = float(np.linalg.norm(fhat) * np.linalg.norm(psiv))
-            bump("faraday-pairing", abs(pair) / scale if scale > 0 else abs(pair))
-        if cls in ("real", "zero"):
-            lhs = R
-            rhs_r = 4.0 * n * (n - 1) * (bv.real ** 2)
-            denom = max(abs(lhs), abs(rhs_r), 1.0)
-            bump("scalar-curvature", abs(lhs - rhs_r) / denom)
-            u = jet_einsum("s,s->", psi.conj(), psi).real()
-            du = u.g + 2.0 * wf * pack.TH.v * u.v
-            bump("norm-gradient",
-                 relative_residual(du, u.g, 2.0 * wf * pack.TH.v * u.v,
-                                   np.atleast_1d(u.v)))
-        if n >= 3:
-            ric1 = tensor_clifford(bund.ric_prime, spin, slots=(2,)).comp
-            f1 = tensor_clifford(bund.faraday, spin, slots=(2,)).comp
-            outer = np.einsum("i,s->is", nb, psiv)
-            nb_nu = np.einsum("j,jst,itu,u->is", nb, gammas, gammas, psiv)
-            nupsi = np.einsum("ist,t->is", gammas, psiv)
-            nu_fhat = np.einsum("ist,t->is", gammas, fhat)
-            nu_grad = np.einsum("ist,t->is", gammas, grad_cliff)
-            rhs14 = (2.0 * n * outer + 2.0 * nb_nu
-                     + 4.0 * (n - 1) * bv ** 2 * nupsi - f1 - 0.5 * nu_fhat)
-            bump("ric-contraction",
-                 relative_residual(ric1 - rhs14, ric1, 2.0 * n * outer, 2.0 * nb_nu,
-                                   4.0 * (n - 1) * bv ** 2 * nupsi, f1, 0.5 * nu_fhat))
-            coef15 = 4.0 * (n - 1) / (n - 2)
-            bump("faraday-gradient-exchange",
-                 relative_residual(fhat + coef15 * grad_cliff, fhat, coef15 * grad_cliff))
-            coef16 = 2.0 * (n - 1) / (n - 2)
-            rhs16 = (2.0 * n * outer + 2.0 * nb_nu + (R / n) * nupsi
-                     - f1 + coef16 * nu_grad)
-            bump("ric-contraction-reduced",
-                 relative_residual(ric1 - rhs16, ric1, 2.0 * n * outer, 2.0 * nb_nu,
-                                   (R / n) * nupsi, f1, coef16 * nu_grad))
-            ew = einstein_weyl_residual(gauge, x)
-            E = np.eye(n)
-            bump("einstein-weyl",
-                 relative_residual(ew.via_ric, bund.ric.comp,
-                                   (R / n) * E, 0.5 * n * bund.faraday.comp, E))
+    if cls in ("imaginary", "zero"):
+        pair = np.abs(np.einsum("...s,...s->...", fhat.conj(), psiv))
+        scale = np.linalg.norm(fhat, axis=-1) * np.linalg.norm(psiv, axis=-1)
+        put("faraday-pairing", np.divide(pair, scale, out=pair.copy(), where=scale > 0))
+    if cls in ("real", "zero"):
+        rhs_r = 4.0 * n * (n - 1) * (betas.real ** 2)
+        denom = np.maximum(np.maximum(np.abs(R), np.abs(rhs_r)), 1.0)
+        put("scalar-curvature", np.abs(R - rhs_r) / denom)
+        u = jet_einsum("s,s->", psi.conj(), psi).real()
+        gauge_part = 2.0 * wf * pack.TH.v * u.v[..., None]
+        put("norm-gradient",
+            relative_residual(u.g + gauge_part, u.g, gauge_part, u.v, batch=1))
+    if n >= 3:
+        ric1 = _slot_action(bund.ric_prime.comp, rep, psiv, slots=(2,))
+        f1 = _slot_action(bund.faraday.comp, rep, psiv, slots=(2,))
+        outer = np.einsum("...i,...s->...is", nabla_b, psiv)
+        nb_nu = np.einsum("...j,jst,itu,...u->...is", nabla_b, gammas, gammas, psiv)
+        nupsi = np.einsum("ist,...t->...is", gammas, psiv)
+        nu_fhat = np.einsum("ist,...t->...is", gammas, fhat)
+        nu_grad = np.einsum("ist,...t->...is", gammas, grad_cliff)
+        bv2 = _per_point(betas, 2)
+        R2 = _per_point(R, 2)
+        rhs14 = (2.0 * n * outer + 2.0 * nb_nu
+                 + 4.0 * (n - 1) * bv2 ** 2 * nupsi - f1 - 0.5 * nu_fhat)
+        put("ric-contraction",
+            relative_residual(ric1 - rhs14, ric1, 2.0 * n * outer, 2.0 * nb_nu,
+                              4.0 * (n - 1) * bv2 ** 2 * nupsi, f1, 0.5 * nu_fhat,
+                              psiv, batch=1))
+        coef15 = 4.0 * (n - 1) / (n - 2)
+        put("faraday-gradient-exchange",
+            relative_residual(fhat + coef15 * grad_cliff, fhat, coef15 * grad_cliff,
+                              batch=1))
+        coef16 = 2.0 * (n - 1) / (n - 2)
+        rhs16 = (2.0 * n * outer + 2.0 * nb_nu + (R2 / n) * nupsi
+                 - f1 + coef16 * nu_grad)
+        put("ric-contraction-reduced",
+            relative_residual(ric1 - rhs16, ric1, 2.0 * n * outer, 2.0 * nb_nu,
+                              (R2 / n) * nupsi, f1, coef16 * nu_grad, psiv, batch=1))
+        ew = _einstein_weyl(bund, n)
+        put("einstein-weyl",
+            relative_residual(ew.via_ric, bund.ric.comp,
+                              np.multiply.outer(R / n, np.eye(n)),
+                              0.5 * n * bund.faraday.comp, 1.0, batch=1))
 
     return {
         "beta_class": cls,
@@ -298,45 +310,83 @@ def killing_kernel_determinant(beta_g, x1):
     return beta_g ** 2 + 0.25 * x1 ** 2
 
 
+# Chebyshev resolution of the transport coefficient along its path: the
+# degree doubles from the start until the two trailing coefficients fall
+# below the tail bound relative to the largest, up to the cap.
+_CHEB_START, _CHEB_CAP, _CHEB_TAIL = 16, 256, 1e-13
+
+
+def _path_coefficient(gauge, d, x0, v, length):
+    """Chebyshev coefficients of the transport coefficient A(t) along the
+    line x0 + t v, 0 <= t <= length, in the variable s = 2 t / length - 1.
+
+    Along the line the Killing equation reads dc/dt = A(t) c with
+    A = sum_i v_i (beta gamma_i - A_i), v_i the frame components of v and
+    A_i the spinor connection.  Each trial degree m samples A at the m + 1
+    Chebyshev nodes with one batched frame pack; the leading axis of the
+    result is the degree.  Raises RuntimeError when the cap does not
+    resolve A.
+    """
+    rep = d.rep
+
+    def sample(s):
+        pts = x0 + np.multiply.outer(0.5 * length * (s + 1.0), v)
+        pack = weyl_christoffels(gauge, pts)
+        vf = pack.frame_components(v)
+        A = _spin_connection(pack, rep, d.psi.weight).v
+        beta = np.asarray(d.beta.jet(pts).v, dtype=complex)
+        coeff = np.einsum("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
+        return coeff.reshape(len(s), -1)  # chebinterpolate fits along axis 0 of a matrix
+
+    deg = _CHEB_START
+    while deg <= _CHEB_CAP:
+        coef = chebinterpolate(sample, deg)
+        mags = np.abs(coef).max(axis=1)
+        if mags[-2:].max() <= _CHEB_TAIL * mags.max():
+            return coef.reshape(deg + 1, rep.dim, rep.dim)
+        deg *= 2
+    raise RuntimeError("transport coefficient not resolved at Chebyshev degree "
+                       f"{_CHEB_CAP}: trailing coefficients {mags[-2:].max():.3e} "
+                       f"against {mags.max():.3e}")
+
+
 def killing_transport(gauge, d, x0, direction, length=1.0, rtol=1e-10, atol=1e-12):
     """Transport the field along a straight chart line by integrating the
-    Killing equation as an ODE, independently of the jet machinery.
+    Killing equation as a linear ODE, dc/dt = A(t) c, with RK45.
+
+    A(t) depends only on the path, so it is sampled once per transport
+    with one batched frame pack and replaced by its Chebyshev interpolant,
+    accepted once the trailing coefficients fall to 1e-13 of the largest;
+    a coefficient the degree cap cannot resolve (a kink, say) raises
+    RuntimeError, as a failed integration does.  The field itself enters
+    only at the two ends.
 
     Returns the endpoint, the transported components, the field's own
     components there, and their relative gap.
     """
-    rep = d.rep
-    N = rep.dim
-    w = float(d.psi.weight)
+    N = d.rep.dim
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(direction, dtype=float)
-    gammas = rep.gammas
-    pair = rep.pair_products()
-    eye = np.eye(N)
-
-    def system(x):
-        pack = weyl_christoffels(gauge, x)
-        vf = pack.frame_components(v)
-        vg = np.einsum("i,ist->st", vf, gammas)
-        th = pack.theta_frame.v
-        theta_cliff = np.einsum("k,kst->st", th, gammas)
-        M = (0.25 * np.einsum("kli,i,klst->st", pack.omega_lc_frame.v, vf, pair)
-             - 0.5 * vg @ theta_cliff
-             + (w - 0.5) * float(th @ vf) * eye)
-        return -M + complex(d.beta.jet(x).v) * vg
+    length = float(length)
+    coef = _path_coefficient(gauge, d, x0, v, length)
+    k = np.arange(coef.shape[0])
+    flat = coef.reshape(len(k), N * N)
+    to_s = 2.0 / length if length else 0.0
 
     def rhs(t, y):
-        c = y[:N] + 1j * y[N:]
-        dc = system(x0 + t * v) @ c
+        # The series at s: T_k(s) = cos(k arccos s), summed as one product.
+        s = min(max(to_s * t - 1.0, -1.0), 1.0)
+        A = (np.cos(k * math.acos(s)) @ flat).reshape(N, N)
+        dc = A @ (y[:N] + 1j * y[N:])
         return np.concatenate([dc.real, dc.imag])
 
     psi0 = np.asarray(d.psi(x0), dtype=complex)
     y0 = np.concatenate([psi0.real, psi0.imag])
-    sol = solve_ivp(rhs, (0.0, float(length)), y0, method="RK45", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, length), y0, method="RK45", rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"transport integration failed: {sol.message}")
     transported = sol.y[:N, -1] + 1j * sol.y[N:, -1]
-    end = x0 + float(length) * v
+    end = x0 + length * v
     field_val = np.asarray(d.psi(end), dtype=complex)
     return {
         "endpoint": end,

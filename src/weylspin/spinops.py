@@ -113,6 +113,20 @@ def gauge_transport_spinor(field, f):
 # -- covariant differentiation -------------------------------------------
 
 
+def _spin_connection(pack, rep, weight, lc_only=False):
+    """The spinor part of the frame covariant derivative of a weight-w
+    field, one matrix per direction: the jet [i, s, t] of
+    A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta
+    + (w - 1/2) theta_i, whose gauge terms are omitted when ``lc_only``."""
+    A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.pair_products())
+    if lc_only:
+        return A
+    th = pack.theta_frame.truncate(A.order)
+    theta_cliff = jet_einsum("k,kst->st", th, rep.gammas)
+    return (A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
+            + (float(weight) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim)))
+
+
 def _cov_frame(pack, rep, Q, weight, lc_only=False):
     """Frame covariant derivative of spinor-valued components.
 
@@ -128,16 +142,8 @@ def _cov_frame(pack, rep, Q, weight, lc_only=False):
     if r > len(_SLOT_LETTERS):
         raise ValueError(f"at most {len(_SLOT_LETTERS)} slot axes supported")
     LL = _SLOT_LETTERS[:r]
-    # The spinor part as one matrix per direction, A[i] = (1/4) omega_kli
-    # gamma_k gamma_l - (1/2) gamma_i theta + (w - 1/2) theta_i, applied once.
-    A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.pair_products())
-    if not lc_only:
-        th = pack.theta_frame.truncate(A.order)
-        theta_cliff = jet_einsum("k,kst->st", th, rep.gammas)
-        A = (A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
-             + (float(weight) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim)))
     P = jet_einsum(f"ai,{LL}sa->i{LL}s", pack.S, Q.gradient())
-    P = P + jet_einsum(f"ist,{LL}t->i{LL}s", A, Q)
+    P = P + jet_einsum(f"ist,{LL}t->i{LL}s", _spin_connection(pack, rep, weight, lc_only), Q)
     omega = pack.omega_lc_frame if lc_only else pack.omega_weyl
     for p in range(r):
         sub_q = LL[:p] + "k" + LL[p + 1:]

@@ -331,13 +331,19 @@ def einstein_weyl_residual(gauge, point):
     """
     if gauge.n < 3:
         raise ValueError("the Einstein condition needs n >= 3")
-    b = curvature(gauge, point)
-    n = gauge.n
+    return _einstein_weyl(curvature(gauge, point), gauge.n)
+
+
+def _einstein_weyl(b, n):
+    """``einstein_weyl_residual`` from a curvature bundle already in hand,
+    at one point or, checked point by point, at a batch."""
     E = np.eye(n)
+    RE = np.multiply.outer(b.scalar.value / n, E)
     Ff = b.faraday.comp
-    res1 = b.ric.comp - (b.scalar.value / n) * E + 0.5 * n * Ff
-    res2 = b.ric_prime.comp - (b.scalar.value / n) * E + 0.5 * (n - 2) * Ff
-    gap = relative_residual(res1 - res2, res1, res2, b.ric.comp, E * b.scalar.value / n)
+    res1 = b.ric.comp - RE + 0.5 * n * Ff
+    res2 = b.ric_prime.comp - RE + 0.5 * (n - 2) * Ff
+    gap = np.max(relative_residual(res1 - res2, res1, res2, b.ric.comp, RE,
+                                   batch=np.ndim(b.scalar.value)))
     if gap > 1e-10:
         raise AssertionError(f"inconsistent Einstein residual forms (relative gap {gap:.3e})")
     return EwResidual(res1, res2)

@@ -4,8 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
+from scipy.integrate import solve_ivp
 
+from weylspin import killing
 from weylspin.clifford import Spinor, build_representation
+from weylspin.harness import random_gauge
 from weylspin.killing import (
     KillingDatum,
     example_killing_half,
@@ -17,9 +21,10 @@ from weylspin.killing import (
     killing_residual,
     killing_transport,
 )
-from weylspin.fields import constant_field
-from weylspin.spinops import GateError, dirac, twistor
-from weylspin.weyl import Gauge
+from weylspin.fields import ChartField, Poly, constant_field, polynomial_field
+from weylspin.spinops import (GateError, constant_spinor, dirac, gauge_transport_spinor,
+                              polynomial_spinor, twistor)
+from weylspin.weyl import Gauge, change_gauge, weyl_christoffels
 
 
 def sample(seed, n=2, count=12):
@@ -171,3 +176,166 @@ def test_killing_datum_fields():
     assert d.rep is rep
     assert set(KillingDatum._fields) == {"psi", "beta", "rep"}
     assert np.allclose(d.psi(np.zeros(2)), [2.0, -2.0])
+
+
+# -- batched integrability report ---------------------------------------------
+
+
+def scalar_field(terms, n):
+    arr = np.empty((), dtype=object)
+    arr[()] = Poly(terms, n)
+    return polynomial_field(arr)
+
+
+def random_datum(seed, n, beta_factor):
+    """A polynomial spinor field and a polynomial density on a random gauge;
+    the pair is not a Killing datum."""
+    rng = np.random.default_rng(seed)
+    rep = build_representation(n)
+
+    def polys():
+        return np.array([Poly([(float(rng.uniform(-0.5, 0.5)),
+                                tuple(int(e) for e in rng.integers(0, 3, n)))
+                               for _ in range(4)], n)
+                         for _ in range(rep.dim)], dtype=object)
+
+    psi = polynomial_spinor(polys(), polys(), weight=Fraction(1, 2))
+    b = scalar_field([(0.4, (0,) * n), (0.3, (1,) + (0,) * (n - 1)),
+                      (-0.2, (0, 2) + (0,) * (n - 2))], n)
+    beta = ChartField(0, -1, lambda X: b.fn(X) * beta_factor)
+    return random_gauge(seed, n), KillingDatum(psi, beta, rep)
+
+
+def rescaled_parallel_datum(n):
+    """A constant weight-0 spinor of the flat gauge, transported to a
+    rescaled gauge: parallel, with zero density, so every curvature term
+    vanishes analytically."""
+    rep = build_representation(n)
+    f = scalar_field([(0.3, (1,) + (0,) * (n - 1)), (0.2, (0, 1) + (0,) * (n - 2)),
+                      (0.25, (2,) + (0,) * (n - 1))], n)
+    comp = [1.0, 1j] @ np.random.default_rng(86 + n).normal(size=(2, rep.dim))
+    psi = gauge_transport_spinor(constant_spinor(comp), f)
+    beta = constant_field(np.asarray(0j), weight=-1, arity=0)
+    return change_gauge(Gauge.flat(n), f), KillingDatum(psi, beta, rep)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_report_on_parallel_data_in_a_rescaled_gauge(n):
+    gauge, d = rescaled_parallel_datum(n)
+    out = integrability_report(gauge, d, sample(87, n=n, count=6))
+    assert out["beta_class"] == "zero"
+    items = out["items"]
+    assert "ric-contraction-reduced" in items and "einstein-weyl" in items
+    # The pairing coefficient is a number of the weight, not a residual.
+    assert items.pop("pairing-coefficient") == (n - 2) / 2.0
+    for key, val in items.items():
+        assert val <= 1e-10, (key, val)
+
+
+@pytest.mark.parametrize("n,beta_factor", [(2, 1j), (3, 1.0)])
+def test_report_over_points_is_the_max_of_one_point_reports(n, beta_factor):
+    gauge, d = random_datum(88 + n, n, beta_factor)
+    pts = sample(89, n=n, count=5)
+    # The data are not Killing, so every item is an O(1) number.
+    full = integrability_report(gauge, d, pts, gate_tol=np.inf)
+    singles = [integrability_report(gauge, d, x, gate_tol=np.inf) for x in pts]
+    assert full["points"] == 5 and all(s["points"] == 1 for s in singles)
+    assert {s["beta_class"] for s in singles} == {full["beta_class"]}
+    assert all(s["items"].keys() == full["items"].keys() for s in singles)
+    assert ("faraday-pairing" in full["items"]) == (n == 2)
+    assert ("ric-contraction" in full["items"]) == (n == 3)
+    for key, val in full["items"].items():
+        expected = max(s["items"][key] for s in singles)
+        assert abs(val - expected) <= 1e-12 * abs(expected) + 1e-15, (key, val, expected)
+
+
+# -- path-sampled transport -----------------------------------------------------
+
+
+def step_coefficient(gauge, d, v):
+    """The transport coefficient A(x) from a frame pack at the one point x:
+    the per-step form of the transport, kept as a reference."""
+    rep = d.rep
+    w = float(d.psi.weight)
+    gammas = rep.gammas
+
+    def system(x):
+        pack = weyl_christoffels(gauge, x)
+        vf = pack.frame_components(v)
+        vg = np.einsum("i,ist->st", vf, gammas)
+        th = pack.theta_frame.v
+        theta_cliff = np.einsum("k,kst->st", th, gammas)
+        M = (0.25 * np.einsum("kli,i,klst->st", pack.omega_lc_frame.v, vf,
+                              rep.pair_products())
+             - 0.5 * vg @ theta_cliff
+             + (w - 0.5) * float(th @ vf) * np.eye(rep.dim))
+        return -M + complex(d.beta.jet(x).v) * vg
+
+    return system
+
+
+def step_transport(gauge, d, x0, v, length):
+    """Per-step integration with an exact frame pack at every stage."""
+    N = d.rep.dim
+    system = step_coefficient(gauge, d, v)
+
+    def rhs(t, y):
+        dc = system(x0 + t * v) @ (y[:N] + 1j * y[N:])
+        return np.concatenate([dc.real, dc.imag])
+
+    psi0 = d.psi(x0)
+    sol = solve_ivp(rhs, (0.0, length), np.concatenate([psi0.real, psi0.imag]),
+                    method="RK45", rtol=1e-10, atol=1e-12)
+    assert sol.success
+    return sol.y[:N, -1] + 1j * sol.y[N:, -1]
+
+
+def random_path(seed, n):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=n)
+    return rng.uniform(-0.3, 0.3, n), v / np.linalg.norm(v), 0.8
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_transport_matches_per_step_integration(n):
+    gauge, d = random_datum(90 + n, n, 0.5 - 0.3j)
+    x0, v, length = random_path(91 + n, n)
+    out = killing_transport(gauge, d, x0, v, length=length)
+    ref = step_transport(gauge, d, x0, v, length)
+    assert np.abs(out["transported"] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_sampled_coefficient_matches_single_point_packs(n):
+    gauge, d = random_datum(92 + n, n, 0.2 + 0.7j)
+    x0, v, length = random_path(93 + n, n)
+    coef = killing._path_coefficient(gauge, d, x0, v, length)
+    system = step_coefficient(gauge, d, v)
+    for t in np.random.default_rng(94).uniform(0.0, length, 4):
+        exact = system(x0 + t * v)
+        series = chebval(2.0 * t / length - 1.0, coef)
+        assert np.abs(series - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def test_transport_builds_one_frame_pack(monkeypatch):
+    gauge, d, rep = example_parallel_zero(1.0, 0.25j)
+    calls = []
+
+    def counted(g, x):
+        calls.append(np.shape(x))
+        return weyl_christoffels(g, x)
+
+    monkeypatch.setattr(killing, "weyl_christoffels", counted)
+    out = killing_transport(gauge, d, np.array([-0.3, 0.1]), np.array([0.6, 0.8]),
+                            length=0.8)
+    assert out["residual"] < 1e-6
+    assert calls == [(17, 2)]
+
+
+def test_transport_rejects_an_unresolved_coefficient():
+    gauge, d, rep = example_killing_half(1.0)
+    # A kink of width 1e-6 where the path crosses x_1 = 0.
+    kink = ChartField(0, -1, lambda X: (X[0] * X[0] + 1e-12).sqrt())
+    with pytest.raises(RuntimeError, match="not resolved"):
+        killing_transport(gauge, KillingDatum(d.psi, kink, rep),
+                          np.array([-0.4, 0.1]), np.array([1.0, 0.0]), length=0.8)
