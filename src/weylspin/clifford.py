@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fields import as_fraction
+from .fields import as_fraction, contract
 
 __all__ = [
     "CliffordRep",
@@ -45,9 +45,9 @@ def _kron_chain(mats):
 
 def _relation_residuals(gammas):
     n, N = gammas.shape[0], gammas.shape[-1]
-    anti = np.einsum("iab,jbc->ijac", gammas, gammas)
-    anti = anti + np.einsum("jab,ibc->ijac", gammas, gammas)
-    anti = anti + 2.0 * np.einsum("ij,ab->ijab", np.eye(n), np.eye(N))
+    anti = contract("iab,jbc->ijac", gammas, gammas)
+    anti = anti + contract("jab,ibc->ijac", gammas, gammas)
+    anti = anti + 2.0 * contract("ij,ab->ijab", np.eye(n), np.eye(N))
     skew = gammas + np.conj(np.swapaxes(gammas, -1, -2))
     return np.abs(anti).max(), np.abs(skew).max()
 
@@ -72,7 +72,7 @@ class CliffordRep:
     def pair_products(self):
         """Cached gamma_i gamma_j products, shape (n, n, N, N)."""
         if self._pair is None:
-            self._pair = np.einsum("iab,jbc->ijac", self.gammas, self.gammas)
+            self._pair = contract("iab,jbc->ijac", self.gammas, self.gammas)
         return self._pair
 
     def slot_products(self, k):
@@ -80,7 +80,7 @@ class CliffordRep:
         if k not in self._products:
             op = np.eye(self.dim, dtype=complex)
             for _ in range(k):
-                op = np.einsum("pab,...bc->p...ac", self.gammas, op)
+                op = contract("pab,...bc->p...ac", self.gammas, op)
             self._products[k] = op
         return self._products[k]
 
@@ -203,7 +203,7 @@ def clifford_mul(X, psi):
         xi, wx = np.asarray(X), Fraction(0)
     if xi.shape != (psi.rep.n,):
         raise ValueError(f"vector shape {xi.shape} does not match dimension {psi.rep.n}")
-    comp = np.einsum("i,iab,...b->...a", xi, psi.rep.gammas, psi.comp)
+    comp = contract("i,iab,...b->...a", xi, psi.rep.gammas, psi.comp)
     return Spinor(psi.rep, comp, wx + psi.weight)
 
 
@@ -247,13 +247,13 @@ def _slot_action(comp, rep, psi, slots=None):
     a_sub = letters[:r]
     o_sub = "".join(a_sub[s - 1] for s in slots) + "ab"
     out_sub = "".join(a_sub[i] for i in range(r) if (i + 1) not in slots) + "a"
-    return np.einsum(f"...{a_sub},{o_sub},...b->...{out_sub}",
-                     comp, rep.slot_products(len(slots)), psi)
+    return contract(f"...{a_sub},{o_sub},...b->...{out_sub}",
+                    comp, rep.slot_products(len(slots)), psi)
 
 
 def nu(psi):
     """Prepend a frame slot whose i-th entry is gamma_i psi (weight preserved)."""
-    comp = np.einsum("iab,...b->i...a", psi.rep.gammas, psi.comp)
+    comp = contract("iab,...b->i...a", psi.rep.gammas, psi.comp)
     return Spinor(psi.rep, comp, psi.weight)
 
 
@@ -265,5 +265,5 @@ def herm(phi, psi):
     """
     if phi.rep.dim != psi.rep.dim:
         raise ValueError("spinors from different representations")
-    value = np.einsum("...a,...a->...", np.conj(phi.comp), psi.comp)
+    value = contract("...a,...a->...", np.conj(phi.comp), psi.comp)
     return Density(value, phi.weight + psi.weight)

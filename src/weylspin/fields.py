@@ -16,6 +16,7 @@ new components).  Non-slot trailing axes ride along untouched.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -344,6 +345,163 @@ def constant_jet(values, X):
                      np.broadcast_to(zero, v.shape + (X.n, X.n)), X.nb)
 
 
+def _expand(sub, ndim):
+    """The labels of one subscript, with "..." spelled out as negative
+    integers aligned from the right as numpy broadcasts them; None if the
+    subscript does not fit ``ndim`` axes."""
+    if "..." not in sub:
+        return list(sub) if len(sub) == ndim else None
+    head, tail = sub.split("...")
+    k = ndim - len(head) - len(tail)
+    return list(head) + list(range(-k, 0)) + list(tail) if k >= 0 else None
+
+
+def _perm(src, dst):
+    """The transpose taking label order ``src`` to ``dst`` (None if none)."""
+    return None if src == dst else tuple(map(src.index, dst))
+
+
+@lru_cache(maxsize=1024)
+def _contraction_form(spec, ndims):
+    """The shape-free part of a contraction plan: ``spec`` on operands
+    with ``ndims`` axes.
+
+    Operands are contracted left to right in pairs, each pair as one
+    batched matrix product.  Labels of a pair split into batch labels
+    (shared and needed later), contracted labels (shared, not needed
+    later) and the free labels of each side.  One side is transposed to
+    (batch, free, contracted) order and the other to (batch, contracted,
+    free), whichever assignment moves fewer axes, and both are reshaped
+    to three axes, or two without batch labels.
+
+    Returns the operand labels, with "..." spelled out, and ``(steps,
+    perm)``: per step the accumulator's transpose and the label groups of
+    its reshape, the next operand's transpose and reshape groups, whether
+    the accumulator is the left factor, and the labels of the product's
+    reshape, each None where it would do nothing; then the transpose to
+    the output order.  Returns None when the spec is not a chain of
+    products: a single operand, a label repeated in one operand (a trace
+    or a diagonal) or a label summed out of one operand alone; and for a
+    malformed spec, which ``np.einsum`` then rejects.
+    """
+    lhs, out = spec.split("->")
+    subs = lhs.split(",")
+    if len(subs) < 2 or len(subs) != len(ndims):
+        return None
+    labels = [_expand(sub, ndim) for sub, ndim in zip(subs, ndims)]
+    if None in labels or any(len(set(lab)) != len(lab) for lab in labels):
+        return None
+    every = [lbl for lab in labels for lbl in lab]
+    if "..." in out:
+        width = max(ndim - len(sub) + 3 if "..." in sub else 0
+                    for sub, ndim in zip(subs, ndims))
+        out = _expand(out, len(out) - 3 + width)
+    else:
+        out = list(out)
+    if len(set(out)) != len(out) or not set(out) <= set(every):
+        return None
+    if any(every.count(lbl) == 1 for lbl in every if lbl not in out):
+        return None
+
+    def direct(batch, first, second):
+        # Single-label groups already have the shape a reshape would give.
+        return len(batch) <= 1 and len(first) == 1 and len(second) == 1
+
+    steps = []
+    acc = labels[0]
+    last = len(labels) - 1
+    for k in range(1, last + 1):
+        opd = labels[k]
+        later = set(out)
+        for lab in labels[k + 1:]:
+            later.update(lab)
+        in_acc, in_opd = set(acc), set(opd)
+        # Shared labels keep the order of the side with more axes, which
+        # then more often needs no copy.
+        batch, con = [], []
+        for lbl in opd if len(opd) > len(acc) else acc:
+            if lbl in in_acc and lbl in in_opd:
+                (batch if lbl in later else con).append(lbl)
+        free_a = [lbl for lbl in acc if lbl not in in_opd]
+        free_b = [lbl for lbl in opd if lbl not in in_acc]
+        # Accumulator as the left factor, then as the right one.
+        options = []
+        for fl, fr in ((free_a, free_b), (free_b, free_a)):
+            left = fl is free_a
+            lay_a = batch + (free_a + con if left else con + free_a)
+            lay_b = batch + (con + free_b if left else free_b + con)
+            res = batch + fl + fr
+            moved = ((lay_a != acc) * len(acc) + (lay_b != opd) * len(opd)
+                     + (k == last and res != out) * len(res))
+            options.append((moved, not left, lay_a, lay_b, res, fl, fr))
+        _, right, lay_a, lay_b, res, fl, fr = min(options)
+        lead = (batch,) if batch else ()
+        groups_a = lead + ((con, free_a) if right else (free_a, con))
+        groups_b = lead + ((free_b, con) if right else (con, free_b))
+        steps.append((_perm(acc, lay_a), None if direct(batch, free_a, con) else groups_a,
+                      _perm(opd, lay_b), None if direct(batch, free_b, con) else groups_b,
+                      not right, None if direct(batch, fl, fr) else res))
+        acc = res
+    return labels, tuple(steps), _perm(acc, out)
+
+
+@lru_cache(maxsize=4096)
+def _contraction_plan(spec, shapes):
+    """How ``contract`` evaluates ``spec`` on operands of ``shapes``: the
+    form of ``_contraction_form`` with its reshapes sized, or None where
+    ``np.einsum`` takes over, including sizes that only broadcast (a
+    size-1 axis against a longer one)."""
+    form = _contraction_form(spec, tuple(map(len, shapes)))
+    if form is None:
+        return None
+    labels, steps, perm = form
+    size = {}
+    for lab, shape in zip(labels, shapes):
+        for lbl, extent in zip(lab, shape):
+            if size.setdefault(lbl, extent) != extent:
+                return None
+
+    def sized(groups):
+        if groups is None:
+            return None
+        return tuple([math.prod([size[lbl] for lbl in g]) for g in groups])
+
+    return tuple((pa, sized(ga), pb, sized(gb), left,
+                  None if res is None else tuple([size[lbl] for lbl in res]))
+                 for pa, ga, pb, gb, left, res in steps), perm
+
+
+def contract(spec, *ops):
+    """``np.einsum(spec, *ops)`` through batched matrix products.
+
+    ``spec`` names its output and may use "..."; operands are ndarrays.
+    The transposes, reshapes and one ``@`` per operand pair that evaluate
+    it are planned once per spec and operand shapes (``_contraction_plan``,
+    a bounded cache).  Specs that are not a chain of products (a single
+    operand, a trace or diagonal, a label summed out of one operand alone,
+    a size-1 axis broadcast against a longer one) go to ``np.einsum``,
+    the kernel's one fallback.
+    """
+    plan = _contraction_plan(spec, tuple([op.shape for op in ops]))
+    if plan is None:
+        return np.einsum(spec, *ops)
+    steps, perm = plan
+    acc = ops[0]
+    for (pa, sa, pb, sb, acc_left, rs), b in zip(steps, ops[1:]):
+        if pa is not None:
+            acc = acc.transpose(pa)
+        if sa is not None:
+            acc = acc.reshape(sa)
+        if pb is not None:
+            b = b.transpose(pb)
+        if sb is not None:
+            b = b.reshape(sb)
+        acc = acc @ b if acc_left else b @ acc
+        if rs is not None:
+            acc = acc.reshape(rs)
+    return acc if perm is None else acc.transpose(perm)
+
+
 @lru_cache(maxsize=None)
 def _einsum_plan(spec, kinds, order):
     """The Leibniz expansion of one jet_einsum call shape.
@@ -386,7 +544,7 @@ def _einsum_plan(spec, kinds, order):
 
 
 def jet_einsum(spec, *ops):
-    """einsum over jet values with automatic Leibniz expansion.
+    """``contract`` over jet values with automatic Leibniz expansion.
 
     ``spec`` addresses per-point value axes only and must name its output
     (``'ij,j->i'``); the labels X and Y are reserved for derivative axes.
@@ -400,7 +558,7 @@ def jet_einsum(spec, *ops):
     order = min((op.order for op in jets), default=0)
     plan = _einsum_plan(spec, kinds, order)
     if plan is None:
-        return np.einsum(spec, *ops)
+        return contract(spec, *[np.asarray(op) for op in ops])
     ns = {op.n for op in jets if op.n is not None}
     if len(ns) > 1:
         raise ValueError(f"mixed jet dimensions {ns}")
@@ -409,7 +567,7 @@ def jet_einsum(spec, *ops):
 
     def run(spec_src):
         spec_k, src = spec_src[:2]
-        return np.einsum(spec_k, *[cols[k][j] for k, j in src])
+        return contract(spec_k, *[cols[k][j] for k, j in src])
 
     v = run(value)
     g = h = None

@@ -22,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import SlotTensor, Spinor, build_representation, tensor_clifford
-from .fields import (ChartField, Poly, as_fraction, constant_field, permute,
-                     polynomial_field, zyk)
+from .fields import (ChartField, Poly, as_fraction, constant_field, contract,
+                     permute, polynomial_field, zyk)
 from .killing import (example_killing_half, example_parallel_zero,
                       flat_twistor_family, integrability_report,
                       killing_kernel_determinant)
@@ -145,12 +145,7 @@ def random_gauge(seed, n, degree=3, margin=0.5):
         metric = [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
         theta = [_random_poly(rng, n, degree, theta_scale) for _ in range(n)]
         gauge = Gauge.from_polys(metric, theta, name=f"random-{seed}")
-        pts = gauge.sample_points(rng, 32)
-        vals = np.empty((len(pts), n, n))
-        for i in range(n):
-            for j in range(i, n):
-                vals[:, i, j] = vals[:, j, i] = entries[i, j].values(pts)
-        eigs = np.linalg.eigvalsh(vals)
+        eigs = np.linalg.eigvalsh(gauge.metric(gauge.sample_points(rng, 32)))
         if margin <= eigs.min() and eigs.max() <= 1.0 / margin:
             return gauge
         scale *= 0.5
@@ -498,11 +493,11 @@ def _check_clifford_anticommutation(config, tol):
         skew = relative_residual(g + np.conj(np.transpose(g, (0, 2, 1))), g)
         X = rng.standard_normal((config.trials, n))
         Y = rng.standard_normal((config.trials, n))
-        Xm = np.einsum("ti,iab->tab", X, g)
-        Ym = np.einsum("ti,iab->tab", Y, g)
-        xy = np.einsum("tab,tb->ta", Xm, np.einsum("tab,tb->ta", Ym, psi))
-        yx = np.einsum("tab,tb->ta", Ym, np.einsum("tab,tb->ta", Xm, psi))
-        ip = 2.0 * np.einsum("ti,ti->t", X, Y)[:, None] * psi
+        Xm = contract("ti,iab->tab", X, g)
+        Ym = contract("ti,iab->tab", Y, g)
+        xy = contract("tab,tb->ta", Xm, contract("tab,tb->ta", Ym, psi))
+        yx = contract("tab,tb->ta", Ym, contract("tab,tb->ta", Xm, psi))
+        ip = 2.0 * contract("ti,ti->t", X, Y)[:, None] * psi
         res = max(skew, relative_residual(xy + yx + ip, xy, yx, ip))
         out.append(_rec(key, tol, n, "-", seed, res))
     return out
@@ -514,11 +509,11 @@ def _check_clifford_reorder(config, tol):
     for n in config.dims:
         seed, rng, rep, psi = _clifford_batch(config, key, n)
         g = rep.gammas
-        g2 = np.einsum("kab,lbc->klac", g, g)
+        g2 = contract("kab,lbc->klac", g, g)
         om = rng.standard_normal((config.trials, n, n))
-        m12 = np.einsum("tkl,klab,tb->ta", om, g2, psi)
-        m21 = np.einsum("tkl,lkab,tb->ta", om, g2, psi)
-        trpsi = 2.0 * np.einsum("tkk->t", om)[:, None] * psi
+        m12 = contract("tkl,klab,tb->ta", om, g2, psi)
+        m21 = contract("tkl,lkab,tb->ta", om, g2, psi)
+        trpsi = 2.0 * contract("tkk->t", om)[:, None] * psi
         res = relative_residual(m12 + m21 + trpsi, m12, m21, trpsi)
         for idx in range(min(3, config.trials)):
             sp = Spinor(rep, psi[idx])
@@ -536,9 +531,9 @@ def _check_clifford_frame_pairing(config, tol):
     out = []
     for n in config.dims:
         seed, rng, rep, psi = _clifford_batch(config, key, n)
-        nug = np.einsum("iab,tb->tia", rep.gammas, psi)
-        gram = np.einsum("tia,tja->tij", np.conj(nug), nug)
-        norms = np.einsum("ta,ta->t", np.conj(psi), psi).real
+        nug = contract("iab,tb->tia", rep.gammas, psi)
+        gram = contract("tia,tja->tij", np.conj(nug), nug)
+        norms = contract("ta,ta->t", np.conj(psi), psi).real
         target = norms[:, None, None] * np.eye(n)
         res = relative_residual(gram.real - target, gram.real, target)
         out.append(_rec(key, tol, n, "-", seed, res))
@@ -550,7 +545,7 @@ def _check_clifford_nu_trace(config, tol):
     out = []
     for n in config.dims:
         seed, rng, rep, psi = _clifford_batch(config, key, n)
-        mn = np.einsum("iab,ibc,tc->ta", rep.gammas, rep.gammas, psi)
+        mn = contract("iab,ibc,tc->ta", rep.gammas, rep.gammas, psi)
         res = relative_residual(mn + n * psi, mn, n * psi)
         out.append(_rec(key, tol, n, "-", seed, res))
     return out
@@ -562,13 +557,13 @@ def _check_clifford_two_form_exchange(config, tol):
     for n in config.dims:
         seed, rng, rep, psi = _clifford_batch(config, key, n)
         g = rep.gammas
-        g2 = np.einsum("kab,lbc->klac", g, g)
+        g2 = contract("kab,lbc->klac", g, g)
         A = rng.standard_normal((config.trials, n, n))
         F = A - np.transpose(A, (0, 2, 1))
-        fh = np.einsum("tkl,klab->tab", F, g2)
-        lhs = np.einsum("tab,ibc,tc->tia", fh, g, psi)
-        nu_f = np.einsum("iab,tb->tia", g, np.einsum("tab,tb->ta", fh, psi))
-        single = 4.0 * np.einsum("til,lab,tb->tia", F, g, psi)
+        fh = contract("tkl,klab->tab", F, g2)
+        lhs = contract("tab,ibc,tc->tia", fh, g, psi)
+        nu_f = contract("iab,tb->tia", g, contract("tab,tb->ta", fh, psi))
+        single = 4.0 * contract("til,lab,tb->tia", F, g, psi)
         res = relative_residual(lhs - nu_f - single, lhs, nu_f, single)
         out.append(_rec(key, tol, n, "-", seed, res))
     return out
@@ -588,11 +583,11 @@ def _curvature_algebra_rows(config):
             rp = np.moveaxis(b.rprime.comp, 0, -1)
             F = np.moveaxis(b.faraday.comp, 0, -1)
             swapped = permute(rp, (3, 4, 1, 2))
-            corr = (np.einsum("kjp,il->ijklp", F, E)
-                    + np.einsum("ikp,jl->ijklp", F, E)
-                    - np.einsum("ljp,ki->ijklp", F, E)
-                    - np.einsum("ilp,kj->ijklp", F, E))
-            fc = np.einsum("ijp,kl->ijklp", F, E)
+            corr = (contract("kjp,il->ijklp", F, E)
+                    + contract("ikp,jl->ijklp", F, E)
+                    - contract("ljp,ki->ijklp", F, E)
+                    - contract("ilp,kj->ijklp", F, E))
+            fc = contract("ijp,kl->ijklp", F, E)
             zr, zf = zyk(rp), zyk(fc)
             r_sym = _worst(*np.moveaxis([rp - swapped - corr, rp, swapped, corr], -1, 1))
             r_bia = _worst(*np.moveaxis([zr + zf, zr, zf, rp], -1, 1))
@@ -663,7 +658,7 @@ def _check_weight_shift(config, tol):
             pack = weyl_christoffels(gauge, pts)
             rs1 = spinorial_curvature(gauge, rep, f1, pts, pack=pack).comp
             rs0 = spinorial_curvature(gauge, rep, f0, pts, pack=pack).comp
-            fpsi = np.einsum("pij,ps->pijs", pack.faraday_frame.v, f1(pts))
+            fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, f1(pts))
             worst = _worst(rs1 - rs0 - fpsi, rs1, rs0, fpsi)
             out.append(_rec(key, tol, n, "-", gseed, worst))
     return out
@@ -807,7 +802,7 @@ def _check_zero_hessian(config, tol):
             rng = np.random.default_rng(seed)
             m = rng.uniform(-1.0, 1.0, size=n)
             phi1 = Spinor(rep, _unit_spinor(rng, rep.dim))
-            phi0 = Spinor(rep, -np.einsum("a,ast,t->s", m, rep.gammas, phi1.comp))
+            phi0 = Spinor(rep, -contract("a,ast,t->s", m, rep.gammas, phi1.comp))
             family = flat_twistor_family(phi0, phi1, weight=w)
             kinds = _slice_kinds(w)
             detail = kinds[di % len(kinds)]
@@ -919,12 +914,12 @@ def _check_gauge_covariance(config, tol):
                 p2, r2 = _derivative_and_scalar(gauge2, rep, field2, pts)
                 fac = np.exp((1.0 - wf) * fv)
                 p2s = p2 * fac[:, None, None]
-                d1 = np.einsum("ist,pit->ps", rep.gammas, p1)
-                d2 = np.einsum("ist,pit->ps", rep.gammas, p2)
+                d1 = contract("ist,pit->ps", rep.gammas, p1)
+                d2 = contract("ist,pit->ps", rep.gammas, p2)
                 d2s = d2 * fac[:, None]
                 v1, v2 = field(pts), field2(pts)
-                c1 = np.einsum("ps,ps->p", np.conj(v1), d1).real
-                c2 = np.einsum("ps,ps->p", np.conj(v2), d2).real
+                c1 = contract("ps,ps->p", np.conj(v1), d1).real
+                c2 = contract("ps,ps->p", np.conj(v2), d2).real
                 c2s = c2 * np.exp((1.0 - 2.0 * wf) * fv)
                 guard = np.linalg.norm(v1, axis=-1) * np.linalg.norm(d1, axis=-1)
                 worst = max(_worst(p2s - p1, p1, p2s),

@@ -19,9 +19,9 @@ from numpy.polynomial.chebyshev import chebinterpolate
 from scipy.integrate import solve_ivp
 
 from .clifford import Spinor, _slot_action, build_representation
-from .fields import ChartField, Poly, constant_jet, jet_einsum
+from .fields import ChartField, Poly, constant_jet, contract, jet_einsum
 from .spinops import (GateError, SpinorChartField, _cov_frame, _per_point,
-                      _spin_connection, constant_spinor)
+                      _spin_connection, _weighted, constant_spinor)
 from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
                    weyl_christoffels)
 
@@ -45,7 +45,7 @@ component), and the Clifford representation the components refer to."""
 def _nabla_beta_frame(pack, b):
     """Frame components of the covariant derivative of a weight -1 density."""
     chart = b.g - pack.TH.v * np.asarray(b.v)[..., None]
-    return np.einsum("...a,...ai->...i", chart, pack.S.v)
+    return contract("...a,...ai->...i", chart, pack.S.v)
 
 
 def _killing_parts(gauge, d, x):
@@ -54,7 +54,7 @@ def _killing_parts(gauge, d, x):
     P = _cov_frame(pack, d.rep, psi, d.psi.weight)
     b = d.beta.jet(x)
     rhs = (_per_point(np.asarray(b.v, dtype=complex), 2)
-           * np.einsum("ist,...t->...is", d.rep.gammas, psi.v))
+           * contract("ist,...t->...is", d.rep.gammas, psi.v))
     return pack, psi, b, P, rhs
 
 
@@ -79,7 +79,7 @@ def _integrability_terms(pack, bund, rep, psiv, b, w):
     bv = _per_point(np.asarray(b.v, dtype=complex))
     fhat = _slot_action(bund.faraday.comp, rep, psiv)
     nabla_b = _nabla_beta_frame(pack, b)
-    grad_cliff = np.einsum("...i,ist,...t->...s", nabla_b, rep.gammas, psiv)
+    grad_cliff = contract("...i,ist,...t->...s", nabla_b, rep.gammas, psiv)
     terms = (_per_point(bund.scalar.value) * psiv,
              (n - 2 + 2 * float(w)) * fhat,
              -4.0 * n * (n - 1) * bv ** 2 * psiv,
@@ -160,14 +160,14 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
     # rounding noise is not divided by itself.
     put("integrability", relative_residual(sum(terms), *terms, psiv, batch=1))
 
-    dvals = np.einsum("ist,...it->...s", gammas, P.v)
+    dvals = contract("ist,...it->...s", gammas, P.v)
     put("dirac-eigen",
         relative_residual(dvals + n * bv * psiv, dvals, n * bv * psiv, psiv, batch=1))
-    tw = P.v + (1.0 / n) * np.einsum("ist,...t->...is", gammas, dvals)
+    tw = P.v + (1.0 / n) * contract("ist,...t->...is", gammas, dvals)
     put("twistor", relative_residual(tw, P.v, np.abs(dvals), psiv, batch=1))
 
     if cls in ("imaginary", "zero"):
-        pair = np.abs(np.einsum("...s,...s->...", fhat.conj(), psiv))
+        pair = np.abs(contract("...s,...s->...", fhat.conj(), psiv))
         scale = np.linalg.norm(fhat, axis=-1) * np.linalg.norm(psiv, axis=-1)
         put("faraday-pairing", np.divide(pair, scale, out=pair.copy(), where=scale > 0))
     if cls in ("real", "zero"):
@@ -181,11 +181,11 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
     if n >= 3:
         ric1 = _slot_action(bund.ric_prime.comp, rep, psiv, slots=(2,))
         f1 = _slot_action(bund.faraday.comp, rep, psiv, slots=(2,))
-        outer = np.einsum("...i,...s->...is", nabla_b, psiv)
-        nb_nu = np.einsum("...j,jst,itu,...u->...is", nabla_b, gammas, gammas, psiv)
-        nupsi = np.einsum("ist,...t->...is", gammas, psiv)
-        nu_fhat = np.einsum("ist,...t->...is", gammas, fhat)
-        nu_grad = np.einsum("ist,...t->...is", gammas, grad_cliff)
+        outer = contract("...i,...s->...is", nabla_b, psiv)
+        nb_nu = contract("...j,jst,itu,...u->...is", nabla_b, gammas, gammas, psiv)
+        nupsi = contract("ist,...t->...is", gammas, psiv)
+        nu_fhat = contract("ist,...t->...is", gammas, fhat)
+        nu_grad = contract("ist,...t->...is", gammas, grad_cliff)
         bv2 = _per_point(betas, 2)
         R2 = _per_point(R, 2)
         rhs14 = (2.0 * n * outer + 2.0 * nb_nu
@@ -333,9 +333,9 @@ def _path_coefficient(gauge, d, x0, v, length):
         pts = x0 + np.multiply.outer(0.5 * length * (s + 1.0), v)
         pack = weyl_christoffels(gauge, pts)
         vf = pack.frame_components(v)
-        A = _spin_connection(pack, rep, d.psi.weight).v
+        A = _weighted(pack, rep, _spin_connection(pack, rep), d.psi.weight).v
         beta = np.asarray(d.beta.jet(pts).v, dtype=complex)
-        coeff = np.einsum("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
+        coeff = contract("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
         return coeff.reshape(len(s), -1)  # chebinterpolate fits along axis 0 of a matrix
 
     deg = _CHEB_START

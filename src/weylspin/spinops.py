@@ -17,8 +17,8 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import Density, Spinor, _slot_action
-from .fields import (as_fraction, constant_jet, coordinate_jets, jet_einsum,
-                     polynomial_field)
+from .fields import (as_fraction, constant_jet, contract, coordinate_jets,
+                     jet_einsum, polynomial_field)
 from .weyl import curvature, relative_residual, weyl_christoffels
 
 __all__ = [
@@ -113,21 +113,30 @@ def gauge_transport_spinor(field, f):
 # -- covariant differentiation -------------------------------------------
 
 
-def _spin_connection(pack, rep, weight, lc_only=False):
-    """The spinor part of the frame covariant derivative of a weight-w
+def _spin_connection(pack, rep, lc_only=False):
+    """The spinor part of the frame covariant derivative of a weight-1/2
     field, one matrix per direction: the jet [i, s, t] of
-    A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta
-    + (w - 1/2) theta_i, whose gauge terms are omitted when ``lc_only``."""
+    A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta, whose
+    gauge term is omitted when ``lc_only``.  A weight-w field adds
+    (w - 1/2) theta_i (``_weighted``), so one connection serves every
+    weight."""
     A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.pair_products())
     if lc_only:
         return A
     th = pack.theta_frame.truncate(A.order)
     theta_cliff = jet_einsum("k,kst->st", th, rep.gammas)
-    return (A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
-            + (float(weight) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim)))
+    return A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
 
 
-def _cov_frame(pack, rep, Q, weight, lc_only=False):
+def _weighted(pack, rep, conn, weight):
+    """The connection ``conn`` of ``_spin_connection`` for a weight-w field."""
+    if weight == Fraction(1, 2):
+        return conn
+    th = pack.theta_frame.truncate(conn.order)
+    return conn + (float(weight) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim))
+
+
+def _cov_frame(pack, rep, Q, weight, lc_only=False, conn=None):
     """Frame covariant derivative of spinor-valued components.
 
     ``Q`` is a jet with value shape ``lead + (N,)`` where every lead axis
@@ -135,15 +144,20 @@ def _cov_frame(pack, rep, Q, weight, lc_only=False):
     first axis is the derivative direction.  The spinor part uses the spin
     rotation coefficients plus the weight-dependent gauge terms (omitted
     when ``lc_only``); each lead slot is corrected with the full
-    connection's frame coefficients.
+    connection's frame coefficients.  ``conn`` is the connection of
+    ``_spin_connection`` when the caller already holds it.
     """
     lead = Q.shape[:-1]
     r = len(lead)
     if r > len(_SLOT_LETTERS):
         raise ValueError(f"at most {len(_SLOT_LETTERS)} slot axes supported")
     LL = _SLOT_LETTERS[:r]
+    if conn is None:
+        conn = _spin_connection(pack, rep, lc_only)
+    if not lc_only:
+        conn = _weighted(pack, rep, conn, weight)
     P = jet_einsum(f"ai,{LL}sa->i{LL}s", pack.S, Q.gradient())
-    P = P + jet_einsum(f"ist,{LL}t->i{LL}s", _spin_connection(pack, rep, weight, lc_only), Q)
+    P = P + jet_einsum(f"ist,{LL}t->i{LL}s", conn, Q)
     omega = pack.omega_lc_frame if lc_only else pack.omega_weyl
     for p in range(r):
         sub_q = LL[:p] + "k" + LL[p + 1:]
@@ -176,10 +190,11 @@ def _derivative_stack(gauge, rep, field, x, pack=None):
         pack = weyl_christoffels(gauge, x)
     w = field.weight
     psi = field.jet(x)
-    P = _cov_frame(pack, rep, psi, w)
-    H = _cov_frame(pack, rep, P, w).v            # [i, j, s] = second derivative
+    conn = _spin_connection(pack, rep)
+    P = _cov_frame(pack, rep, psi, w, conn=conn)
+    H = _cov_frame(pack, rep, P, w, conn=conn).v        # [i, j, s] = second derivative
     dj = jet_einsum("ist,it->s", rep.gammas, P)
-    vd = _cov_frame(pack, rep, dj, w - 1).v      # [i, s]
+    vd = _cov_frame(pack, rep, dj, w - 1, conn=conn).v  # [i, s]
     return _Stack(pack, psi, P, H, dj, vd)
 
 
@@ -211,13 +226,13 @@ def dirac(gauge, rep, field, x):
     """Clifford contraction of the covariant derivative."""
     pack = weyl_christoffels(gauge, x)
     P = _cov_frame(pack, rep, field.jet(x), field.weight)
-    return Spinor(rep, np.einsum("ist,...it->...s", rep.gammas, P.v), field.weight - 1)
+    return Spinor(rep, contract("ist,...it->...s", rep.gammas, P.v), field.weight - 1)
 
 
 def spinor_laplacian(gauge, rep, field, x):
     """Negative trace of the second covariant derivative."""
     st = _derivative_stack(gauge, rep, field, x)
-    return Spinor(rep, -np.einsum("...iis->...s", st.H), field.weight - 2)
+    return Spinor(rep, -contract("...iis->...s", st.H), field.weight - 2)
 
 
 def spinorial_curvature(gauge, rep, field, x, pack=None):
@@ -237,8 +252,8 @@ def sl_residual(gauge, rep, field, x):
     n, w = gauge.n, float(field.weight)
     bund = curvature(gauge, x, pack=st.pack)
     psi = st.psi.v
-    d2 = np.einsum("ist,...it->...s", rep.gammas, st.vd)
-    lap = -np.einsum("...iis->...s", st.H)
+    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
+    lap = -contract("...iis->...s", st.H)
     rterm = 0.25 * _per_point(bund.scalar.value) * psi
     fterm = 0.25 * (n - 2 + 2 * w) * _slot_action(bund.faraday.comp, rep, psi)
     # The field norm joins the scale: on a flat structure in a rescaled
@@ -267,13 +282,13 @@ def curvature_contraction_checks(gauge, rep, field, x):
 
     rs = st.H - np.swapaxes(st.H, -3, -2)
     quarter = 0.25 * _slot_action(rp, rep, psi, slots=(3, 4))
-    wf = w * np.einsum("...ij,...s->...ijs", F, psi)
+    wf = w * contract("...ij,...s->...ijs", F, psi)
     r_action = relative_residual(rs - quarter - wf, rs, quarter, wf, batch=nb)
 
     lhs3 = _slot_action(rp, rep, psi, slots=(2, 3, 4))
     ricp1 = _slot_action(bund.ric_prime.comp, rep, psi, slots=(2,))
     f1 = _slot_action(F, rep, psi, slots=(2,))
-    nf = np.einsum("ist,...t->...is", rep.gammas, fhat)
+    nf = contract("ist,...t->...is", rep.gammas, fhat)
     r_partial = relative_residual(lhs3 + 2 * ricp1 + 2 * f1 + nf,
                                   lhs3, 2 * ricp1, 2 * f1, nf, batch=nb)
 
@@ -293,15 +308,15 @@ def twistor(gauge, rep, field, x):
     """Trace-free part of the covariant derivative (twistor operator)."""
     pack = weyl_christoffels(gauge, x)
     P = _cov_frame(pack, rep, field.jet(x), field.weight)
-    d = np.einsum("ist,...it->...s", rep.gammas, P.v)
-    comp = P.v + (1.0 / gauge.n) * np.einsum("ist,...t->...is", rep.gammas, d)
+    d = contract("ist,...it->...s", rep.gammas, P.v)
+    comp = P.v + (1.0 / gauge.n) * contract("ist,...t->...is", rep.gammas, d)
     return Spinor(rep, comp, field.weight - 1)
 
 
 def _twistor_gate(rep, n, P, dval, psiv, gate_tol, what, nb):
     # The field norm joins the scale so that exactly parallel data (zero
     # derivative and zero Dirac image) does not divide noise by noise.
-    correction = (1.0 / n) * np.einsum("ist,...t->...is", rep.gammas, dval)
+    correction = (1.0 / n) * contract("ist,...t->...is", rep.gammas, dval)
     gate = float(np.max(relative_residual(P.v + correction, P.v, correction, psiv,
                                           batch=nb)))
     if gate > gate_tol:
@@ -322,8 +337,8 @@ def twistor_laplacian_residuals(gauge, rep, field, x, gate_tol=1e-8):
     psi = st.psi.v
     _twistor_gate(rep, n, st.P, st.dirac.v, psi, gate_tol, "the eigen identity", nb)
     bund = curvature(gauge, x, pack=st.pack)
-    d2 = np.einsum("ist,...it->...s", rep.gammas, st.vd)
-    lap = -np.einsum("...iis->...s", st.H)
+    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
+    lap = -contract("...iis->...s", st.H)
     r_lap = relative_residual(lap - d2 / n, lap, d2 / n, psi, batch=nb)
     coef = n / (4.0 * (n - 1))
     rterm = coef * _per_point(bund.scalar.value) * psi
@@ -339,8 +354,8 @@ def _dirac_gradient_rhs(gauge, rep, bund, psi, w):
     ricp1 = _slot_action(bund.ric_prime.comp, rep, psi, slots=(2,))
     f1 = _slot_action(bund.faraday.comp, rep, psi, slots=(2,))
     fhat = _slot_action(bund.faraday.comp, rep, psi)
-    gam_psi = np.einsum("ist,...t->...is", rep.gammas, psi)
-    gam_fhat = np.einsum("ist,...t->...is", rep.gammas, fhat)
+    gam_psi = contract("ist,...t->...is", rep.gammas, psi)
+    gam_fhat = contract("ist,...t->...is", rep.gammas, fhat)
     R = _per_point(bund.scalar.value, 2)
     return (n / (n - 2.0)) * (
         -0.5 * ricp1
@@ -377,7 +392,7 @@ def ew_connection_apply(gauge, rep, field, x, X=None):
     psi = field.jet(x).v
     comp = -_dirac_gradient_rhs(gauge, rep, bund, psi, float(field.weight))
     if X is not None:
-        comp = np.einsum("...i,...is->...s", pack.frame_components(X), comp)
+        comp = contract("...i,...is->...s", pack.frame_components(X), comp)
     return Spinor(rep, comp, field.weight - 2)
 
 
@@ -395,7 +410,7 @@ def pair_parallel_residuals(gauge, rep, field, x):
     st = _derivative_stack(gauge, rep, field, x)
     nb = st.pack.G.nb
     bund = curvature(gauge, x, pack=st.pack)
-    correction = (1.0 / gauge.n) * np.einsum("ist,...t->...is", rep.gammas, st.dirac.v)
+    correction = (1.0 / gauge.n) * contract("ist,...t->...is", rep.gammas, st.dirac.v)
     top = relative_residual(st.P.v + correction, st.P.v, correction, st.psi.v, batch=nb)
     rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, float(field.weight))
     bottom = relative_residual(st.vd - rhs, st.vd, rhs, st.dirac.v, st.psi.v, batch=nb)
@@ -422,8 +437,8 @@ def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
     dj = jet_einsum("ist,it->s", rep.gammas, P)
     _twistor_gate(rep, gauge.n, P, dj.v, psi.v, gate_tol, "the conserved densities", nb)
     if w != Fraction(1, 2):
-        fhat = np.einsum("...ij,ist,jtu,...u->...s", pack.faraday_frame.v,
-                         rep.gammas, rep.gammas, psi.v)
+        fhat = contract("...ij,ist,jtu,...u->...s", pack.faraday_frame.v,
+                        rep.gammas, rep.gammas, psi.v)
         gate = float(np.max(relative_residual(fhat, psi.v, batch=nb)))
         if gate > gate_tol:
             raise GateError("the conserved densities need weight 1/2 or a vanishing "
@@ -432,17 +447,21 @@ def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
     wc = float(2 * w - 1)
     wq = float(4 * w - 2)
     th = pack.TH.v
+    # The magnitudes each density is built from join its scale: C can
+    # vanish analytically (the plane Killing families), and its residual
+    # would otherwise compare rounding noise to rounding noise.
+    built = np.linalg.norm(psi.v, axis=-1) * np.linalg.norm(dj.v, axis=-1)
     c_jet = jet_einsum("s,s->", psi.conj(), dj).real()
     dC = c_jet.g + wc * th * c_jet.v[..., None]
     r_c = relative_residual(dC, c_jet.g, wc * th * c_jet.v[..., None],
-                            np.atleast_1d(c_jet.v), batch=nb)
+                            np.atleast_1d(c_jet.v), built, batch=nb)
     u1 = jet_einsum("s,s->", psi.conj(), psi).real()
     u2 = jet_einsum("s,s->", dj.conj(), dj).real()
     cross = jet_einsum("s,ist,t->i", dj.conj(), rep.gammas, psi).real()
     q_jet = u1 * u2 - jet_einsum("i,i->", cross, cross)
     dQ = q_jet.g + wq * th * q_jet.v[..., None]
     r_q = relative_residual(dQ, q_jet.g, wq * th * q_jet.v[..., None],
-                            np.atleast_1d(q_jet.v), batch=nb)
+                            np.atleast_1d(q_jet.v), built ** 2, batch=nb)
     return {
         "C": Density(_scalar(c_jet.v), 2 * w - 1),
         "Q": Density(_scalar(q_jet.v), 4 * w - 2),
@@ -465,7 +484,7 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
     w2 = float(2 * field.weight)
     psi = field.jet(x)
     P = _cov_frame(pack, rep, psi, field.weight)
-    d = np.einsum("ist,it->s", rep.gammas, P.v)
+    d = contract("ist,it->s", rep.gammas, P.v)
     dnorm2 = float(np.real(np.vdot(d, d)))
     if float(np.linalg.norm(psi.v)) > gate_tol * (1.0 + np.sqrt(dnorm2)):
         raise GateError("the Hessian identity holds at zeros of the field; "
@@ -473,13 +492,13 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
     u = jet_einsum("s,s->", psi.conj(), psi).real()
     th = pack.TH
     V = u.g + w2 * th.v * u.v
-    dV = u.h + w2 * (th.g * u.v + np.einsum("b,a->ba", th.v, u.g))
+    dV = u.h + w2 * (th.g * u.v + contract("b,a->ba", th.v, u.g))
     gam = pack.gam_weyl.v
     Hc = (np.transpose(dV, (1, 0))
-          - np.einsum("cab,c->ab", gam, V)
-          + w2 * np.einsum("a,b->ab", th.v, V))
+          - contract("cab,c->ab", gam, V)
+          + w2 * contract("a,b->ab", th.v, V))
     Sv = pack.S.v
-    Hf = np.einsum("ai,ab,bj->ij", Sv, Hc, Sv)
+    Hf = contract("ai,ab,bj->ij", Sv, Hc, Sv)
     expected = (2.0 / n ** 2) * dnorm2 * np.eye(n)
     return {
         "residual": relative_residual(Hf - expected, Hf, expected),

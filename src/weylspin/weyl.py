@@ -19,6 +19,7 @@ from .fields import (
     ChartField,
     Poly,
     constant_field,
+    contract,
     jet_cholesky,
     jet_einsum,
     jet_lower_inverse,
@@ -233,10 +234,10 @@ def faraday(gauge):
 def _curvature_coeffs(gv, gg):
     """R^l_{kij} at [..., l, k, i, j] from Christoffel values [..., k, i, j]
     (i = direction) and their derivatives [..., k, i, j, c]."""
-    d_i = np.einsum("...ljki->...lkij", gg)  # d_i Gamma^l_{jk}
-    d_j = np.einsum("...likj->...lkij", gg)  # d_j Gamma^l_{ik}
-    quad_i = np.einsum("...lim,...mjk->...lkij", gv, gv)
-    quad_j = np.einsum("...ljm,...mik->...lkij", gv, gv)
+    d_i = contract("...ljki->...lkij", gg)  # d_i Gamma^l_{jk}
+    d_j = contract("...likj->...lkij", gg)  # d_j Gamma^l_{ik}
+    quad_i = contract("...lim,...mjk->...lkij", gv, gv)
+    quad_j = contract("...ljm,...mik->...lkij", gv, gv)
     return d_i - d_j + quad_i - quad_j
 
 
@@ -278,25 +279,25 @@ def curvature(gauge, point, pack=None):
     Gv = pack.G.v
 
     def lowered_frame(coeffs):
-        chart = np.einsum("...mkij,...ml->...ijkl", coeffs, Gv)
+        chart = contract("...mkij,...ml->...ijkl", coeffs, Gv)
         # One frame index at a time: four small contractions instead of a
         # five-operand einsum.
-        frame = np.einsum("...ijkl,...ld->...ijkd", chart, Sv)
-        frame = np.einsum("...ijkd,...kc->...ijcd", frame, Sv)
-        frame = np.einsum("...ijcd,...jb->...ibcd", frame, Sv)
-        frame = np.einsum("...ibcd,...ia->...abcd", frame, Sv)
+        frame = contract("...ijkl,...ld->...ijkd", chart, Sv)
+        frame = contract("...ijkd,...kc->...ijcd", frame, Sv)
+        frame = contract("...ijcd,...jb->...ibcd", frame, Sv)
+        frame = contract("...ibcd,...ia->...abcd", frame, Sv)
         return chart, frame
 
     gam = pack.gam_weyl
     r_chart, r_frame = lowered_frame(_curvature_coeffs(gam.v, gam.g))
     TH = pack.TH
     _, rp_frame = lowered_frame(_curvature_coeffs(
-        gam.v - np.einsum("...i,kj->...kij", TH.v, E),
-        gam.g - np.einsum("...ic,kj->...kijc", TH.g, E)))
+        gam.v - contract("...i,kj->...kij", TH.v, E),
+        gam.g - contract("...ic,kj->...kijc", TH.g, E)))
     Ff = pack.faraday_frame.v
-    rp_alt = r_frame - np.einsum("...ab,cd->...abcd", Ff, E)
-    ric = np.einsum("...abca->...bc", r_frame)
-    ric_p = np.einsum("...abca->...bc", rp_frame)
+    rp_alt = r_frame - contract("...ab,cd->...abcd", Ff, E)
+    ric = contract("...abca->...bc", r_frame)
+    ric_p = contract("...abca->...bc", rp_frame)
     scal = np.trace(ric, axis1=-2, axis2=-1)
     if not nb:
         scal = float(scal)
@@ -387,12 +388,12 @@ def connection_residuals(gauge, point):
     Gv, Gg = pack.G.v, pack.G.g
     th = pack.TH.v
     torsion = gam - np.swapaxes(gam, -1, -2)
-    nab = (np.einsum("...ijc->...cij", Gg)
-           - np.einsum("...mai,...mj->...aij", gam, Gv)
-           - np.einsum("...maj,...im->...aij", gam, Gv))
-    metric_res = nab + 2.0 * np.einsum("...a,...ij->...aij", th, Gv)
-    half_trace = 0.5 * np.einsum("...ij,...ija->...a", pack.Ginv.v, Gg)
-    trace_res = np.einsum("...bba->...a", gam) - half_trace - n * th
+    nab = (contract("...ijc->...cij", Gg)
+           - contract("...mai,...mj->...aij", gam, Gv)
+           - contract("...maj,...im->...aij", gam, Gv))
+    metric_res = nab + 2.0 * contract("...a,...ij->...aij", th, Gv)
+    half_trace = 0.5 * contract("...ij,...ija->...a", pack.Ginv.v, Gg)
+    trace_res = contract("...bba->...a", gam) - half_trace - n * th
     return {
         "torsion": relative_residual(torsion, gam, np.ones(1), batch=nb),
         "metric": relative_residual(metric_res, nab, Gv, batch=nb),

@@ -1,12 +1,17 @@
-"""Jet arithmetic, polynomial evaluation, and the slot calculus."""
+"""Jet arithmetic, the contraction kernel, polynomial evaluation, and the slot calculus."""
 
+import inspect
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import weylspin
+from weylspin import clifford, fields, harness, killing, spinops, weyl
 from weylspin.clifford import SlotTensor
 from weylspin.fields import (
     Jet,
@@ -16,6 +21,8 @@ from weylspin.fields import (
     compose,
     conf_trace,
     constant_field,
+    constant_jet,
+    contract,
     coordinate_jets,
     finite_difference_jet,
     jet_cholesky,
@@ -32,6 +39,7 @@ from weylspin.fields import (
     zyk,
     zyk_four,
 )
+from weylspin.killing import example_killing_half, example_parallel_zero
 
 HYPO = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -306,6 +314,103 @@ def test_jet_einsum_spec_validation():
         jet_einsum("i,j->ij", j)
     with pytest.raises(ValueError):
         jet_einsum("i,i->", j, coordinate_jets(np.zeros(3)))
+
+
+# -- the contraction kernel ----------------------------------------------------
+
+
+def assert_matches_einsum(spec, *ops):
+    """contract equals np.einsum to 1e-13 of the magnitude its rounding
+    scales with, the einsum of the operands' absolute values."""
+    got, want = contract(spec, *ops), np.einsum(spec, *ops)
+    assert got.shape == want.shape and got.dtype == want.dtype, spec
+    scale = np.max(np.einsum(spec, *[np.abs(op) for op in ops]), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale, spec
+
+
+def test_contract_matches_einsum_on_every_call_of_a_draw_and_a_transport(monkeypatch):
+    # The first operands seen for each (spec, shapes, dtypes) in one default
+    # suite draw and one transport, as the package passes them (views,
+    # broadcasts and all).
+    seen = {}
+
+    def recording(spec, *ops):
+        key = (spec,) + tuple((op.shape, op.dtype.str) for op in ops)
+        seen.setdefault(key, ops)
+        return contract(spec, *ops)
+
+    for mod in (fields, clifford, weyl, spinops, killing, harness):
+        monkeypatch.setattr(mod, "contract", recording)
+    report = weylspin.run_suite(weylspin.SuiteConfig(gauges=1, seed=1))
+    assert all(r.passed for r in report.records)
+    for family in (example_killing_half(0.9 + 0.2j, -1), example_parallel_zero(1.1, 0.4j)):
+        gauge, datum, _ = family
+        out = weylspin.killing_transport(gauge, datum, np.array([-0.3, 0.2]),
+                                         np.array([0.6, -0.8]), length=0.8)
+        assert out["residual"] < 1e-6
+    monkeypatch.undo()
+    planned = [key for key in seen if fields._contraction_plan(
+        key[0], tuple(shape for shape, _ in key[1:])) is not None]
+    assert len(seen) > 500 and len(planned) > 0.9 * len(seen)
+    for key, ops in seen.items():
+        assert_matches_einsum(key[0], *ops)
+
+
+def test_contract_on_broadcast_mixed_and_chained_operands():
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(-1, 1, (6, 3))
+    # zero-stride operands: a constant jet's values and derivative arrays
+    c = constant_jet(rng.uniform(-1, 1, (3, 2)), coordinate_jets(pts))
+    assert 0 in c.v.strides and 0 in c.g.strides
+    assert_matches_einsum("...isX,st->...itX", c.g, rng.uniform(-1, 1, (2, 2)))
+    assert_matches_einsum("...is,...it->...st", c.v, rng.uniform(-1, 1, (6, 3, 2)))
+    # real times complex
+    z = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    assert_matches_einsum("ist,...it->...s", z, rng.standard_normal((6, 3, 4)))
+    # ellipses of different batch ranks: a batched jet times a per-point
+    # constant, and two batch axes against one
+    assert_matches_einsum("...ij,...j->...i", rng.standard_normal((6, 3, 3)), pts[0])
+    assert_matches_einsum("...ij,...jk->...ik", rng.standard_normal((2, 6, 3, 4)),
+                          rng.standard_normal((6, 4, 2)))
+    # three and four operands
+    S = rng.standard_normal((3, 3))
+    assert_matches_einsum("ab,ai,bj->ij", rng.standard_normal((3, 3)), S, S)
+    g = clifford.build_representation(3).gammas
+    assert_matches_einsum("...j,jst,itu,...u->...is", pts, g, g,
+                          rng.standard_normal((6, 2)) + 0j)
+
+
+@pytest.mark.parametrize("spec, shapes", [
+    ("...ij->...ji", [(4, 3, 2)]),                      # a single operand
+    ("...iis->...s", [(4, 3, 3, 2)]),                   # a trace
+    ("ii,i->i", [(3, 3), (3,)]),                        # a diagonal
+    ("ij,jk->k", [(3, 4), (4, 2)]),                     # i summed out of one operand
+    ("...ij,...jk->...ik", [(1, 3, 4), (5, 4, 2)]),     # size 1 against size 5
+])
+def test_contract_falls_back_to_einsum_only_off_the_product_chain(spec, shapes, monkeypatch):
+    rng = np.random.default_rng(32)
+    ops = [rng.standard_normal(shape) for shape in shapes]
+    assert fields._contraction_plan(spec, tuple(shapes)) is None
+    assert_matches_einsum(spec, *ops)
+    calls = []
+    einsum = np.einsum
+    monkeypatch.setattr(np, "einsum", lambda *a: calls.append(a[0]) or einsum(*a))
+    contract(spec, *ops)
+    contract("ij,jk->ik", rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))
+    assert calls == [spec]
+
+
+def test_no_raw_einsum_outside_the_kernel():
+    # Every contraction goes through the kernel; its fallback is the one
+    # np.einsum call in the package.
+    lines, first = inspect.getsourcelines(fields.contract)
+    kernel = range(first, first + len(lines))
+    raw = re.compile(r"(?<!\w)einsum\(")
+    hits = [f"{path.name}:{no}"
+            for path in sorted(Path(weylspin.__file__).parent.glob("*.py"))
+            for no, line in enumerate(path.read_text().splitlines(), 1)
+            if raw.search(line) and not (path.name == "fields.py" and no in kernel)]
+    assert hits == []
 
 
 def test_coordinate_jets():

@@ -1,5 +1,6 @@
 """Suite configuration, reporting, determinism, selection, and the CLI."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -108,6 +109,18 @@ def test_random_gauge_is_deterministic():
     assert a.to_dict() != random_gauge(6, 3).to_dict()
 
 
+@pytest.mark.parametrize("seed, n, digest", [
+    (0, 2, "b6e2bf25eb7f28e3"),
+    (7, 3, "7af055614b663366"),
+    (99, 3, "0733da3253c237d8"),
+    (2025, 4, "ad175d17ba4339a6"),
+    (123456, 6, "3139cbadb10336d8"),
+])
+def test_random_gauge_draws_are_pinned(seed, n, digest):
+    text = json.dumps(random_gauge(seed, n).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 @pytest.mark.parametrize("margin", [0.5, 0.8])
 def test_random_gauge_eigenvalues_stay_in_the_band(margin):
     g = random_gauge(9, 3, margin=margin)
@@ -118,6 +131,10 @@ def test_random_gauge_eigenvalues_stay_in_the_band(margin):
     eigs = np.linalg.eigvalsh(vals)
     assert eigs.min() >= margin - 1e-12
     assert eigs.max() <= 1.0 / margin + 1e-12
+    # Gershgorin: each perturbation entry is at most (1 - m) / (2 n) on the
+    # box, so every eigenvalue lies in [(1 + m) / 2, (3 - m) / 2].
+    assert eigs.min() >= (1.0 + margin) / 2 - 1e-12
+    assert eigs.max() <= (3.0 - margin) / 2 + 1e-12
 
 
 def test_random_gauge_rejects_bad_margin():

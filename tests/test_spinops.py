@@ -5,10 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from weylspin import spinops
 from weylspin.clifford import build_representation
-from weylspin.fields import ChartField, Poly, constant_field, polynomial_field
-from weylspin.harness import random_gauge
-from weylspin.killing import example_parallel_zero, flat_twistor_family
+from weylspin.fields import ChartField, Poly, constant_field, jet_einsum, polynomial_field
+from weylspin.harness import SuiteConfig, random_gauge, run_suite
+from weylspin.killing import example_killing_half, example_parallel_zero, flat_twistor_family
 from weylspin.spinops import (
     GateError,
     SpinorChartField,
@@ -30,7 +31,7 @@ from weylspin.spinops import (
     twistor_laplacian_residuals,
     weyl_spinor_derivative,
 )
-from weylspin.spinops import _derivative_stack
+from weylspin.spinops import _cov_frame, _derivative_stack
 from weylspin.weyl import Gauge, change_gauge, curvature, weyl_christoffels
 
 
@@ -426,6 +427,72 @@ def test_first_integrals_gates():
     gauge, datum, rep2 = example_parallel_zero(1.0, 0.5)
     with pytest.raises(GateError, match="vanishing Faraday action"):
         first_integrals(gauge, rep2, datum.psi, np.array([0.4, -0.1]))
+
+
+@pytest.mark.parametrize("seed", [207, 368])
+def test_first_integrals_scale_includes_the_density_magnitudes(seed):
+    # At these suite seeds the flat-slice n = 3 rows read 9.7e-5 and 5.8e-8,
+    # and with other summation orders the plane Killing rows read 1.0: their
+    # density C vanishes analytically, so the residual divided rounding
+    # noise by itself.
+    report = run_suite(SuiteConfig(gauges=1, seed=seed, checks=("twistor-first-integrals",)))
+    assert any(r.n == 3 and r.detail == "flat" for r in report.records)
+    assert all(r.passed for r in report.records)
+    half = [r.residual for r in report.records if r.detail.startswith("killing-half")]
+    assert len(half) == 2 and max(half) < 1e-13
+
+
+def test_first_integrals_at_a_vanishing_density_and_off_the_twistor_fields():
+    rng = np.random.default_rng(77)
+    for sign in (1, -1):
+        gauge, datum, rep = example_killing_half(0.8 - 0.3j, sign)
+        out = first_integrals(gauge, rep, datum.psi, gauge.sample_points(rng, 10))
+        assert np.max(np.abs(out["C"].value)) < 1e-15
+        assert np.max(out["dC"]) < 1e-13 and np.max(out["dQ"]) < 1e-13
+    # A field that is not twistor-type has densities that are not parallel;
+    # the larger scale must not hide that.
+    n = 3
+    rep = build_representation(n)
+    gauge = random_gauge(78, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=Fraction(1, 2))
+    out = first_integrals(gauge, rep, field, gauge.sample_points(rng, 10), gate_tol=np.inf)
+    assert np.max(out["dC"]) >= 1e-3 and np.max(out["dQ"]) >= 1e-3
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 2), 1, -1])
+def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
+    n = 3
+    rng = np.random.default_rng(79)
+    rep = build_representation(n)
+    gauge = random_gauge(80, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=weight)
+    pts = gauge.sample_points(rng, 4)
+    pack = weyl_christoffels(gauge, pts)
+    built = []
+    spin_connection = spinops._spin_connection
+    monkeypatch.setattr(spinops, "_spin_connection",
+                        lambda *a, **k: built.append(a) or spin_connection(*a, **k))
+    st = _derivative_stack(gauge, rep, field, pts, pack=pack)
+    assert len(built) == 1
+    monkeypatch.undo()
+
+    # Reference: each derivative gets the full weight-w connection, written
+    # out in one expression, (1/4) omega gamma gamma - (1/2) gamma theta
+    # + (w - 1/2) theta.
+    def connection(w):
+        A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.pair_products())
+        th = pack.theta_frame.truncate(A.order)
+        return (A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas,
+                                     jet_einsum("k,kst->st", th, rep.gammas))
+                + (float(w) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim)))
+
+    half = Fraction(1, 2)
+    P = _cov_frame(pack, rep, field.jet(pts), half, conn=connection(weight))
+    H = _cov_frame(pack, rep, P, half, conn=connection(weight)).v
+    dj = jet_einsum("ist,it->s", rep.gammas, P)
+    vd = _cov_frame(pack, rep, dj, half, conn=connection(weight - 1)).v
+    for got, want in ((st.P.v, P.v), (st.P.g, P.g), (st.H, H), (st.dirac.v, dj.v), (st.vd, vd)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_hessian_identity_at_a_zero_of_the_family():
