@@ -13,9 +13,8 @@ from .clifford import (CliffordRep, Density, SlotTensor, Spinor,
                        tensor_clifford)
 from .fields import (ChartField, Jet, Poly, alt, as_fraction, compose,
                      conf_trace, constant_field, coordinate_jets,
-                     finite_difference_jet, jet_einsum, jet_eval, permute,
-                     polynomial_field, sym, sym_alt, transposition, zyk,
-                     zyk_four)
+                     finite_difference_jet, jet_einsum, permute,
+                     polynomial_field, sym, transposition, zyk, zyk_four)
 from .harness import (CHECKS, EXAMPLES, CheckRecord, Report, SuiteConfig,
                       emit_report, load_config, parse_report, random_gauge,
                       resolve_checks, run_example, run_suite)
@@ -51,12 +50,12 @@ __all__ = [
     "first_integrals", "flat_twistor_family", "frame_pack",
     "gauge_transport_spinor", "herm", "hessian_identity_check",
     "integrability_report", "integrability_residual", "jet_einsum",
-    "jet_eval", "killing_kernel_determinant", "killing_residual",
+    "killing_kernel_determinant", "killing_residual",
     "killing_transport", "load_config", "nabla_dirac_residual", "nu",
     "pair_parallel_residuals", "parse_report", "permute", "polynomial_field",
     "polynomial_spinor", "random_gauge", "relative_residual", "resolve_checks",
     "run_example", "run_suite", "sl_residual", "spin_lc_derivative",
-    "spinor_laplacian", "spinorial_curvature", "sym", "sym_alt",
+    "spinor_laplacian", "spinorial_curvature", "sym",
     "tensor_clifford", "transposition", "twistor",
     "twistor_laplacian_residuals", "weyl_christoffels",
     "weyl_spinor_derivative", "zyk", "zyk_four",

@@ -36,14 +36,12 @@ __all__ = [
     "ChartField",
     "constant_field",
     "polynomial_field",
-    "jet_eval",
     "as_fraction",
     "permute",
     "compose",
     "transposition",
     "sym",
     "alt",
-    "sym_alt",
     "zyk",
     "zyk_four",
     "conf_trace",
@@ -819,11 +817,6 @@ class ChartField:
         return self.jet(point).v
 
 
-def jet_eval(field, point):
-    """Jets of all components of a field at a chart point."""
-    return field.jet(point)
-
-
 def constant_field(values, weight=0, arity=None):
     arr = np.asarray(values)
     if arity is None:
@@ -952,11 +945,6 @@ def alt(A, a=1, b=2):
     if arity < 2:
         raise ValueError("alt needs arity >= 2")
     return rebuild(comp - np.swapaxes(comp, a - 1, b - 1))
-
-
-def sym_alt(A):
-    """Both the symmetrized and antisymmetrized tensors, unhalved."""
-    return sym(A), alt(A)
 
 
 def zyk(A):

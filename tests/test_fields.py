@@ -27,14 +27,12 @@ from weylspin.fields import (
     finite_difference_jet,
     jet_cholesky,
     jet_einsum,
-    jet_eval,
     jet_lower_inverse,
     jet_stack,
     jet_transpose,
     permute,
     polynomial_field,
     sym,
-    sym_alt,
     transposition,
     zyk,
     zyk_four,
@@ -160,7 +158,7 @@ def test_constant_field_and_jet_eval():
     vals = np.arange(6.0).reshape(2, 3)
     field = constant_field(vals, weight="1/2")
     assert field.weight == Fraction(1, 2)
-    jet = jet_eval(field, np.zeros(4))
+    jet = field.jet(np.zeros(4))
     assert np.array_equal(jet.v, vals)
     assert not jet.g.any() and not jet.h.any()
     assert field(np.ones(4)).shape == (2, 3)
@@ -516,7 +514,7 @@ def test_compose_and_transposition():
 def test_sym_alt_decomposition():
     rng = np.random.default_rng(16)
     A = rng.uniform(-1, 1, (3, 3, 3))
-    S, T = sym_alt(A)
+    S, T = sym(A), alt(A)
     assert np.allclose(S + T, 2.0 * A)
     assert np.allclose(S, np.swapaxes(S, 0, 1))
     assert np.allclose(T, -np.swapaxes(T, 0, 1))

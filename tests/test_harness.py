@@ -56,6 +56,7 @@ def test_config_defaults_and_canonical_weights():
     ("dims", dict(dims=())),
     ("dims", dict(dims=(1, 2))),
     ("dims", dict(dims=("x",))),
+    ("dims", dict(dims=(2.9,))),
     ("weights", dict(weights=())),
     ("weights", dict(weights=("pi",))),
     ("gauges", dict(gauges=0)),
@@ -66,6 +67,8 @@ def test_config_defaults_and_canonical_weights():
     ("margin", dict(margin=0.0)),
     ("margin", dict(margin=1.0)),
     ("tolerances", dict(tolerances={"lichnerowicz": -1e-8})),
+    ("tolerances", dict(tolerances={"lichnerowicz": float("nan")})),
+    ("tolerances", dict(tolerances={"lichnerowicz": "tight"})),
     ("checks", dict(checks=())),
 ])
 def test_config_field_validation(field, kwargs):
@@ -256,12 +259,38 @@ def test_suite_is_deterministic_byte_for_byte():
 
 
 def test_single_checks_reproduce_the_full_run():
-    cfg = tiny_config()
+    # n = 3 lets the checks that need n >= 3 emit rows.
+    cfg = tiny_config(dims=(2, 3))
     full = fresh_run(cfg)
-    for key in ("lichnerowicz", "twistor-laplacian", "example-2d-killing",
-                "gauge-covariance"):
+    for key in CHECKS:
         solo = fresh_run(cfg, checks=[key])
+        assert solo.records, key
         assert solo.records == [r for r in full.records if r.check == key], key
+
+
+def test_record_identities_are_pinned():
+    report = fresh_run(tiny_config(dims=(2, 3)))
+    assert report.passed, emit_report(report, "table")
+    ids = [[r.check, r.n, r.weight, r.seed, r.index, r.detail] for r in report.records]
+    assert len(ids) == 92
+    assert hashlib.sha256(json.dumps(ids).encode()).hexdigest()[:16] == "99098b249c05f579"
+
+
+def test_shared_sweeps_run_once_across_single_check_runs(monkeypatch):
+    counts = {"curvature_contraction_checks": 0, "twistor_laplacian_residuals": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(hz, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(hz, name, counted)
+    cfg = tiny_config(dims=(2, 3))
+    hz._GROUP_CACHE.clear()
+    for key in CHECKS:
+        run_suite(cfg, checks=[key])
+    # One call per draw: dims x weights x gauges.
+    draws = len(cfg.dims) * len(cfg.weights) * cfg.gauges
+    assert counts == {"curvature_contraction_checks": draws,
+                      "twistor_laplacian_residuals": draws}
 
 
 def test_tolerance_overrides():
