@@ -56,7 +56,6 @@ def test_config_defaults_and_canonical_weights():
     ("dims", dict(dims=())),
     ("dims", dict(dims=(1, 2))),
     ("dims", dict(dims=("x",))),
-    ("dims", dict(dims=(2.9,))),
     ("weights", dict(weights=())),
     ("weights", dict(weights=("pi",))),
     ("gauges", dict(gauges=0)),
@@ -67,9 +66,10 @@ def test_config_defaults_and_canonical_weights():
     ("margin", dict(margin=0.0)),
     ("margin", dict(margin=1.0)),
     ("tolerances", dict(tolerances={"lichnerowicz": -1e-8})),
+    ("checks", dict(checks=())),
+    ("dims", dict(dims=(2.9,))),
     ("tolerances", dict(tolerances={"lichnerowicz": float("nan")})),
     ("tolerances", dict(tolerances={"lichnerowicz": "tight"})),
-    ("checks", dict(checks=())),
 ])
 def test_config_field_validation(field, kwargs):
     with pytest.raises(ValueError, match=f"config field '{field}'"):
