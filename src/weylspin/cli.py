@@ -66,10 +66,7 @@ def _parse_tols(pairs):
         key, sep, val = item.partition("=")
         if not sep or not key:
             raise ValueError(f"--tol expects KEY=VAL, got {item!r}")
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise ValueError(f"--tol {key}: not a number: {val!r}") from None
+        out[key] = val
     return out
 
 

@@ -20,15 +20,14 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field as _field
+from dataclasses import asdict, dataclass, field as _field, fields as _fields
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .clifford import SlotTensor, Spinor, build_representation, tensor_clifford
-from .fields import (ChartField, Poly, as_fraction, constant_field, contract,
-                     permute, polynomial_field, zyk)
+from .fields import Poly, as_fraction, contract, permute, polynomial_field, zyk
 from .killing import (example_killing_half, example_parallel_zero,
                       flat_twistor_family, integrability_report,
                       killing_kernel_determinant)
@@ -37,8 +36,8 @@ from .spinops import (curvature_contraction_checks, first_integrals,
                       nabla_dirac_residual, pair_parallel_residuals,
                       polynomial_spinor, sl_residual, spinorial_curvature,
                       twistor_laplacian_residuals, weyl_spinor_derivative)
-from .weyl import (Gauge, change_gauge, connection_residuals, curvature,
-                   faraday, relative_residual, weyl_christoffels)
+from .weyl import (Gauge, _theta_free, change_gauge, connection_residuals,
+                   curvature, faraday, relative_residual, weyl_christoffels)
 
 __all__ = [
     "SuiteConfig",
@@ -189,6 +188,8 @@ class SuiteConfig:
             fail("dims", f"expected a sequence of integers, got {self.dims!r}")
         if not dims or any(d < 2 for d in dims):
             fail("dims", "needs at least one dimension, each >= 2")
+        if len(set(dims)) < len(dims):
+            fail("dims", f"repeated entries in {dims!r}")
         object.__setattr__(self, "dims", dims)
         try:
             weights = tuple(_canonical_weight(w) for w in self.weights)
@@ -196,6 +197,8 @@ class SuiteConfig:
             fail("weights", f"expected exact rationals, got {self.weights!r}")
         if not weights:
             fail("weights", "needs at least one weight")
+        if len(set(weights)) < len(weights):
+            fail("weights", f"repeated entries in {weights!r}")
         object.__setattr__(self, "weights", weights)
         for name in ("gauges", "points", "trials", "degree"):
             v = getattr(self, name)
@@ -244,8 +247,7 @@ class SuiteConfig:
     def from_dict(cls, d):
         if not isinstance(d, dict):
             raise ValueError(f"config must be an object of fields, got {type(d).__name__}")
-        known = {"dims", "weights", "gauges", "points", "trials", "seed",
-                 "degree", "margin", "tolerances", "checks"}
+        known = {f.name for f in _fields(cls)}
         for k in d:
             if k not in known:
                 raise ValueError(f"unknown config field {k!r} "
@@ -290,18 +292,7 @@ class CheckRecord:
         return self.residual <= self.tolerance
 
     def to_dict(self):
-        return {
-            "check": self.check,
-            "statement": self.statement,
-            "n": self.n,
-            "weight": self.weight,
-            "seed": self.seed,
-            "index": self.index,
-            "detail": self.detail,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _weight_order(w):
@@ -372,9 +363,8 @@ def parse_report(text):
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"not a machine report: line {e.lineno}: {e.msg}") from None
-    fields = ("check", "statement", "n", "weight", "seed", "index", "detail",
-              "residual", "tolerance")
-    records = [CheckRecord(**{k: rec[k] for k in fields}) for rec in payload["records"]]
+    names = [f.name for f in _fields(CheckRecord)]
+    records = [CheckRecord(**{k: rec[k] for k in names}) for rec in payload["records"]]
     return Report(config=payload["config"], records=records)
 
 
@@ -453,15 +443,9 @@ def _twistor_slice(config, rng, n, w, di, family):
     if detail == "flat":
         return Gauge.flat(n), family, detail
     f = _random_conformal_factor(rng, n, min(config.degree, 3))
-    base = Gauge.flat(n)
-    if detail == "conformal":
-        gauge = change_gauge(base, f)
-    else:
-        def metric_fn(X):
-            return (2.0 * f.fn(X)).exp() * base.metric.fn(X)
-
-        zero_theta = constant_field(np.zeros(n), weight=None, arity=1)
-        gauge = Gauge(n, ChartField(2, 2, metric_fn), zero_theta, name="closed-rescale")
+    gauge = change_gauge(Gauge.flat(n), f)
+    if detail == "riemannian":
+        gauge = _theta_free(gauge)
     return gauge, gauge_transport_spinor(family, f), detail
 
 
@@ -681,9 +665,7 @@ def _lichnerowicz_sweep(config):
         for w in config.fractions():
             seed, base, rng = _gauge_draw(config, "lichnerowicz", n,
                                           *_weight_parts(w), 10 ** 6)
-            gauge = Gauge.from_polys(base.metric_polys, [Poly([], n) for _ in range(n)],
-                                     domain=base.domain, name="closed-slice")
-            (res,) = _lichnerowicz(config, gauge, rng, rep, w).values()
+            (res,) = _lichnerowicz(config, _theta_free(base), rng, rep, w).values()
             yield "lichnerowicz", n, str(w), seed, 1, "theta-zero", res
 
 
@@ -932,16 +914,19 @@ def resolve_checks(selection):
     return out
 
 
-# The rows of a sweep that feeds several checks are kept per configuration,
-# so checks run one at a time still compute it once.  Cache hits never
-# change any number, only avoid recomputation.
+# The rows of a sweep that feeds several checks are kept per sweep input,
+# every config field but ``tolerances`` and ``checks``, so checks run one
+# at a time or with other tolerances still compute it once.  Cache hits
+# never change any number, only avoid recomputation.
 _GROUP_CACHE = {}
+_SWEEP_INPUTS = tuple(f.name for f in _fields(SuiteConfig)
+                      if f.name not in ("tolerances", "checks"))
 
 
 def _sweep_rows(config, sweep):
     if sum(cd.sweep is sweep for cd in CHECKS.values()) < 2:
         return sweep(config)
-    key = (sweep, json.dumps(config.to_dict(), sort_keys=True))
+    key = (sweep,) + tuple(getattr(config, name) for name in _SWEEP_INPUTS)
     if key not in _GROUP_CACHE:
         if len(_GROUP_CACHE) > 8:
             _GROUP_CACHE.clear()

@@ -20,7 +20,7 @@ from scipy.integrate import solve_ivp
 
 from .clifford import Spinor, _slot_action, build_representation
 from .fields import ChartField, Poly, constant_jet, contract, jet_einsum
-from .spinops import (GateError, SpinorChartField, _cov_frame, _per_point,
+from .spinops import (GateError, SpinorChartField, _first_order, _per_point,
                       _spin_connection, _weighted, constant_spinor)
 from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
                    weyl_christoffels)
@@ -49,9 +49,7 @@ def _nabla_beta_frame(pack, b):
 
 
 def _killing_parts(gauge, d, x):
-    pack = weyl_christoffels(gauge, x)
-    psi = d.psi.jet(x)
-    P = _cov_frame(pack, d.rep, psi, d.psi.weight)
+    pack, _, psi, P = _first_order(gauge, d.rep, d.psi, x)
     b = d.beta.jet(x)
     rhs = (_per_point(np.asarray(b.v, dtype=complex), 2)
            * contract("ist,...t->...is", d.rep.gammas, psi.v))

@@ -19,7 +19,7 @@ import numpy as np
 from .clifford import Density, Spinor, _slot_action
 from .fields import (as_fraction, constant_jet, contract, coordinate_jets,
                      jet_einsum, polynomial_field)
-from .weyl import curvature, relative_residual, weyl_christoffels
+from .weyl import _theta_free, curvature, relative_residual, weyl_christoffels
 
 __all__ = [
     "GateError",
@@ -113,16 +113,13 @@ def gauge_transport_spinor(field, f):
 # -- covariant differentiation -------------------------------------------
 
 
-def _spin_connection(pack, rep, lc_only=False):
+def _spin_connection(pack, rep):
     """The spinor part of the frame covariant derivative of a weight-1/2
     field, one matrix per direction: the jet [i, s, t] of
-    A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta, whose
-    gauge term is omitted when ``lc_only``.  A weight-w field adds
-    (w - 1/2) theta_i (``_weighted``), so one connection serves every
-    weight."""
+    A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta.  A
+    weight-w field adds (w - 1/2) theta_i (``_weighted``), so one
+    connection serves every weight."""
     A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.pair_products())
-    if lc_only:
-        return A
     th = pack.theta_frame.truncate(A.order)
     theta_cliff = jet_einsum("k,kst->st", th, rep.gammas)
     return A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
@@ -136,16 +133,16 @@ def _weighted(pack, rep, conn, weight):
     return conn + (float(weight) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim))
 
 
-def _cov_frame(pack, rep, Q, weight, lc_only=False, conn=None):
+def _cov_frame(pack, rep, Q, weight, conn=None):
     """Frame covariant derivative of spinor-valued components.
 
     ``Q`` is a jet with value shape ``lead + (N,)`` where every lead axis
     is a frame slot.  Returns a jet of shape ``(n,) + lead + (N,)`` whose
     first axis is the derivative direction.  The spinor part uses the spin
-    rotation coefficients plus the weight-dependent gauge terms (omitted
-    when ``lc_only``); each lead slot is corrected with the full
-    connection's frame coefficients.  ``conn`` is the connection of
-    ``_spin_connection`` when the caller already holds it.
+    rotation coefficients plus the weight-dependent gauge terms; each lead
+    slot is corrected with the full connection's frame coefficients.
+    ``conn`` is the connection of ``_spin_connection`` when the caller
+    already holds it.
     """
     lead = Q.shape[:-1]
     r = len(lead)
@@ -153,16 +150,33 @@ def _cov_frame(pack, rep, Q, weight, lc_only=False, conn=None):
         raise ValueError(f"at most {len(_SLOT_LETTERS)} slot axes supported")
     LL = _SLOT_LETTERS[:r]
     if conn is None:
-        conn = _spin_connection(pack, rep, lc_only)
-    if not lc_only:
-        conn = _weighted(pack, rep, conn, weight)
+        conn = _spin_connection(pack, rep)
+    conn = _weighted(pack, rep, conn, weight)
     P = jet_einsum(f"ai,{LL}sa->i{LL}s", pack.S, Q.gradient())
     P = P + jet_einsum(f"ist,{LL}t->i{LL}s", conn, Q)
-    omega = pack.omega_lc_frame if lc_only else pack.omega_weyl
     for p in range(r):
         sub_q = LL[:p] + "k" + LL[p + 1:]
-        P = P - jet_einsum(f"{LL[p]}ki,{sub_q}s->i{LL}s", omega, Q)
+        P = P - jet_einsum(f"{LL[p]}ki,{sub_q}s->i{LL}s", pack.omega_weyl, Q)
     return P
+
+
+_First = namedtuple("_First", ["pack", "conn", "psi", "P"])
+
+
+def _first_order(gauge, rep, field, x, pack=None):
+    """The frame pack, the spin connection, the field's jet and its
+    covariant derivative: the stage every spinor operator starts from.
+
+    ``x`` is one chart point or a (P, n) array of points; every array then
+    carries a leading point axis.
+    """
+    if rep.n != gauge.n:
+        raise ValueError(f"representation dimension {rep.n} does not match gauge n={gauge.n}")
+    if pack is None:
+        pack = weyl_christoffels(gauge, x)
+    conn = _spin_connection(pack, rep)
+    psi = field.jet(x)
+    return _First(pack, conn, psi, _cov_frame(pack, rep, psi, field.weight, conn=conn))
 
 
 _Stack = namedtuple("_Stack", ["pack", "psi", "P", "H", "dirac", "vd"])
@@ -179,19 +193,10 @@ def _scalar(a):
 
 
 def _derivative_stack(gauge, rep, field, x, pack=None):
-    """Everything the second-order identities need, in one pass.
-
-    ``x`` is one chart point or a (P, n) array of points; every array then
-    carries a leading point axis.
-    """
-    if rep.n != gauge.n:
-        raise ValueError(f"representation dimension {rep.n} does not match gauge n={gauge.n}")
-    if pack is None:
-        pack = weyl_christoffels(gauge, x)
+    """Everything the second-order identities need, in one pass over the
+    first-order stage."""
+    pack, conn, psi, P = _first_order(gauge, rep, field, x, pack)
     w = field.weight
-    psi = field.jet(x)
-    conn = _spin_connection(pack, rep)
-    P = _cov_frame(pack, rep, psi, w, conn=conn)
     H = _cov_frame(pack, rep, P, w, conn=conn).v        # [i, j, s] = second derivative
     dj = jet_einsum("ist,it->s", rep.gammas, P)
     vd = _cov_frame(pack, rep, dj, w - 1, conn=conn).v  # [i, s]
@@ -205,10 +210,10 @@ def _derivative_stack(gauge, rep, field, x, pack=None):
 
 
 def spin_lc_derivative(gauge, rep, field, x):
-    """Metric-only covariant derivative (gauge terms switched off)."""
-    pack = weyl_christoffels(gauge, x)
-    P = _cov_frame(pack, rep, field.jet(x), field.weight, lc_only=True)
-    return Spinor(rep, P.v, field.weight - 1)
+    """Levi-Civita covariant derivative of the metric alone: the Weyl
+    derivative in the gauge with the same metric and theta = 0, where the
+    weight terms vanish, so neither theta nor the weight tag enters."""
+    return weyl_spinor_derivative(_theta_free(gauge), rep, field, x)
 
 
 def weyl_spinor_derivative(gauge, rep, field, x, pack=None):
@@ -216,16 +221,13 @@ def weyl_spinor_derivative(gauge, rep, field, x, pack=None):
 
     ``pack`` may carry precomputed frame data for the same gauge and point.
     """
-    if pack is None:
-        pack = weyl_christoffels(gauge, x)
-    P = _cov_frame(pack, rep, field.jet(x), field.weight)
+    P = _first_order(gauge, rep, field, x, pack).P
     return Spinor(rep, P.v, field.weight - 1)
 
 
 def dirac(gauge, rep, field, x):
     """Clifford contraction of the covariant derivative."""
-    pack = weyl_christoffels(gauge, x)
-    P = _cov_frame(pack, rep, field.jet(x), field.weight)
+    P = _first_order(gauge, rep, field, x).P
     return Spinor(rep, contract("ist,...it->...s", rep.gammas, P.v), field.weight - 1)
 
 
@@ -306,19 +308,23 @@ def curvature_contraction_checks(gauge, rep, field, x):
 
 def twistor(gauge, rep, field, x):
     """Trace-free part of the covariant derivative (twistor operator)."""
-    pack = weyl_christoffels(gauge, x)
-    P = _cov_frame(pack, rep, field.jet(x), field.weight)
+    P = _first_order(gauge, rep, field, x).P
     d = contract("ist,...it->...s", rep.gammas, P.v)
     comp = P.v + (1.0 / gauge.n) * contract("ist,...t->...is", rep.gammas, d)
     return Spinor(rep, comp, field.weight - 1)
 
 
-def _twistor_gate(rep, n, P, dval, psiv, gate_tol, what, nb):
+def _twistor_defect(rep, n, P, dval, psiv, nb):
+    """Relative residual of the twistor equation: the derivative plus 1/n
+    times the Clifford insertion of the Dirac image."""
     # The field norm joins the scale so that exactly parallel data (zero
     # derivative and zero Dirac image) does not divide noise by noise.
     correction = (1.0 / n) * contract("ist,...t->...is", rep.gammas, dval)
-    gate = float(np.max(relative_residual(P.v + correction, P.v, correction, psiv,
-                                          batch=nb)))
+    return relative_residual(P.v + correction, P.v, correction, psiv, batch=nb)
+
+
+def _twistor_gate(rep, n, P, dval, psiv, gate_tol, what, nb):
+    gate = float(np.max(_twistor_defect(rep, n, P, dval, psiv, nb)))
     if gate > gate_tol:
         raise GateError(f"{what} applies to twistor-type fields only; "
                         f"twistor residual {gate:.3e} exceeds gate {gate_tol:.1e}")
@@ -364,18 +370,24 @@ def _dirac_gradient_rhs(gauge, rep, bund, psi, w):
     )
 
 
+def _dirac_gradient_defect(gauge, rep, st, x, weight):
+    """Relative residual of the derivative of the Dirac image against
+    ``_dirac_gradient_rhs``, from a derivative stack."""
+    bund = curvature(gauge, x, pack=st.pack)
+    rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, float(weight))
+    return relative_residual(st.vd - rhs, st.vd, rhs, st.dirac.v, st.psi.v,
+                             batch=st.pack.G.nb)
+
+
 def nabla_dirac_residual(gauge, rep, field, x, gate_tol=1e-8):
     """Relative residual of the covariant derivative of the Dirac image
     against its algebraic curvature expression (n >= 3, twistor-type)."""
     if gauge.n < 3:
         raise ValueError("the Dirac gradient identity needs n >= 3")
     st = _derivative_stack(gauge, rep, field, x)
-    nb = st.pack.G.nb
     _twistor_gate(rep, gauge.n, st.P, st.dirac.v, st.psi.v, gate_tol,
-                  "the Dirac gradient identity", nb)
-    bund = curvature(gauge, x, pack=st.pack)
-    rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, float(field.weight))
-    return relative_residual(st.vd - rhs, st.vd, rhs, st.dirac.v, st.psi.v, batch=nb)
+                  "the Dirac gradient identity", st.pack.G.nb)
+    return _dirac_gradient_defect(gauge, rep, st, x, field.weight)
 
 
 def ew_connection_apply(gauge, rep, field, x, X=None):
@@ -408,13 +420,8 @@ def pair_parallel_residuals(gauge, rep, field, x):
     if gauge.n < 3:
         raise ValueError("the pair system needs n >= 3")
     st = _derivative_stack(gauge, rep, field, x)
-    nb = st.pack.G.nb
-    bund = curvature(gauge, x, pack=st.pack)
-    correction = (1.0 / gauge.n) * contract("ist,...t->...is", rep.gammas, st.dirac.v)
-    top = relative_residual(st.P.v + correction, st.P.v, correction, st.psi.v, batch=nb)
-    rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, float(field.weight))
-    bottom = relative_residual(st.vd - rhs, st.vd, rhs, st.dirac.v, st.psi.v, batch=nb)
-    return {"top": top, "bottom": bottom}
+    top = _twistor_defect(rep, gauge.n, st.P, st.dirac.v, st.psi.v, st.pack.G.nb)
+    return {"top": top, "bottom": _dirac_gradient_defect(gauge, rep, st, x, field.weight)}
 
 
 def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
@@ -427,13 +434,9 @@ def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
     residuals of the parallel-density equations.  Gated on the field
     being twistor-type and on weight 1/2 or vanishing Faraday action.
     """
-    if rep.n != gauge.n:
-        raise ValueError(f"representation dimension {rep.n} does not match gauge n={gauge.n}")
-    pack = weyl_christoffels(gauge, x)
+    pack, _, psi, P = _first_order(gauge, rep, field, x)
     nb = pack.G.nb
     w = field.weight
-    psi = field.jet(x)
-    P = _cov_frame(pack, rep, psi, w)
     dj = jet_einsum("ist,it->s", rep.gammas, P)
     _twistor_gate(rep, gauge.n, P, dj.v, psi.v, gate_tol, "the conserved densities", nb)
     if w != Fraction(1, 2):
@@ -479,11 +482,9 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
     the Dirac image vanishes too, so the zero is not isolated at the
     numerical level).  Gated on the field actually vanishing at x.
     """
-    pack = weyl_christoffels(gauge, x)
+    pack, _, psi, P = _first_order(gauge, rep, field, x)
     n = gauge.n
     w2 = float(2 * field.weight)
-    psi = field.jet(x)
-    P = _cov_frame(pack, rep, psi, field.weight)
     d = contract("ist,it->s", rep.gammas, P.v)
     dnorm2 = float(np.real(np.vdot(d, d)))
     if float(np.linalg.norm(psi.v)) > gate_tol * (1.0 + np.sqrt(dnorm2)):

@@ -371,6 +371,15 @@ def change_gauge(gauge, f):
                  name=name)
 
 
+def _theta_free(gauge):
+    """The same metric with theta = 0: the closed Weyl structure whose
+    connection is the Levi-Civita connection of the metric."""
+    name = None if gauge.name is None else f"{gauge.name}+theta-free"
+    return Gauge(gauge.n, gauge.metric,
+                 constant_field(np.zeros(gauge.n), weight=None, arity=1),
+                 domain=gauge.domain, name=name)
+
+
 def connection_residuals(gauge, point):
     """Pointwise compatibility checks of the connection (all relative).
 

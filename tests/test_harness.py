@@ -70,6 +70,8 @@ def test_config_defaults_and_canonical_weights():
     ("dims", dict(dims=(2.9,))),
     ("tolerances", dict(tolerances={"lichnerowicz": float("nan")})),
     ("tolerances", dict(tolerances={"lichnerowicz": "tight"})),
+    ("dims", dict(dims=(2, 3, 2))),
+    ("weights", dict(weights=("1/2", Fraction(1, 2)))),
 ])
 def test_config_field_validation(field, kwargs):
     with pytest.raises(ValueError, match=f"config field '{field}'"):
@@ -289,8 +291,14 @@ def test_shared_sweeps_run_once_across_single_check_runs(monkeypatch):
         run_suite(cfg, checks=[key])
     # One call per draw: dims x weights x gauges.
     draws = len(cfg.dims) * len(cfg.weights) * cfg.gauges
-    assert counts == {"curvature_contraction_checks": draws,
-                      "twistor_laplacian_residuals": draws}
+    want = {"curvature_contraction_checks": draws, "twistor_laplacian_residuals": draws}
+    assert counts == want
+    # Tolerances and the check selection are not sweep inputs: runs that
+    # differ from cfg only there are served from the cache.
+    run_suite(tiny_config(dims=(2, 3), tolerances={"twistor-laplacian": 1e-6}))
+    run_suite(tiny_config(dims=(2, 3), checks=("spinor-curvature-action",
+                                                "twistor-dirac-square")))
+    assert counts == want
 
 
 def test_tolerance_overrides():

@@ -9,7 +9,8 @@ from weylspin import spinops
 from weylspin.clifford import build_representation
 from weylspin.fields import ChartField, Poly, constant_field, jet_einsum, polynomial_field
 from weylspin.harness import SuiteConfig, random_gauge, run_suite
-from weylspin.killing import example_killing_half, example_parallel_zero, flat_twistor_family
+from weylspin.killing import (KillingDatum, example_killing_half, example_parallel_zero,
+                              flat_twistor_family, integrability_residual, killing_residual)
 from weylspin.spinops import (
     GateError,
     SpinorChartField,
@@ -173,6 +174,59 @@ def test_metric_derivative_agrees_when_theta_vanishes():
                           - weyl_spinor_derivative(base, rep, field, x).comp))
             for x in base.sample_points(rng, 5)]
     assert max(gaps) > 1e-6
+
+
+def test_metric_derivative_ignores_theta_and_the_weight_tag():
+    rng = np.random.default_rng(81)
+    n = 3
+    rep = build_representation(n)
+    base = random_gauge(71, n)
+    other_theta = Gauge(n, base.metric, random_gauge(72, n).theta, domain=base.domain)
+    field = rand_spinor_field(rng, n, rep.dim, weight=1)
+    pts = base.sample_points(rng, 4)
+    want = spin_lc_derivative(base, rep, field, pts).comp
+    for g, f in ((other_theta, field), (base, field.with_weight(0)),
+                 (base, field.with_weight(Fraction(-3, 2)))):
+        got = spin_lc_derivative(g, rep, f, pts)
+        assert np.array_equal(got.comp, want)
+        assert got.weight == f.weight - 1
+
+
+def _killing_op(op):
+    def call(gauge, rep, field, x):
+        return op(gauge, KillingDatum(field, constant_field(0.0, weight=-1), rep), x)
+    return call
+
+
+FIRST_ORDER_ENTRY_POINTS = {
+    "weyl_spinor_derivative": weyl_spinor_derivative,
+    "spin_lc_derivative": spin_lc_derivative,
+    "dirac": dirac,
+    "twistor": twistor,
+    "spinor_laplacian": spinor_laplacian,
+    "spinorial_curvature": spinorial_curvature,
+    "sl_residual": sl_residual,
+    "curvature_contraction_checks": curvature_contraction_checks,
+    "twistor_laplacian_residuals": twistor_laplacian_residuals,
+    "nabla_dirac_residual": nabla_dirac_residual,
+    "pair_parallel_residuals": pair_parallel_residuals,
+    "first_integrals": first_integrals,
+    "hessian_identity_check": hessian_identity_check,
+    "_derivative_stack": _derivative_stack,
+    "killing_residual": _killing_op(killing_residual),
+    "integrability_residual": _killing_op(integrability_residual),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIRST_ORDER_ENTRY_POINTS))
+def test_first_order_entry_points_check_the_representation_dimension(name):
+    # n = 2 and n = 3 share the spinor dimension 2, so only the check can
+    # tell the representation from the right one.
+    g = random_gauge(73, 3)
+    rep = build_representation(2)
+    field = rand_spinor_field(np.random.default_rng(82), 3, rep.dim, weight="1/2")
+    with pytest.raises(ValueError, match="representation dimension"):
+        FIRST_ORDER_ENTRY_POINTS[name](g, rep, field, np.array([0.2, -0.1, 0.4]))
 
 
 def test_flat_laplacian_is_minus_the_component_trace():
