@@ -23,8 +23,7 @@ from .killing import (KillingDatum, example_killing_half,
                       integrability_report, integrability_residual,
                       killing_kernel_determinant, killing_residual,
                       killing_transport)
-from .spinops import (GateError, SpinorChartField, constant_spinor,
-                      curvature_contraction_checks, dirac, first_integrals,
+from .spinops import (GateError, curvature_contraction_checks, dirac, first_integrals,
                       gauge_transport_spinor, hessian_identity_check,
                       nabla_dirac_residual, pair_parallel_residuals,
                       polynomial_spinor, sl_residual, spin_lc_derivative,
@@ -41,22 +40,20 @@ __all__ = [
     "CHECKS", "ChartField", "CheckRecord", "CliffordRep", "CurvatureBundle",
     "Density", "EXAMPLES", "EwResidual", "FramePack", "GateError", "Gauge",
     "Jet", "KillingDatum", "Poly", "Report", "SlotTensor", "Spinor",
-    "SpinorChartField", "SuiteConfig", "alt", "as_fraction",
-    "build_representation", "change_gauge", "clifford_mul", "compose",
-    "conf_trace", "connection_residuals", "constant_field", "constant_spinor",
-    "coordinate_jets", "curvature", "curvature_contraction_checks", "dirac",
-    "einstein_weyl_residual", "emit_report", "example_killing_half",
-    "example_parallel_zero", "faraday", "finite_difference_jet",
-    "first_integrals", "flat_twistor_family", "frame_pack",
-    "gauge_transport_spinor", "herm", "hessian_identity_check",
+    "SuiteConfig", "alt", "as_fraction", "build_representation",
+    "change_gauge", "clifford_mul", "compose", "conf_trace",
+    "connection_residuals", "constant_field", "coordinate_jets", "curvature",
+    "curvature_contraction_checks", "dirac", "einstein_weyl_residual",
+    "emit_report", "example_killing_half", "example_parallel_zero", "faraday",
+    "finite_difference_jet", "first_integrals", "flat_twistor_family",
+    "frame_pack", "gauge_transport_spinor", "herm", "hessian_identity_check",
     "integrability_report", "integrability_residual", "jet_einsum",
-    "killing_kernel_determinant", "killing_residual",
-    "killing_transport", "load_config", "nabla_dirac_residual", "nu",
-    "pair_parallel_residuals", "parse_report", "permute", "polynomial_field",
-    "polynomial_spinor", "random_gauge", "relative_residual", "resolve_checks",
-    "run_example", "run_suite", "sl_residual", "spin_lc_derivative",
-    "spinor_laplacian", "spinorial_curvature", "sym",
-    "tensor_clifford", "transposition", "twistor",
-    "twistor_laplacian_residuals", "weyl_christoffels",
+    "killing_kernel_determinant", "killing_residual", "killing_transport",
+    "load_config", "nabla_dirac_residual", "nu", "pair_parallel_residuals",
+    "parse_report", "permute", "polynomial_field", "polynomial_spinor",
+    "random_gauge", "relative_residual", "resolve_checks", "run_example",
+    "run_suite", "sl_residual", "spin_lc_derivative", "spinor_laplacian",
+    "spinorial_curvature", "sym", "tensor_clifford", "transposition",
+    "twistor", "twistor_laplacian_residuals", "weyl_christoffels",
     "weyl_spinor_derivative", "zyk", "zyk_four",
 ]

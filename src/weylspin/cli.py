@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import (CHECKS, EXAMPLES, SuiteConfig, emit_report, load_config,
-                      run_suite)
+from .harness import (_SWEEP_INPUTS, CHECKS, EXAMPLES, SuiteConfig, emit_report,
+                      load_config, run_suite)
 
 
 def _add_common(parser):
@@ -72,8 +72,7 @@ def _parse_tols(pairs):
 
 def _build_config(args):
     base = load_config(args.config).to_dict() if args.config else SuiteConfig().to_dict()
-    for name in ("dims", "weights", "seed", "gauges", "points", "trials",
-                 "degree", "margin"):
+    for name in _SWEEP_INPUTS:
         value = getattr(args, name, None)
         if value is not None:
             base[name] = value

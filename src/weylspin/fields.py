@@ -794,19 +794,18 @@ class Poly:
 
 
 class ChartField:
-    """Tensor-valued function of chart coordinates with a weight tag.
+    """A weighted function of chart coordinates.
 
-    ``fn`` maps the coordinate jet at a point to the jet of the components;
-    the value shape is ``(n,) * arity``.  The weight is the scaling exponent
-    of the frame-referred components under a conformal gauge change (None
-    for quantities that do not rescale multiplicatively, such as the gauge
-    1-form itself).
+    ``fn`` maps the coordinate jet at a point to the jet of the components,
+    of any value shape: tensor slots, a trailing spinor axis, or none for
+    a density.  The weight is the scaling exponent of the components under
+    a conformal gauge change (None for quantities that do not rescale
+    multiplicatively, such as the gauge 1-form itself).
     """
 
-    __slots__ = ("arity", "weight", "fn")
+    __slots__ = ("weight", "fn")
 
-    def __init__(self, arity, weight, fn):
-        self.arity = int(arity)
+    def __init__(self, weight, fn):
         self.weight = None if weight is None else as_fraction(weight)
         self.fn = fn
 
@@ -816,12 +815,15 @@ class ChartField:
     def __call__(self, point):
         return self.jet(point).v
 
+    def with_weight(self, weight):
+        """Same component function, different weight tag."""
+        return ChartField(weight, self.fn)
 
-def constant_field(values, weight=0, arity=None):
+
+def constant_field(values, weight=0):
+    """Field with constant components (all derivatives vanish)."""
     arr = np.asarray(values)
-    if arity is None:
-        arity = arr.ndim
-    return ChartField(arity, weight, lambda X: constant_jet(arr, X))
+    return ChartField(weight, lambda X: constant_jet(arr, X))
 
 
 def polynomial_field(polys, weight=0):
@@ -878,7 +880,7 @@ def polynomial_field(polys, weight=0):
                          (mono @ cg).reshape(batch + arr.shape + (n,)),
                          (mono @ ch).reshape(batch + arr.shape + (n, n)), X.nb)
 
-    return ChartField(arr.ndim, weight, fn)
+    return ChartField(weight, fn)
 
 
 # -- slot calculus ------------------------------------------------------

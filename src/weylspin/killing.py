@@ -19,9 +19,9 @@ from numpy.polynomial.chebyshev import chebinterpolate
 from scipy.integrate import solve_ivp
 
 from .clifford import Spinor, _slot_action, build_representation
-from .fields import ChartField, Poly, constant_jet, contract, jet_einsum
-from .spinops import (GateError, SpinorChartField, _first_order, _per_point,
-                      _spin_connection, _weighted, constant_spinor)
+from .fields import ChartField, Poly, constant_field, contract, jet_einsum
+from .spinops import (GateError, _check_rep, _first_order, _per_point,
+                      _spin_connection, _weighted)
 from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
                    weyl_christoffels)
 
@@ -166,7 +166,11 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
 
     if cls in ("imaginary", "zero"):
         pair = np.abs(contract("...s,...s->...", fhat.conj(), psiv))
-        scale = np.linalg.norm(fhat, axis=-1) * np.linalg.norm(psiv, axis=-1)
+        # |beta|^2 |psi|^2 floors the scale: where F vanishes analytically
+        # (a closed gauge), the pairing and |F psi| are both rounding noise.
+        psin = np.linalg.norm(psiv, axis=-1)
+        scale = np.maximum(np.linalg.norm(fhat, axis=-1) * psin,
+                           np.abs(betas) ** 2 * psin ** 2)
         put("faraday-pairing", np.divide(pair, scale, out=pair.copy(), where=scale > 0))
     if cls in ("real", "zero"):
         rhs_r = 4.0 * n * (n - 1) * (betas.real ** 2)
@@ -193,9 +197,11 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
                               4.0 * (n - 1) * bv2 ** 2 * nupsi, f1, 0.5 * nu_fhat,
                               psiv, batch=1))
         coef15 = 4.0 * (n - 1) / (n - 2)
+        # The integrability terms join the scale: with F = 0 and a parallel
+        # density both sides vanish analytically.
         put("faraday-gradient-exchange",
             relative_residual(fhat + coef15 * grad_cliff, fhat, coef15 * grad_cliff,
-                              batch=1))
+                              *terms, batch=1))
         coef16 = 2.0 * (n - 1) / (n - 2)
         rhs16 = (2.0 * n * outer + 2.0 * nb_nu + (R2 / n) * nupsi
                  - f1 + coef16 * nu_grad)
@@ -229,11 +235,6 @@ def _gauge_form_plane(name):
     return Gauge.from_polys(metric, theta, name=name)
 
 
-def _constant_density(value, weight):
-    value = complex(value)
-    return ChartField(0, weight, lambda X: constant_jet(value, X))
-
-
 _REP_DIAG_FIRST = np.array([[[1j, 0.0], [0.0, -1j]],
                             [[0.0, 1j], [1j, 0.0]]])
 _REP_SPLIT = np.array([[[0.0, 1j], [1j, 0.0]],
@@ -252,12 +253,12 @@ def example_killing_half(a, sign=1):
         raise ValueError("sign must be +1 or -1")
     rep = build_representation(2, _REP_DIAG_FIRST)
     gauge = _gauge_form_plane("killing-half")
-    psi = constant_spinor([a, -sign * a], weight=Fraction(1, 2))
+    psi = constant_field(np.array([a, -sign * a], dtype=complex), weight=Fraction(1, 2))
 
     def beta_fn(X):
         return X[0] * (0.5j * sign)
 
-    beta = ChartField(0, -1, beta_fn)
+    beta = ChartField(-1, beta_fn)
     return gauge, KillingDatum(psi, beta, rep), rep
 
 
@@ -277,8 +278,7 @@ def example_parallel_zero(c_plus, c_minus):
         return jet_einsum("s,->s", np.array([cp, 0.0]), q.exp()) \
             + jet_einsum("s,->s", np.array([0.0, cm]), (-q).exp())
 
-    psi = SpinorChartField(0, fn)
-    return gauge, KillingDatum(psi, _constant_density(0.0, -1), rep), rep
+    return gauge, KillingDatum(ChartField(0, fn), constant_field(0j, weight=-1), rep), rep
 
 
 def flat_twistor_family(phi0, phi1, weight=0):
@@ -296,7 +296,7 @@ def flat_twistor_family(phi0, phi1, weight=0):
     def fn(X):
         return jet_einsum("a,ast,t->s", X, rep.gammas, c1) + c0
 
-    return SpinorChartField(weight, fn)
+    return ChartField(weight, fn)
 
 
 def killing_kernel_determinant(beta_g, x1):
@@ -312,6 +312,8 @@ def killing_kernel_determinant(beta_g, x1):
 # degree doubles from the start until the two trailing coefficients fall
 # below the tail bound relative to the largest, up to the cap.
 _CHEB_START, _CHEB_CAP, _CHEB_TAIL = 16, 256, 1e-13
+# Relative and absolute tolerances of the RK45 transport integration.
+_RK_RTOL, _RK_ATOL = 1e-10, 1e-12
 
 
 def _path_coefficient(gauge, d, x0, v, length):
@@ -348,9 +350,10 @@ def _path_coefficient(gauge, d, x0, v, length):
                        f"against {mags.max():.3e}")
 
 
-def killing_transport(gauge, d, x0, direction, length=1.0, rtol=1e-10, atol=1e-12):
+def killing_transport(gauge, d, x0, direction, length=1.0):
     """Transport the field along a straight chart line by integrating the
-    Killing equation as a linear ODE, dc/dt = A(t) c, with RK45.
+    Killing equation as a linear ODE, dc/dt = A(t) c, with RK45 at relative
+    tolerance 1e-10 and absolute tolerance 1e-12.
 
     A(t) depends only on the path, so it is sampled once per transport
     with one batched frame pack and replaced by its Chebyshev interpolant,
@@ -362,6 +365,7 @@ def killing_transport(gauge, d, x0, direction, length=1.0, rtol=1e-10, atol=1e-1
     Returns the endpoint, the transported components, the field's own
     components there, and their relative gap.
     """
+    _check_rep(gauge, d.rep)
     N = d.rep.dim
     x0 = np.asarray(x0, dtype=float)
     v = np.asarray(direction, dtype=float)
@@ -380,7 +384,7 @@ def killing_transport(gauge, d, x0, direction, length=1.0, rtol=1e-10, atol=1e-1
 
     psi0 = np.asarray(d.psi(x0), dtype=complex)
     y0 = np.concatenate([psi0.real, psi0.imag])
-    sol = solve_ivp(rhs, (0.0, length), y0, method="RK45", rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (0.0, length), y0, method="RK45", rtol=_RK_RTOL, atol=_RK_ATOL)
     if not sol.success:
         raise RuntimeError(f"transport integration failed: {sol.message}")
     transported = sol.y[:N, -1] + 1j * sol.y[N:, -1]

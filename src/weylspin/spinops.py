@@ -17,14 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import Density, Spinor, _slot_action
-from .fields import (as_fraction, constant_jet, contract, coordinate_jets,
-                     jet_einsum, polynomial_field)
+from .fields import ChartField, contract, jet_einsum, polynomial_field
 from .weyl import _theta_free, curvature, relative_residual, weyl_christoffels
 
 __all__ = [
     "GateError",
-    "SpinorChartField",
-    "constant_spinor",
     "polynomial_spinor",
     "gauge_transport_spinor",
     "spin_lc_derivative",
@@ -51,37 +48,6 @@ class GateError(RuntimeError):
     """A hypothesis required by the requested identity fails numerically."""
 
 
-class SpinorChartField:
-    """Spinor components as a function of chart coordinates, with a weight.
-
-    ``fn`` maps the coordinate jet at a point to the jet of the component
-    vector (trailing spinor axis).  The weight is the scaling exponent of
-    the components under a conformal change of gauge.
-    """
-
-    __slots__ = ("weight", "fn")
-
-    def __init__(self, weight, fn):
-        self.weight = as_fraction(weight)
-        self.fn = fn
-
-    def jet(self, point):
-        return self.fn(coordinate_jets(point))
-
-    def __call__(self, point):
-        return self.jet(point).v
-
-    def with_weight(self, weight):
-        """Same component function, different weight tag."""
-        return SpinorChartField(weight, self.fn)
-
-
-def constant_spinor(values, weight=0):
-    """Field with constant components (all derivatives vanish)."""
-    arr = np.asarray(values, dtype=complex)
-    return SpinorChartField(weight, lambda X: constant_jet(arr, X))
-
-
 def polynomial_spinor(re_polys, im_polys=None, weight=0):
     """Field whose components are polynomials (plus i times polynomials)."""
     re_f = polynomial_field(np.asarray(re_polys, dtype=object))
@@ -93,21 +59,21 @@ def polynomial_spinor(re_polys, im_polys=None, weight=0):
             j = j + im_f.fn(X) * 1j
         return j
 
-    return SpinorChartField(weight, fn)
+    return ChartField(weight, fn)
 
 
 def gauge_transport_spinor(field, f):
     """Components of the same section in the gauge rescaled by exp(2 f).
 
-    A weight-w field picks up the factor exp(w f); the weight tag is
-    unchanged.
+    A weight-w field (a spinor, or a density such as the Killing density)
+    picks up the factor exp(w f); the weight tag is unchanged.
     """
     w = field.weight
 
     def fn(X):
         return (float(w) * f.fn(X)).exp() * field.fn(X)
 
-    return SpinorChartField(w, fn)
+    return ChartField(w, fn)
 
 
 # -- covariant differentiation -------------------------------------------
@@ -160,6 +126,11 @@ def _cov_frame(pack, rep, Q, weight, conn=None):
     return P
 
 
+def _check_rep(gauge, rep):
+    if rep.n != gauge.n:
+        raise ValueError(f"representation dimension {rep.n} does not match gauge n={gauge.n}")
+
+
 _First = namedtuple("_First", ["pack", "conn", "psi", "P"])
 
 
@@ -170,8 +141,7 @@ def _first_order(gauge, rep, field, x, pack=None):
     ``x`` is one chart point or a (P, n) array of points; every array then
     carries a leading point axis.
     """
-    if rep.n != gauge.n:
-        raise ValueError(f"representation dimension {rep.n} does not match gauge n={gauge.n}")
+    _check_rep(gauge, rep)
     if pack is None:
         pack = weyl_christoffels(gauge, x)
     conn = _spin_connection(pack, rep)
@@ -399,6 +369,7 @@ def ew_connection_apply(gauge, rep, field, x, X=None):
     """
     if gauge.n < 3:
         raise ValueError("the connection correction needs n >= 3")
+    _check_rep(gauge, rep)
     pack = weyl_christoffels(gauge, x)
     bund = curvature(gauge, x, pack=pack)
     psi = field.jet(x).v

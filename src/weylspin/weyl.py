@@ -73,7 +73,7 @@ def relative_residual(diff, *terms, batch=0):
 class Gauge:
     """A chart with metric components, a 1-form theta, and a sample domain.
 
-    ``metric`` (arity 2, weight 2) and ``theta`` (arity 1) are chart fields;
+    ``metric`` ([i, j] components, weight 2) and ``theta`` are chart fields;
     ``domain`` is an (n, 2) array of box bounds used for sampling.
     """
 
@@ -228,7 +228,7 @@ def faraday(gauge):
         THg = gauge.theta.fn(X).gradient()
         return jet_transpose(THg, (1, 0)) - THg
 
-    return ChartField(2, 0, fn)
+    return ChartField(0, fn)
 
 
 def _curvature_coeffs(gv, gg):
@@ -365,8 +365,8 @@ def change_gauge(gauge, f):
 
     name = None if gauge.name is None else f"{gauge.name}+rescaled"
     return Gauge(gauge.n,
-                 ChartField(2, 2, metric_fn),
-                 ChartField(1, None, theta_fn),
+                 ChartField(2, metric_fn),
+                 ChartField(None, theta_fn),
                  domain=gauge.domain,
                  name=name)
 
@@ -376,7 +376,7 @@ def _theta_free(gauge):
     connection is the Levi-Civita connection of the metric."""
     name = None if gauge.name is None else f"{gauge.name}+theta-free"
     return Gauge(gauge.n, gauge.metric,
-                 constant_field(np.zeros(gauge.n), weight=None, arity=1),
+                 constant_field(np.zeros(gauge.n), weight=None),
                  domain=gauge.domain, name=name)
 
 

@@ -22,8 +22,8 @@ from weylspin.killing import (
     killing_transport,
 )
 from weylspin.fields import ChartField, Poly, constant_field, polynomial_field
-from weylspin.spinops import (GateError, constant_spinor, dirac, gauge_transport_spinor,
-                              polynomial_spinor, twistor)
+from weylspin.spinops import (GateError, dirac, gauge_transport_spinor, polynomial_spinor,
+                              twistor)
 from weylspin.weyl import Gauge, change_gauge, weyl_christoffels
 
 
@@ -108,8 +108,7 @@ def test_integrability_report_parallel_zero():
 def test_integrability_gate_rejects_non_killing_data():
     gauge, d, rep = example_killing_half(1.0)
     wrong = KillingDatum(psi=d.psi,
-                         beta=constant_field(np.asarray(0.3 + 0j), weight=-1,
-                                             arity=0),
+                         beta=constant_field(np.asarray(0.3 + 0j), weight=-1),
                          rep=rep)
     x = np.array([0.5, -0.4])
     with pytest.raises(GateError, match="Killing equation"):
@@ -202,7 +201,7 @@ def random_datum(seed, n, beta_factor):
     psi = polynomial_spinor(polys(), polys(), weight=Fraction(1, 2))
     b = scalar_field([(0.4, (0,) * n), (0.3, (1,) + (0,) * (n - 1)),
                       (-0.2, (0, 2) + (0,) * (n - 2))], n)
-    beta = ChartField(0, -1, lambda X: b.fn(X) * beta_factor)
+    beta = ChartField(-1, lambda X: b.fn(X) * beta_factor)
     return random_gauge(seed, n), KillingDatum(psi, beta, rep)
 
 
@@ -214,8 +213,8 @@ def rescaled_parallel_datum(n):
     f = scalar_field([(0.3, (1,) + (0,) * (n - 1)), (0.2, (0, 1) + (0,) * (n - 2)),
                       (0.25, (2,) + (0,) * (n - 1))], n)
     comp = [1.0, 1j] @ np.random.default_rng(86 + n).normal(size=(2, rep.dim))
-    psi = gauge_transport_spinor(constant_spinor(comp), f)
-    beta = constant_field(np.asarray(0j), weight=-1, arity=0)
+    psi = gauge_transport_spinor(constant_field(comp), f)
+    beta = constant_field(np.asarray(0j), weight=-1)
     return change_gauge(Gauge.flat(n), f), KillingDatum(psi, beta, rep)
 
 
@@ -247,6 +246,53 @@ def test_report_over_points_is_the_max_of_one_point_reports(n, beta_factor):
     for key, val in full["items"].items():
         expected = max(s["items"][key] for s in singles)
         assert abs(val - expected) <= 1e-12 * abs(expected) + 1e-15, (key, val, expected)
+
+
+def round_killing_datum(n, family, sign, seed):
+    """The round sphere or the hyperbolic ball in a stereographic chart,
+    metric exp(2 f) delta with theta = 0, carrying the flat twistor family
+    phi0 + c x.gamma phi0 at weight 1/2 moved there by f: a Killing datum
+    with the constant density c/2, where c = sign on the sphere and
+    sign * i on the ball."""
+    rep = build_representation(n)
+    curv = 1.0 if family == "sphere" else -1.0
+    f = ChartField(0, lambda X: np.log(2.0)
+                   - (1.0 + curv * sum(X[a] * X[a] for a in range(n))).log())
+    gauge = Gauge(n, change_gauge(Gauge.flat(n), f).metric,
+                  constant_field(np.zeros(n), weight=None))
+    c = sign * (1.0 if family == "sphere" else 1j)
+    phi0 = [1.0, 1j] @ np.random.default_rng(seed).normal(size=(2, rep.dim))
+    half = Fraction(1, 2)
+    family_psi = flat_twistor_family(Spinor(rep, phi0, half), Spinor(rep, c * phi0, half),
+                                     weight=half)
+    beta = constant_field(complex(c / 2), weight=-1)
+    return gauge, KillingDatum(gauge_transport_spinor(family_psi, f), beta, rep)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("family", ["sphere", "ball"])
+def test_report_on_round_killing_data_along_a_closed_gauge_orbit(n, family):
+    # A closed gauge change h keeps F = 0 and the density parallel, so both
+    # sides of the Faraday items vanish analytically; the datum and its
+    # density move along the orbit by the same transport.
+    for sign in (1, -1):
+        for seed in (1, 2, 3):
+            gauge, d = round_killing_datum(n, family, sign, seed)
+            rng = np.random.default_rng(100 + seed)
+            h = scalar_field([(float(rng.uniform(-0.3, 0.3)),
+                               tuple(int(e) for e in rng.integers(0, 4, n)))
+                              for _ in range(6)], n)
+            moved = KillingDatum(gauge_transport_spinor(d.psi, h),
+                                 gauge_transport_spinor(d.beta, h), d.rep)
+            pts = sample(seed, n=n, count=5) * (0.45 / np.sqrt(n))
+            out = integrability_report(change_gauge(gauge, h), moved, pts)
+            assert out["beta_class"] == ("real" if family == "sphere" else "imaginary")
+            items = out["items"]
+            items.pop("pairing-coefficient", None)
+            assert "faraday-gradient-exchange" in items
+            assert ("faraday-pairing" in items) == (family == "ball")
+            for key, val in items.items():
+                assert val <= 1e-12, (n, family, sign, seed, key, val)
 
 
 # -- path-sampled transport -----------------------------------------------------
@@ -335,7 +381,7 @@ def test_transport_builds_one_frame_pack(monkeypatch):
 def test_transport_rejects_an_unresolved_coefficient():
     gauge, d, rep = example_killing_half(1.0)
     # A kink of width 1e-6 where the path crosses x_1 = 0.
-    kink = ChartField(0, -1, lambda X: (X[0] * X[0] + 1e-12).sqrt())
+    kink = ChartField(-1, lambda X: (X[0] * X[0] + 1e-12).sqrt())
     with pytest.raises(RuntimeError, match="not resolved"):
         killing_transport(gauge, KillingDatum(d.psi, kink, rep),
                           np.array([-0.4, 0.1]), np.array([1.0, 0.0]), length=0.8)

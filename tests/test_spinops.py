@@ -10,11 +10,10 @@ from weylspin.clifford import build_representation
 from weylspin.fields import ChartField, Poly, constant_field, jet_einsum, polynomial_field
 from weylspin.harness import SuiteConfig, random_gauge, run_suite
 from weylspin.killing import (KillingDatum, example_killing_half, example_parallel_zero,
-                              flat_twistor_family, integrability_residual, killing_residual)
+                              flat_twistor_family, integrability_residual, killing_residual,
+                              killing_transport)
 from weylspin.spinops import (
     GateError,
-    SpinorChartField,
-    constant_spinor,
     curvature_contraction_checks,
     dirac,
     ew_connection_apply,
@@ -82,8 +81,8 @@ def closed_rescale_gauge(n, f):
     def metric_fn(X):
         return (2.0 * f.fn(X)).exp() * base.metric.fn(X)
 
-    zero_theta = constant_field(np.zeros(n), weight=None, arity=1)
-    return Gauge(n, ChartField(2, 2, metric_fn), zero_theta, name="closed-rescale")
+    zero_theta = constant_field(np.zeros(n), weight=None)
+    return Gauge(n, ChartField(2, metric_fn), zero_theta, name="closed-rescale")
 
 
 # -- point batches ------------------------------------------------------------
@@ -198,6 +197,11 @@ def _killing_op(op):
     return call
 
 
+def _transport_op(gauge, rep, field, x):
+    d = KillingDatum(field, constant_field(0.0, weight=-1), rep)
+    return killing_transport(gauge, d, x, np.ones(gauge.n))
+
+
 FIRST_ORDER_ENTRY_POINTS = {
     "weyl_spinor_derivative": weyl_spinor_derivative,
     "spin_lc_derivative": spin_lc_derivative,
@@ -215,6 +219,8 @@ FIRST_ORDER_ENTRY_POINTS = {
     "_derivative_stack": _derivative_stack,
     "killing_residual": _killing_op(killing_residual),
     "integrability_residual": _killing_op(integrability_residual),
+    "ew_connection_apply": ew_connection_apply,
+    "killing_transport": _transport_op,
 }
 
 
@@ -279,7 +285,7 @@ def test_spinor_field_constructors():
     assert field.with_weight("1/2").weight == Fraction(1, 2)
     real_only = polynomial_spinor(re)
     assert np.allclose(real_only(x), [0.5, -0.5])
-    const = constant_spinor([1j, 2.0], weight=-1)
+    const = constant_field([1j, 2.0], weight=-1)
     assert const.weight == Fraction(-1)
     jet = const.jet(x)
     assert np.allclose(jet.v, [1j, 2.0]) and not jet.g.any()
@@ -406,7 +412,7 @@ def test_twistor_gates_reject_generic_fields():
 def test_identities_needing_three_dimensions_reject_the_plane():
     rep = build_representation(2)
     g = Gauge.flat(2)
-    field = constant_spinor(np.ones(rep.dim))
+    field = constant_field(np.ones(rep.dim, dtype=complex))
     x = np.zeros(2)
     with pytest.raises(ValueError, match="n >= 3"):
         nabla_dirac_residual(g, rep, field, x)
@@ -575,7 +581,7 @@ def test_hessian_identity_at_a_zero_of_the_family():
 def test_hessian_identity_flags_degenerate_zeros():
     rep = build_representation(2)
     g = Gauge.flat(2)
-    zero = constant_spinor(np.zeros(rep.dim))
+    zero = constant_field(np.zeros(rep.dim, dtype=complex))
     out = hessian_identity_check(g, rep, zero, np.zeros(2))
     assert out["degenerate"]
     assert out["residual"] == 0.0
@@ -586,4 +592,4 @@ def test_spinor_chart_field_call_and_jet_agree():
     field = rand_spinor_field(rng, 2, 2, weight=1)
     x = np.array([0.3, -0.6])
     assert np.array_equal(field(x), field.jet(x).v)
-    assert isinstance(field, SpinorChartField)
+    assert isinstance(field, ChartField)
