@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .harness import (_SWEEP_INPUTS, CHECKS, EXAMPLES, SuiteConfig, emit_report,
-                      load_config, run_suite)
+                      load_config, run_example, run_suite)
 
 
 def _add_common(parser):
@@ -93,7 +93,7 @@ def main(argv=None):
         elif args.command == "check":
             report = run_suite(config, checks=list(args.keys))
         else:
-            report = run_suite(config, checks=list(EXAMPLES[args.name]))
+            report = run_example(args.name, config)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

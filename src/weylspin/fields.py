@@ -299,12 +299,6 @@ class Jet:
     def sqrt(self):
         return self._chain(np.sqrt, lambda x: 0.5 / np.sqrt(x), lambda x: -0.25 * x ** -1.5)
 
-    def sin(self):
-        return self._chain(np.sin, np.cos, lambda x: -np.sin(x))
-
-    def cos(self):
-        return self._chain(np.cos, lambda x: -np.sin(x), lambda x: -np.cos(x))
-
     # conj/real/imag are R-linear: valid because chart coordinates are real.
 
     def conj(self):

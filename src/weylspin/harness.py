@@ -98,16 +98,10 @@ def _random_poly_array(rng, n, degree, shape, scale=1.0):
     return out
 
 
-def _scalar_field(poly):
-    arr = np.empty((), dtype=object)
-    arr[()] = poly
-    return polynomial_field(arr)
-
-
 def _random_conformal_factor(rng, n, degree):
     """A small scalar polynomial, bounded so exp(2 f) stays well conditioned."""
     exps = _monomials(n, degree)
-    return _scalar_field(_random_poly(rng, n, degree, 0.4 / len(exps)))
+    return polynomial_field(_random_poly(rng, n, degree, 0.4 / len(exps)))
 
 
 def _random_spinor_field(rng, n, dim, weight, degree=2):

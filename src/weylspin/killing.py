@@ -10,13 +10,12 @@ identities.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebinterpolate
-from scipy.integrate import solve_ivp
+from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
 from .clifford import Spinor, _slot_action, build_representation
 from .fields import ChartField, Poly, constant_field, contract, jet_einsum
@@ -308,12 +307,34 @@ def killing_kernel_determinant(beta_g, x1):
     return beta_g ** 2 + 0.25 * x1 ** 2
 
 
-# Chebyshev resolution of the transport coefficient along its path: the
-# degree doubles from the start until the two trailing coefficients fall
-# below the tail bound relative to the largest, up to the cap.
+# The resolution rule along a transport path: the Chebyshev degree doubles
+# until the two trailing coefficients fall to the tail bound of the largest.
 _CHEB_START, _CHEB_CAP, _CHEB_TAIL = 16, 256, 1e-13
-# Relative and absolute tolerances of the RK45 transport integration.
-_RK_RTOL, _RK_ATOL = 1e-10, 1e-12
+
+
+@lru_cache(maxsize=None)
+def _cheb_rule(deg):
+    """The deg + 1 Chebyshev points of the first kind, the matrix from values
+    there to interpolant coefficients, the one from those to the values of
+    the integral from -1 at the points, and the integral's weights at 1."""
+    s = chebpts1(deg + 1)
+    fit = np.linalg.inv(chebvander(s, deg))
+    integral = chebint(fit, lbnd=-1)
+    return s, fit, chebvander(s, deg + 1) @ integral, integral.sum(axis=0)
+
+
+def _resolve(fit_at, deg, what):
+    """Call fit_at(deg) -> (Chebyshev coefficients, degree first; value) at
+    doubling degrees and return the first value whose coefficients resolve."""
+    while deg <= _CHEB_CAP:
+        coef, value = fit_at(deg)
+        mags = np.abs(coef.reshape(deg + 1, -1)).max(axis=1)
+        if mags[-2:].max() <= _CHEB_TAIL * mags.max():
+            return value
+        deg *= 2
+    raise RuntimeError(f"{what} not resolved at Chebyshev degree {_CHEB_CAP}: "
+                       f"trailing coefficients {mags[-2:].max():.3e} "
+                       f"against {mags.max():.3e}")
 
 
 def _path_coefficient(gauge, d, x0, v, length):
@@ -322,45 +343,39 @@ def _path_coefficient(gauge, d, x0, v, length):
 
     Along the line the Killing equation reads dc/dt = A(t) c with
     A = sum_i v_i (beta gamma_i - A_i), v_i the frame components of v and
-    A_i the spinor connection.  Each trial degree m samples A at the m + 1
-    Chebyshev nodes with one batched frame pack; the leading axis of the
-    result is the degree.  Raises RuntimeError when the cap does not
-    resolve A.
+    A_i the spinor connection.  Each trial degree samples A at its
+    Chebyshev points with one batched frame pack; the leading axis of the
+    result is the degree.  Raises RuntimeError if the cap leaves A unresolved.
     """
     rep = d.rep
 
-    def sample(s):
+    def fit_at(deg):
+        s, fit, _, _ = _cheb_rule(deg)
         pts = x0 + np.multiply.outer(0.5 * length * (s + 1.0), v)
         pack = weyl_christoffels(gauge, pts)
         vf = pack.frame_components(v)
         A = _weighted(pack, rep, _spin_connection(pack, rep), d.psi.weight).v
         beta = np.asarray(d.beta.jet(pts).v, dtype=complex)
         coeff = contract("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
-        return coeff.reshape(len(s), -1)  # chebinterpolate fits along axis 0 of a matrix
+        coef = contract("kp,pst->kst", fit, coeff)
+        return coef, coef
 
-    deg = _CHEB_START
-    while deg <= _CHEB_CAP:
-        coef = chebinterpolate(sample, deg)
-        mags = np.abs(coef).max(axis=1)
-        if mags[-2:].max() <= _CHEB_TAIL * mags.max():
-            return coef.reshape(deg + 1, rep.dim, rep.dim)
-        deg *= 2
-    raise RuntimeError("transport coefficient not resolved at Chebyshev degree "
-                       f"{_CHEB_CAP}: trailing coefficients {mags[-2:].max():.3e} "
-                       f"against {mags.max():.3e}")
+    return _resolve(fit_at, _CHEB_START, "transport coefficient")
 
 
 def killing_transport(gauge, d, x0, direction, length=1.0):
-    """Transport the field along a straight chart line by integrating the
-    Killing equation as a linear ODE, dc/dt = A(t) c, with RK45 at relative
-    tolerance 1e-10 and absolute tolerance 1e-12.
+    """Transport the field along a straight chart line by solving the
+    Killing equation, dc/dt = A(t) c, as one linear system in integral form.
 
-    A(t) depends only on the path, so it is sampled once per transport
-    with one batched frame pack and replaced by its Chebyshev interpolant,
-    accepted once the trailing coefficients fall to 1e-13 of the largest;
-    a coefficient the degree cap cannot resolve (a kink, say) raises
-    RuntimeError, as a failed integration does.  The field itself enters
-    only at the two ends.
+    A(t) depends only on the path: it is sampled once per transport with
+    one batched frame pack and replaced by its Chebyshev interpolant.  The
+    solution's values at the Chebyshev points s_j solve c(s_j) = c(-1) +
+    (length / 2) * integral from -1 to s_j of A c, and the endpoint takes
+    the same integral to s = 1.  Both interpolants must resolve (the two
+    trailing coefficients within 1e-13 of the largest), the solution's at
+    more points if needed, with A taken from its series there; a path the
+    degree cap cannot resolve (a kinked coefficient, a fast oscillation)
+    raises RuntimeError.  The field itself enters only at the two ends.
 
     Returns the endpoint, the transported components, the field's own
     components there, and their relative gap.
@@ -371,23 +386,19 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
     v = np.asarray(direction, dtype=float)
     length = float(length)
     coef = _path_coefficient(gauge, d, x0, v, length)
-    k = np.arange(coef.shape[0])
-    flat = coef.reshape(len(k), N * N)
-    to_s = 2.0 / length if length else 0.0
-
-    def rhs(t, y):
-        # The series at s: T_k(s) = cos(k arccos s), summed as one product.
-        s = min(max(to_s * t - 1.0, -1.0), 1.0)
-        A = (np.cos(k * math.acos(s)) @ flat).reshape(N, N)
-        dc = A @ (y[:N] + 1j * y[N:])
-        return np.concatenate([dc.real, dc.imag])
-
     psi0 = np.asarray(d.psi(x0), dtype=complex)
-    y0 = np.concatenate([psi0.real, psi0.imag])
-    sol = solve_ivp(rhs, (0.0, length), y0, method="RK45", rtol=_RK_RTOL, atol=_RK_ATOL)
-    if not sol.success:
-        raise RuntimeError(f"transport integration failed: {sol.message}")
-    transported = sol.y[:N, -1] + 1j * sol.y[N:, -1]
+
+    def fit_at(deg):
+        s, fit, integrate, weights = _cheb_rule(deg)
+        A = contract("pk,kst->pst", chebvander(s, len(coef) - 1), coef)
+        # Row (j, a), column (k, b): c_j - (length / 2) integrate[j, k] A_k c_k.
+        system = np.eye(len(s) * N) - (0.5 * length) * (
+            integrate[:, None, :, None] * A.transpose(1, 0, 2)).reshape(len(s) * N, -1)
+        c = np.linalg.solve(system, np.tile(psi0, len(s))).reshape(-1, N)
+        end = psi0 + (0.5 * length) * (weights @ contract("pst,pt->ps", A, c))
+        return fit @ c, end
+
+    transported = _resolve(fit_at, len(coef) - 1, "transported field")
     end = x0 + length * v
     field_val = np.asarray(d.psi(end), dtype=complex)
     return {

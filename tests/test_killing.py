@@ -1,5 +1,8 @@
 """Killing families, the integrability chain, and the exact plane oracles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +10,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import solve_ivp
 
+import weylspin
 from weylspin import killing
 from weylspin.clifford import Spinor, build_representation
 from weylspin.harness import random_gauge
@@ -331,7 +335,7 @@ def step_transport(gauge, d, x0, v, length):
 
     psi0 = d.psi(x0)
     sol = solve_ivp(rhs, (0.0, length), np.concatenate([psi0.real, psi0.imag]),
-                    method="RK45", rtol=1e-10, atol=1e-12)
+                    method="DOP853", rtol=1e-13, atol=1e-15)
     assert sol.success
     return sol.y[:N, -1] + 1j * sol.y[N:, -1]
 
@@ -376,6 +380,33 @@ def test_transport_builds_one_frame_pack(monkeypatch):
                             length=0.8)
     assert out["residual"] < 1e-6
     assert calls == [(17, 2)]
+
+
+def test_transport_resolves_an_oscillating_solution():
+    # Along x_1 the lower component is exp(-i x_1^2 / 4): the coefficient is
+    # linear in t, while the solution turns through 100 radians by t = 20
+    # and needs more points than the coefficient.
+    gauge, d, rep = example_parallel_zero(1.0, 0.25j)
+    out = killing_transport(gauge, d, np.zeros(2), np.array([1.0, 0.0]), length=20.0)
+    assert out["residual"] <= 1e-12, out["residual"]
+
+
+def test_transport_rejects_an_unresolved_solution():
+    gauge, d, rep = example_parallel_zero(1.0, 0.25j)
+    with pytest.raises(RuntimeError, match="not resolved"):
+        killing_transport(gauge, d, np.zeros(2), np.array([1.0, 0.0]), length=60.0)
+
+
+def test_import_loads_no_scipy():
+    # scipy is the tests' reference integrator only; the package runs on numpy.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylspin.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, weylspin; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]", out.stdout
 
 
 def test_transport_rejects_an_unresolved_coefficient():
