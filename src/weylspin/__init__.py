@@ -12,9 +12,9 @@ from .clifford import (CliffordRep, Density, SlotTensor, Spinor,
                        build_representation, clifford_mul, herm, nu,
                        tensor_clifford)
 from .fields import (ChartField, Jet, Poly, alt, as_fraction, compose,
-                     conf_trace, constant_field, coordinate_jets,
-                     finite_difference_jet, jet_einsum, permute,
-                     polynomial_field, sym, transposition, zyk, zyk_four)
+                     conf_trace, constant_field, coordinate_jets, jet_einsum,
+                     permute, polynomial_field, sym, transposition, zyk,
+                     zyk_four)
 from .harness import (CHECKS, EXAMPLES, CheckRecord, Report, SuiteConfig,
                       emit_report, load_config, parse_report, random_gauge,
                       resolve_checks, run_example, run_suite)
@@ -45,7 +45,7 @@ __all__ = [
     "connection_residuals", "constant_field", "coordinate_jets", "curvature",
     "curvature_contraction_checks", "dirac", "einstein_weyl_residual",
     "emit_report", "example_killing_half", "example_parallel_zero", "faraday",
-    "finite_difference_jet", "first_integrals", "flat_twistor_family",
+    "first_integrals", "flat_twistor_family",
     "frame_pack", "gauge_transport_spinor", "herm", "hessian_identity_check",
     "integrability_report", "integrability_residual", "jet_einsum",
     "killing_kernel_determinant", "killing_residual", "killing_transport",

@@ -31,7 +31,6 @@ __all__ = [
     "jet_transpose",
     "jet_cholesky",
     "jet_lower_inverse",
-    "finite_difference_jet",
     "Poly",
     "ChartField",
     "constant_field",
@@ -680,35 +679,11 @@ def jet_lower_inverse(L):
     return _jet_axes_last(M, dM, ddM, L.nb)
 
 
-def finite_difference_jet(fn, point, step=1e-4):
-    """Central-difference jet of ``fn`` at ``point`` (independent cross-check)."""
-    x = np.asarray(point, dtype=float)
-    n = x.size
-
-    def at(*deltas):
-        y = x.copy()
-        for a, da in deltas:
-            y[a] += da
-        return np.asarray(fn(y))
-
-    f0 = np.asarray(fn(x))
-    g = np.stack([(at((a, step)) - at((a, -step))) / (2 * step) for a in range(n)], axis=-1)
-    h = np.zeros(f0.shape + (n, n), dtype=np.result_type(g, float))
-    for a in range(n):
-        h[..., a, a] = (at((a, step)) - 2 * f0 + at((a, -step))) / step ** 2
-        for b in range(a + 1, n):
-            m = (at((a, step), (b, step)) - at((a, step), (b, -step))
-                 - at((a, -step), (b, step)) + at((a, -step), (b, -step))) / (4 * step ** 2)
-            h[..., a, b] = m
-            h[..., b, a] = m
-    return Jet(f0, g, h)
-
-
 class Poly:
     """Real polynomial in n variables stored as ((coeff, exponent-tuple), ...).
 
-    Evaluation produces jets from the closed-form derivatives, so polynomial
-    fields double as an exactness oracle for the jet arithmetic.
+    The term container of hand-built and serialized gauges;
+    ``polynomial_field`` evaluates arrays of them.
     """
 
     __slots__ = ("terms", "n")
@@ -723,58 +698,6 @@ class Poly:
         for _, exps in self.terms:
             if len(exps) != self.n:
                 raise ValueError("inconsistent exponent tuple length")
-
-    def jet(self, point):
-        x = np.asarray(point, dtype=float)
-        v = 0.0
-        g = np.zeros(self.n)
-        h = np.zeros((self.n, self.n))
-        for c, exps in self.terms:
-            powers = [x[i] ** e for i, e in enumerate(exps)]
-
-            def rest(*skip):
-                out = c
-                for i, p in enumerate(powers):
-                    if i not in skip:
-                        out *= p
-                return out
-
-            v += rest()
-            for a, ea in enumerate(exps):
-                if ea == 0:
-                    continue
-                g[a] += ea * x[a] ** (ea - 1) * rest(a)
-                if ea >= 2:
-                    h[a, a] += ea * (ea - 1) * x[a] ** (ea - 2) * rest(a)
-                for b in range(a + 1, self.n):
-                    eb = exps[b]
-                    if eb == 0:
-                        continue
-                    m = ea * eb * x[a] ** (ea - 1) * x[b] ** (eb - 1) * rest(a, b)
-                    h[a, b] += m
-                    h[b, a] += m
-        return Jet(v, g, h)
-
-    def values(self, points):
-        pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for c, exps in self.terms:
-            term = np.full(pts.shape[:-1], c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * pts[..., i] ** e
-            out += term
-        return out
-
-    def diff(self, a):
-        terms = []
-        for c, exps in self.terms:
-            e = exps[a]
-            if e:
-                new = list(exps)
-                new[a] = e - 1
-                terms.append((c * e, tuple(new)))
-        return Poly(terms, self.n)
 
     def to_dict(self):
         return {"n": self.n, "terms": [[c, list(e)] for c, e in self.terms]}
@@ -820,59 +743,96 @@ def constant_field(values, weight=0):
     return ChartField(weight, lambda X: constant_jet(arr, X))
 
 
-def polynomial_field(polys, weight=0):
-    arr = np.asarray(polys, dtype=object)
-    flat = list(arr.ravel())
-    if not flat:
-        raise ValueError("a polynomial field needs at least one component")
-    n = flat[0].n
-    for p in flat:
-        if p.n != n:
-            raise ValueError("polynomials must share one variable count")
-    k = len(flat)
-    # Values, gradients and Hessians of all components are linear in one
-    # monomial basis, so a jet at P points is one (P, M) power table times
-    # three coefficient matrices (matches Poly.jet; tested against it).
-    owner = np.repeat(np.arange(k), [len(p.terms) for p in flat])
-    coeff = np.array([c for p in flat for c, _ in p.terms], dtype=float)
-    exps = np.array([e for p in flat for _, e in p.terms],
-                    dtype=np.int64).reshape(-1, n)
+@lru_cache(maxsize=256)
+def _layout(n, support):
+    """How coefficients over ``support`` (distinct exponent tuples) become
+    the monomial coefficient matrices of values, gradients and Hessians.
+
+    Returns the exponents of the monomials, numbered in increasing order
+    of their integer keys in base (max exponent + 1) with the last
+    variable most significant; the row of each support monomial; and per
+    derivative order the (row, support index, jet axes..., integer
+    multipliers) of every term a support monomial contributes: c e_a
+    at the monomial minus unit a, and (c e_a) (e_b - delta_ab) at the
+    monomial minus units a and b.
+    """
+    if len(set(support)) < len(support):
+        raise ValueError("a polynomial support lists a monomial twice")
+    exps = np.array(support, dtype=np.int64).reshape(-1, n)
     unit = np.eye(n, dtype=np.int64)
-    # Exponents, output columns and coefficients of every derivative term:
-    # [t, a] for the gradient, [t, a, b] for the Hessian.
     e1 = exps[:, None, :] - unit
     e2 = e1[:, :, None, :] - unit
-    c1 = coeff[:, None] * exps
-    c2 = c1[:, :, None] * (exps[:, None, :] - unit)
-    col1 = owner[:, None] * n + np.arange(n)
-    col2 = col1[:, :, None] * n + np.arange(n)
-    parts = [(exps, owner, coeff)]
-    for e, col, c in ((e1, col1, c1), (e2, col2, c2)):
-        keep = (e >= 0).all(axis=-1)
-        parts.append((e[keep], col[keep], c[keep]))
-    # Number the monomials through integer keys in base (max exponent + 1).
-    every = np.concatenate([e for e, _, _ in parts])
+    m1, a1 = np.nonzero((e1 >= 0).all(axis=-1))
+    m2, a2, b2 = np.nonzero((e2 >= 0).all(axis=-1))
+    every = np.concatenate([exps, e1[m1, a1], e2[m2, a2, b2]])
     base = int(every.max(initial=0)) + 1
     place = base ** np.arange(n, dtype=np.int64)
-    keys, index = np.unique(every @ place, return_inverse=True)
-    mono_exps = keys[:, None] // place % base
-    mats = []
-    start = 0
-    for order, (e, col, c) in enumerate(parts):
-        width = k * n ** order
-        flat_ix = index[start:start + len(e)] * width + col
-        start += len(e)
-        mats.append(np.bincount(flat_ix, weights=c, minlength=len(keys) * width)
-                    .reshape(len(keys), width))
-    cv, cg, ch = mats
+    keys, row = np.unique(every @ place, return_inverse=True)
+    r0, r1, r2 = np.split(row, [len(exps), len(exps) + len(m1)])
+    return (keys[:, None] // place % base, r0, (r1, m1, a1, exps[m1, a1]),
+            (r2, m2, a2, b2, exps[m2, a2], exps[m2, b2] - (a2 == b2)))
+
+
+def _poly_coefficients(polys):
+    """The variable count, support and coefficient array of a Poly array.
+
+    The support is every exponent tuple in use, and the coefficients
+    carry the array's shape plus one support axis.  Terms repeated within
+    one polynomial add up in term order before any derivative multiplier
+    applies, so their gradient and Hessian coefficients can differ in the
+    last bit from a term-by-term sum.
+    """
+    flat = polys.ravel()
+    if not flat.size:
+        raise ValueError("a polynomial field needs at least one component")
+    n = flat[0].n
+    if any(p.n != n for p in flat):
+        raise ValueError("polynomials must share one variable count")
+    terms = [(k, e, c) for k, p in enumerate(flat) for c, e in p.terms]
+    support = tuple(sorted({e for _, e, _ in terms}))
+    column = {e: m for m, e in enumerate(support)}
+    coeffs = np.zeros(flat.size * len(support))
+    np.add.at(coeffs, [k * len(support) + column[e] for k, e, _ in terms],
+              [c for _, _, c in terms])
+    return n, support, coeffs.reshape(polys.shape + (len(support),))
+
+
+def polynomial_field(polys, weight=0, support=None):
+    """Field whose components are polynomials in the chart coordinates.
+
+    ``polys`` is an array of Poly, or, with ``support`` (a tuple of
+    distinct exponent tuples), an array of coefficients whose last axis
+    runs over the support.  Values, gradients and Hessians of all
+    components are linear in one monomial basis, so a jet at P points is
+    one (P, M) power table times three coefficient matrices, filled from
+    a layout cached per support.
+    """
+    if support is None:
+        n, support, coeffs = _poly_coefficients(np.asarray(polys, dtype=object))
+    else:
+        coeffs = np.asarray(polys, dtype=float)
+        n = len(support[0])
+        if coeffs.shape[-1:] != (len(support),):
+            raise ValueError(f"coefficients of shape {coeffs.shape} do not run "
+                             f"over a support of {len(support)} monomials")
+    mono_exps, r0, (r1, m1, a1, e1), (r2, m2, a2, b2, ea, eb) = _layout(n, support)
+    vshape = coeffs.shape[:-1]
+    c = coeffs.reshape(math.prod(vshape), len(support))
+    rows, k = len(mono_exps), len(c)
+    cv = np.zeros((rows, k))
+    cv[r0] = c.T
+    cg = np.zeros((rows, k, n))
+    cg[r1, :, a1] = (c[:, m1] * e1).T
+    ch = np.zeros((rows, k, n, n))
+    ch[r2, :, a2, b2] = ((c[:, m2] * ea) * eb).T
+    cg, ch = cg.reshape(rows, k * n), ch.reshape(rows, k * n * n)
 
     def fn(X):
         x = np.asarray(X.v, dtype=float)
-        batch = x.shape[:-1]
+        shape = x.shape[:-1] + vshape
         mono = np.prod(x[..., None, :] ** mono_exps, axis=-1)
-        return Jet._make((mono @ cv).reshape(batch + arr.shape),
-                         (mono @ cg).reshape(batch + arr.shape + (n,)),
-                         (mono @ ch).reshape(batch + arr.shape + (n, n)), X.nb)
+        return Jet._make((mono @ cv).reshape(shape), (mono @ cg).reshape(shape + (n,)),
+                         (mono @ ch).reshape(shape + (n, n)), X.nb)
 
     return ChartField(weight, fn)
 

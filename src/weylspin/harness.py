@@ -85,29 +85,23 @@ def _monomials(n, degree):
                  if sum(e) <= degree)
 
 
-def _random_poly(rng, n, degree, scale):
-    exps = _monomials(n, degree)
-    coeffs = rng.uniform(-scale, scale, size=len(exps))
-    return Poly(list(zip(coeffs, exps)), n)
-
-
-def _random_poly_array(rng, n, degree, shape, scale=1.0):
-    flat = [_random_poly(rng, n, degree, scale) for _ in range(int(np.prod(shape, dtype=int)))]
-    out = np.empty(shape, dtype=object)
-    out.reshape(-1)[:] = flat
-    return out
+def _random_coefficients(rng, exps, rows, scale):
+    """``rows`` coefficient rows over the support ``exps``, one uniform draw each."""
+    return np.array([rng.uniform(-scale, scale, size=len(exps)) for _ in range(rows)])
 
 
 def _random_conformal_factor(rng, n, degree):
     """A small scalar polynomial, bounded so exp(2 f) stays well conditioned."""
     exps = _monomials(n, degree)
-    return polynomial_field(_random_poly(rng, n, degree, 0.4 / len(exps)))
+    scale = 0.4 / len(exps)
+    return polynomial_field(rng.uniform(-scale, scale, size=len(exps)), support=exps)
 
 
 def _random_spinor_field(rng, n, dim, weight, degree=2):
-    re = _random_poly_array(rng, n, degree, (dim,))
-    im = _random_poly_array(rng, n, degree, (dim,))
-    return polynomial_spinor(re, im, weight=weight)
+    exps = _monomials(n, degree)
+    re = _random_coefficients(rng, exps, dim, 1.0)
+    im = _random_coefficients(rng, exps, dim, 1.0)
+    return polynomial_spinor(re, im, weight=weight, support=exps)
 
 
 def _unit_spinor(rng, dim):
@@ -131,17 +125,27 @@ def random_gauge(seed, n, degree=3, margin=0.5):
     rng = np.random.default_rng(seed)
     exps = _monomials(n, degree)
     scale = (1.0 - margin) / (2.0 * n * len(exps))
-    entries = {}
+    metric = np.empty((n, n, len(exps)))
     for i in range(n):
         for j in range(i, n):
-            coeffs = rng.uniform(-scale, scale, size=len(exps))
-            terms = list(zip(coeffs, exps))
-            if i == j:
-                terms.append((1.0, (0,) * n))
-            entries[i, j] = Poly(terms, n)
-    metric = [[entries[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
-    theta = [_random_poly(rng, n, degree, 1.0 / len(exps)) for _ in range(n)]
-    return Gauge.from_polys(metric, theta, name=f"random-{seed}")
+            metric[i, j] = metric[j, i] = rng.uniform(-scale, scale, size=len(exps))
+    theta = _random_coefficients(rng, exps, n, 1.0 / len(exps))
+    zero = (0,) * n
+    # The field adds delta to the diagonal's constant coefficient as c + 1.0,
+    # the sum a Poly-array build makes of the separate trailing term that the
+    # serialized diagonal keeps.
+    shifted = metric.copy()
+    shifted[range(n), range(n), exps.index(zero)] += 1.0
+
+    def polys():
+        mp = [[Poly(list(zip(metric[i, j], exps)) + ([(1.0, zero)] if i == j else []), n)
+               for j in range(n)] for i in range(n)]
+        tp = [Poly(list(zip(c, exps)), n) for c in theta]
+        return np.array(mp, dtype=object), np.array(tp, dtype=object)
+
+    return Gauge(n, polynomial_field(shifted, weight=2, support=exps),
+                 polynomial_field(theta, weight=None, support=exps),
+                 name=f"random-{seed}", polys=polys)
 
 
 # -- configuration ----------------------------------------------------------
@@ -341,11 +345,12 @@ def emit_report(report, fmt="table"):
         if k == 0:
             lines.append("  ".join("-" * widths[i] for i in range(len(widths))))
     lines.append("")
-    seen = []
+    # Each check's headroom: its largest residual / tolerance (NaN stays NaN).
+    ratios = {}
     for r in report.records:
-        if r.check not in seen:
-            seen.append(r.check)
-            lines.append(f"{r.check}: {r.statement}")
+        ratios.setdefault((r.check, r.statement), []).append(r.residual / r.tolerance)
+    for (check, statement), rs in ratios.items():
+        lines.append(f"{check} (max residual/tolerance {np.max(rs):.1e}): {statement}")
     lines.append("")
     lines.append(report.summary)
     return "\n".join(lines) + "\n"

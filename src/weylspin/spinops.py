@@ -48,10 +48,12 @@ class GateError(RuntimeError):
     """A hypothesis required by the requested identity fails numerically."""
 
 
-def polynomial_spinor(re_polys, im_polys=None, weight=0):
-    """Field whose components are polynomials (plus i times polynomials)."""
-    re_f = polynomial_field(np.asarray(re_polys, dtype=object))
-    im_f = None if im_polys is None else polynomial_field(np.asarray(im_polys, dtype=object))
+def polynomial_spinor(re_polys, im_polys=None, weight=0, support=None):
+    """Field whose components are polynomials (plus i times polynomials),
+    given as ``polynomial_field`` takes them: Poly arrays, or coefficient
+    arrays over ``support``."""
+    re_f = polynomial_field(re_polys, support=support)
+    im_f = None if im_polys is None else polynomial_field(im_polys, support=support)
 
     def fn(X):
         j = re_f.fn(X) * (1.0 + 0j)

@@ -11,6 +11,7 @@ conformal change of gauge as a weight tag.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import cache
 
 import numpy as np
 
@@ -74,13 +75,15 @@ class Gauge:
     """A chart with metric components, a 1-form theta, and a sample domain.
 
     ``metric`` ([i, j] components, weight 2) and ``theta`` are chart fields;
-    ``domain`` is an (n, 2) array of box bounds used for sampling.
+    ``domain`` is an (n, 2) array of box bounds used for sampling.  A
+    polynomial gauge also has ``metric_polys`` and ``theta_polys``, the
+    Poly arrays it serializes; ``polys`` is a function returning that
+    pair, called once, on their first access.
     """
 
-    __slots__ = ("n", "metric", "theta", "domain", "name", "metric_polys", "theta_polys")
+    __slots__ = ("n", "metric", "theta", "domain", "name", "_polys")
 
-    def __init__(self, n, metric, theta, domain=None, name=None,
-                 metric_polys=None, theta_polys=None):
+    def __init__(self, n, metric, theta, domain=None, name=None, polys=None):
         self.n = int(n)
         self.metric = metric
         self.theta = theta
@@ -90,29 +93,36 @@ class Gauge:
         if self.domain.shape != (self.n, 2):
             raise ValueError(f"domain must be an ({self.n}, 2) box")
         self.name = name
-        self.metric_polys = metric_polys
-        self.theta_polys = theta_polys
+        self._polys = None if polys is None else cache(polys)
+
+    @property
+    def metric_polys(self):
+        return None if self._polys is None else self._polys()[0]
+
+    @property
+    def theta_polys(self):
+        return None if self._polys is None else self._polys()[1]
 
     @classmethod
     def from_polys(cls, metric_polys, theta_polys, domain=None, name=None):
         mp = np.asarray(metric_polys, dtype=object)
         tp = np.asarray(theta_polys, dtype=object)
-        return cls(
-            mp.shape[0],
-            polynomial_field(mp, weight=2),
-            polynomial_field(tp, weight=None),
-            domain=domain,
-            name=name,
-            metric_polys=mp,
-            theta_polys=tp,
-        )
+        return cls(mp.shape[0], polynomial_field(mp, weight=2),
+                   polynomial_field(tp, weight=None), domain=domain, name=name,
+                   polys=lambda: (mp, tp))
 
     @classmethod
     def flat(cls, n, domain=None):
-        one = [(1.0, (0,) * n)]
-        metric = [[Poly(one if i == j else [], n) for j in range(n)] for i in range(n)]
-        theta = [Poly([], n) for _ in range(n)]
-        return cls.from_polys(metric, theta, domain=domain, name="flat")
+        zero = (0,) * n
+
+        def polys():
+            metric = [[Poly([(1.0, zero)] if i == j else [], n) for j in range(n)]
+                      for i in range(n)]
+            return np.asarray(metric, dtype=object), np.asarray([Poly([], n)] * n, dtype=object)
+
+        return cls(n, polynomial_field(np.eye(n)[..., None], weight=2, support=(zero,)),
+                   polynomial_field(np.zeros((n, 1)), weight=None, support=(zero,)),
+                   domain=domain, name="flat", polys=polys)
 
     def sample_points(self, rng, count):
         lo, hi = self.domain[:, 0], self.domain[:, 1]

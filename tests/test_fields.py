@@ -14,6 +14,7 @@ import weylspin
 from weylspin import clifford, fields, harness, killing, spinops, weyl
 from weylspin.clifford import SlotTensor
 from weylspin.fields import (
+    ChartField,
     Jet,
     Poly,
     alt,
@@ -24,7 +25,6 @@ from weylspin.fields import (
     constant_jet,
     contract,
     coordinate_jets,
-    finite_difference_jet,
     jet_cholesky,
     jet_einsum,
     jet_lower_inverse,
@@ -38,6 +38,8 @@ from weylspin.fields import (
     zyk_four,
 )
 from weylspin.killing import example_killing_half, example_parallel_zero
+
+from oracles import finite_difference_jet, poly_diff, poly_jet, poly_values
 
 HYPO = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -65,8 +67,8 @@ def test_poly_jet_matches_finite_differences():
     for n in (1, 2, 3):
         p = rand_poly(rng, n)
         x = rng.uniform(-1, 1, n)
-        jet = p.jet(x)
-        fd = finite_difference_jet(lambda y: p.values(y), x, step=1e-5)
+        jet = poly_jet(p, x)
+        fd = finite_difference_jet(lambda y: poly_values(p, y), x, step=1e-5)
         assert abs(jet.v - fd.v) < 1e-12
         assert np.allclose(jet.g, fd.g, atol=1e-6)
         assert np.allclose(jet.h, fd.h, atol=1e-4)
@@ -77,27 +79,28 @@ def test_poly_jet_matches_symbolic_differentiation():
     for n in (2, 3):
         p = rand_poly(rng, n)
         for x in rng.uniform(-1, 1, (5, n)):
-            jet = p.jet(x)
+            jet = poly_jet(p, x)
             for a in range(n):
-                assert abs(jet.g[a] - p.diff(a).values(x)) < 1e-12
+                assert abs(jet.g[a] - poly_values(poly_diff(p, a), x)) < 1e-12
                 for b in range(n):
-                    assert abs(jet.h[a, b] - p.diff(a).diff(b).values(x)) < 1e-12
+                    ref = poly_values(poly_diff(poly_diff(p, a), b), x)
+                    assert abs(jet.h[a, b] - ref) < 1e-12
 
 
 def test_poly_values_vectorized():
     rng = np.random.default_rng(2)
     p = rand_poly(rng, 2)
     pts = rng.uniform(-1, 1, (7, 2))
-    vals = p.values(pts)
+    vals = poly_values(p, pts)
     assert vals.shape == (7,)
     for k, x in enumerate(pts):
-        assert abs(vals[k] - p.jet(x).v) < 1e-13
+        assert abs(vals[k] - poly_jet(p, x).v) < 1e-13
 
 
 def test_poly_validation():
     with pytest.raises(ValueError):
         Poly([])  # empty needs an explicit variable count
-    assert Poly([], n=3).values(np.zeros(3)) == 0.0
+    assert poly_values(Poly([], n=3), np.zeros(3)) == 0.0
     with pytest.raises(ValueError):
         Poly([(1.0, (1, 0)), (1.0, (1, 0, 0))])
     d = rand_poly(np.random.default_rng(3), 2).to_dict()
@@ -118,7 +121,7 @@ def test_polynomial_field_matches_per_component_jets():
             jet = field.jet(x)
             assert jet.shape == (2, 3)
             for idx in np.ndindex(2, 3):
-                ref = arr[idx].jet(x)
+                ref = poly_jet(arr[idx], x)
                 assert np.allclose(jet.v[idx], ref.v, rtol=1e-12, atol=1e-13)
                 assert np.allclose(jet.g[idx], ref.g, rtol=1e-12, atol=1e-13)
                 assert np.allclose(jet.h[idx], ref.h, rtol=1e-12, atol=1e-13)
@@ -129,7 +132,7 @@ def test_polynomial_field_at_negative_coordinates():
     p = Poly([(1.0, (3, 2)), (-2.0, (1, 4))], 2)
     field = polynomial_field(np.array([p], dtype=object))
     x = np.array([-0.7, -0.3])
-    ref = p.jet(x)
+    ref = poly_jet(p, x)
     jet = field.jet(x)
     assert np.allclose(jet.v[0], ref.v, atol=1e-14)
     assert np.allclose(jet.g[0], ref.g, atol=1e-14)
@@ -143,7 +146,7 @@ def test_polynomial_field_scalar_arity_zero():
     field = polynomial_field(arr)
     assert field(np.zeros(2)).shape == ()
     x = np.array([0.3, -0.4])
-    assert abs(field.jet(x).v - p.jet(x).v) < 1e-14
+    assert abs(field.jet(x).v - poly_jet(p, x).v) < 1e-14
 
 
 def test_polynomial_field_validation():
@@ -152,6 +155,67 @@ def test_polynomial_field_validation():
     bad = np.array([Poly([(1.0, (1,))], 1), Poly([(1.0, (1, 0))], 2)], dtype=object)
     with pytest.raises(ValueError):
         polynomial_field(bad)
+
+
+# Component term lists (n, [terms per component]) whose supports differ
+# from one compiled layout per field in some way.
+AWKWARD_SUPPORTS = {
+    "mixed": (3, [[(0.7, (1, 0, 2)), (-1.2, (0, 0, 0))], [(0.4, (0, 3, 0))],
+                  [(2.0, (1, 1, 1)), (0.5, (2, 0, 0))]]),
+    "empty-component": (2, [[(1.5, (2, 1))], [], [(-0.3, (0, 1))]]),
+    "all-empty": (2, [[], []]),
+    "repeated": (2, [[(0.6, (2, 1)), (-1.1, (0, 1)), (0.25, (2, 1)),
+                      (3.0, (0, 0)), (1.0, (0, 0)), (-0.4, (3, 0)), (0.9, (3, 0))]]),
+    "degree-0": (3, [[(2.5, (0, 0, 0))], [(-1.0, (0, 0, 0))]]),
+    "high-powers": (2, [[(1.0, (3, 2)), (-2.0, (1, 4))], [(0.5, (0, 5))]]),
+}
+
+
+@pytest.mark.parametrize("case", list(AWKWARD_SUPPORTS))
+def test_polynomial_field_matches_the_term_oracle_on_awkward_supports(case):
+    n, comps = AWKWARD_SUPPORTS[case]
+    polys = [Poly(terms, n) for terms in comps]
+    field = polynomial_field(np.array(polys, dtype=object))
+    pts = np.random.default_rng(13).uniform(-1, 1, (4, n))
+    pts[0] = -np.abs(pts[0])  # every coordinate negative
+    jet = field.jet(pts)
+    assert jet.shape == (len(polys),) and jet.nb == 1
+    for k, p in enumerate(polys):
+        for i, x in enumerate(pts):
+            ref = poly_jet(p, x)
+            assert np.allclose(jet.v[i, k], ref.v, rtol=1e-12, atol=1e-13)
+            assert np.allclose(jet.g[i, k], ref.g, rtol=1e-12, atol=1e-13)
+            assert np.allclose(jet.h[i, k], ref.h, rtol=1e-12, atol=1e-13)
+
+
+def test_polynomial_field_over_a_support_matches_the_poly_route():
+    rng = np.random.default_rng(14)
+    support = ((0, 0), (1, 0), (0, 2), (2, 1))
+    coeffs = rng.uniform(-1, 1, (2, 3, len(support)))
+    polys = np.empty((2, 3), dtype=object)
+    for idx in np.ndindex(2, 3):
+        polys[idx] = Poly(list(zip(coeffs[idx], support)), 2)
+    pts = rng.uniform(-1, 1, (5, 2))
+    a = polynomial_field(coeffs, support=support).jet(pts)
+    b = polynomial_field(polys).jet(pts)
+    for u, w in ((a.v, b.v), (a.g, b.g), (a.h, b.h)):
+        assert np.array_equal(u, w)
+    with pytest.raises(ValueError, match="twice"):
+        polynomial_field(np.ones(2), support=((1, 0), (1, 0)))
+    with pytest.raises(ValueError, match="support of 4"):
+        polynomial_field(coeffs[..., :3], support=support)
+
+
+def test_field_call_returns_the_values_of_its_jet():
+    # A map that takes a gradient needs the full coordinate jet, even for a
+    # ChartField built by hand.
+    g = harness.random_gauge(21, 3)
+    f = polynomial_field(np.array([0.1]), support=((1, 1, 0),))
+    fs = [g.metric, g.theta, f, weyl.faraday(weyl.change_gauge(g, f)),
+          ChartField(None, lambda X: f.fn(X).gradient())]
+    pts = np.random.default_rng(15).uniform(-1, 1, (6, 3))
+    for field in fs:
+        assert np.array_equal(field(pts), field.jet(pts).v)
 
 
 def test_constant_field_and_jet_eval():
@@ -176,9 +240,9 @@ def _scalar_jets(seed, n=2):
 
 def test_jet_ring_ops_match_polynomial_oracle():
     p, q, x = _scalar_jets(6)
-    a, b = p.jet(x), q.jet(x)
+    a, b = poly_jet(p, x), poly_jet(q, x)
     prod = a * b
-    fd = finite_difference_jet(lambda y: p.values(y) * q.values(y), x, 1e-5)
+    fd = finite_difference_jet(lambda y: poly_values(p, y) * poly_values(q, y), x, 1e-5)
     assert abs(prod.v - fd.v) < 1e-12
     assert np.allclose(prod.g, fd.g, atol=1e-6)
     assert np.allclose(prod.h, fd.h, atol=1e-4)
@@ -192,18 +256,19 @@ def test_jet_ring_ops_match_polynomial_oracle():
 
 def test_jet_quotient_and_power():
     p, q, x = _scalar_jets(7)
-    a = p.jet(x) + 4.0  # bounded away from zero
-    b = q.jet(x)
+    a = poly_jet(p, x) + 4.0  # bounded away from zero
+    b = poly_jet(q, x)
     quot = b / a
-    fd = finite_difference_jet(lambda y: q.values(y) / (p.values(y) + 4.0), x, 1e-5)
+    fd = finite_difference_jet(
+        lambda y: poly_values(q, y) / (poly_values(p, y) + 4.0), x, 1e-5)
     assert np.allclose(quot.v, fd.v, atol=1e-10)
     assert np.allclose(quot.g, fd.g, atol=1e-6)
     assert np.allclose(quot.h, fd.h, atol=1e-4)
     r = 2.0 / a
-    fd = finite_difference_jet(lambda y: 2.0 / (p.values(y) + 4.0), x, 1e-5)
+    fd = finite_difference_jet(lambda y: 2.0 / (poly_values(p, y) + 4.0), x, 1e-5)
     assert np.allclose(r.g, fd.g, atol=1e-6)
     pw = a ** 1.5
-    fd = finite_difference_jet(lambda y: (p.values(y) + 4.0) ** 1.5, x, 1e-5)
+    fd = finite_difference_jet(lambda y: (poly_values(p, y) + 4.0) ** 1.5, x, 1e-5)
     assert np.allclose(pw.g, fd.g, atol=1e-6)
     assert np.allclose(pw.h, fd.h, atol=1e-4)
     with pytest.raises(TypeError):
@@ -212,11 +277,11 @@ def test_jet_quotient_and_power():
 
 def test_jet_analytic_chain_rules():
     p, _, x = _scalar_jets(8)
-    a = p.jet(x) + 3.0  # positive for log and sqrt
+    a = poly_jet(p, x) + 3.0  # positive for log and sqrt
     for name in ("exp", "log", "sqrt"):
         jet = getattr(a, name)()
         fd = finite_difference_jet(
-            lambda y, f=name: getattr(np, f)(p.values(y) + 3.0), x, 1e-5)
+            lambda y, f=name: getattr(np, f)(poly_values(p, y) + 3.0), x, 1e-5)
         assert np.allclose(jet.v, fd.v, atol=1e-10), name
         assert np.allclose(jet.g, fd.g, atol=1e-5), name
         assert np.allclose(jet.h, fd.h, atol=1e-3), name
@@ -224,7 +289,7 @@ def test_jet_analytic_chain_rules():
 
 def test_jet_conj_real_imag():
     p, q, x = _scalar_jets(9)
-    z = p.jet(x) * (1.0 + 0j) + q.jet(x) * 1j
+    z = poly_jet(p, x) * (1.0 + 0j) + poly_jet(q, x) * 1j
     assert np.allclose(z.conj().v, np.conj(z.v))
     assert np.allclose(z.real().g, z.g.real)
     assert np.allclose(z.imag().h, z.h.imag)
@@ -233,7 +298,7 @@ def test_jet_conj_real_imag():
 
 def test_jet_partial_and_gradient():
     p, _, x = _scalar_jets(10)
-    a = p.jet(x)
+    a = poly_jet(p, x)
     pa = a.partial(0)
     assert pa.order == 1
     assert abs(pa.v - a.g[0]) == 0.0

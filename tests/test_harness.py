@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import weylspin.harness as hz
+from weylspin import fields
 from weylspin.cli import main
 from weylspin.harness import (
     CHECKS,
@@ -23,6 +25,7 @@ from weylspin.harness import (
     run_example,
     run_suite,
 )
+from weylspin.weyl import Gauge
 
 TINY = dict(dims=(2,), weights=("1/2",), gauges=2, points=3, trials=40,
             seed=11, degree=2)
@@ -114,16 +117,33 @@ def test_random_gauge_is_deterministic():
     assert a.to_dict() != random_gauge(6, 3).to_dict()
 
 
-@pytest.mark.parametrize("seed, n, digest", [
+PINNED_DRAWS = [
     (0, 2, "b6e2bf25eb7f28e3"),
     (7, 3, "7af055614b663366"),
     (99, 3, "0733da3253c237d8"),
     (2025, 4, "ad175d17ba4339a6"),
     (123456, 6, "3139cbadb10336d8"),
-])
+]
+
+
+@pytest.mark.parametrize("seed, n, digest", PINNED_DRAWS)
 def test_random_gauge_draws_are_pinned(seed, n, digest):
     text = json.dumps(random_gauge(seed, n).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("seed, n", [(seed, n) for seed, n, _ in PINNED_DRAWS])
+def test_random_gauge_jets_survive_serialization_bit_for_bit(seed, n):
+    # The drawn fields come from coefficient arrays, the loaded ones from
+    # Poly terms; both must compile to the same matrices.
+    g = random_gauge(seed, n)
+    back = Gauge.from_dict(g.to_dict())
+    pts = np.random.default_rng(seed).uniform(-1, 1, (5, n))
+    for a, b in ((g.metric.jet(pts), back.metric.jet(pts)),
+                 (g.theta.jet(pts), back.theta.jet(pts))):
+        assert np.array_equal(a.v, b.v)
+        assert np.array_equal(a.g, b.g)
+        assert np.array_equal(a.h, b.h)
 
 
 @pytest.mark.parametrize("margin", [0.5, 0.8])
@@ -407,3 +427,62 @@ def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
     path.write_text('{"dims": [2],}')
     assert main(["verify", "--config", str(path)]) == 2
     assert "line 1" in capsys.readouterr().err
+
+
+# -- polynomial fields of the draw path ------------------------------------------
+
+
+# The checks whose draws are random gauges, random spinor fields, conformal
+# factors and flat twistor families; the plane families of the examples
+# and of twistor-first-integrals are hand-built from Poly terms.
+DRAWN = [k for k in CHECKS
+         if not k.startswith(("clifford", "example")) and k != "twistor-first-integrals"]
+
+
+def test_drawn_sweeps_build_no_poly(monkeypatch):
+    built = []
+    init = fields.Poly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fields.Poly, "__init__", counting)
+    report = fresh_run(tiny_config(dims=(2, 3), trials=5), checks=DRAWN)
+    assert {r.check for r in report.records} == set(DRAWN)
+    assert built == []
+    Gauge.flat(2).to_dict()  # serializing builds the terms, so the count is live
+    assert built
+
+
+def _rebind_in_package(monkeypatch, original, replacement):
+    """Replace ``original`` wherever a weylspin module holds it."""
+    for name, mod in list(sys.modules.items()):
+        if name == "weylspin" or name.startswith("weylspin."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
+def test_every_polynomial_field_goes_through_the_module_level_name(monkeypatch):
+    # The benchmark's fields.poly_jet spans count polynomial field
+    # evaluations by rebinding ``polynomial_field`` in every weylspin
+    # namespace; a field compiled past that name would go uncounted.
+    routed, compiled = [], []
+    layout = fields._layout
+
+    def counting_layout(*args):
+        compiled.append(args)
+        return layout(*args)
+
+    make = fields.polynomial_field
+
+    def counting_make(*args, **kwargs):
+        routed.append(1)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_layout", counting_layout)
+    _rebind_in_package(monkeypatch, make, counting_make)
+    assert hz.polynomial_field is counting_make
+    fresh_run(tiny_config(dims=(2, 3), trials=5))
+    assert compiled and len(routed) == len(compiled)
