@@ -29,7 +29,7 @@ from .spinops import (GateError, curvature_contraction_checks, dirac, first_inte
                       polynomial_spinor, sl_residual, spin_lc_derivative,
                       spinor_laplacian, spinorial_curvature, twistor,
                       twistor_laplacian_residuals, weyl_spinor_derivative)
-from .weyl import (CurvatureBundle, EwResidual, FramePack, Gauge,
+from .weyl import (CurvatureBundle, FramePack, Gauge,
                    change_gauge, connection_residuals, curvature,
                    einstein_weyl_residual, faraday, frame_pack,
                    relative_residual, weyl_christoffels)
@@ -38,7 +38,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECKS", "ChartField", "CheckRecord", "CliffordRep", "CurvatureBundle",
-    "Density", "EXAMPLES", "EwResidual", "FramePack", "GateError", "Gauge",
+    "Density", "EXAMPLES", "FramePack", "GateError", "Gauge",
     "Jet", "KillingDatum", "Poly", "Report", "SlotTensor", "Spinor",
     "SuiteConfig", "alt", "as_fraction", "build_representation",
     "change_gauge", "clifford_mul", "compose", "conf_trace",

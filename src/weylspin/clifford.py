@@ -55,25 +55,18 @@ def _relation_residuals(gammas):
 class CliffordRep:
     """n anticommuting skew-hermitian generators on C^(2^(n//2))."""
 
-    __slots__ = ("n", "gammas", "_pair", "_products")
+    __slots__ = ("n", "gammas", "_products")
 
     def __init__(self, n, gammas):
         self.n = int(n)
         self.gammas = np.asarray(gammas, dtype=complex)
         if self.gammas.shape != (self.n, self.dim, self.dim):
             raise ValueError(f"expected {self.n} square matrices, got shape {self.gammas.shape}")
-        self._pair = None
         self._products = {}
 
     @property
     def dim(self):
         return 2 ** (self.n // 2)
-
-    def pair_products(self):
-        """Cached gamma_i gamma_j products, shape (n, n, N, N)."""
-        if self._pair is None:
-            self._pair = contract("iab,jbc->ijac", self.gammas, self.gammas)
-        return self._pair
 
     def slot_products(self, k):
         """Cached products gamma_{i_1} ... gamma_{i_k}, shape (n,) * k + (N, N)."""

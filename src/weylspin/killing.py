@@ -165,11 +165,12 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
 
     if cls in ("imaginary", "zero"):
         pair = np.abs(contract("...s,...s->...", fhat.conj(), psiv))
-        # |beta|^2 |psi|^2 floors the scale: where F vanishes analytically
-        # (a closed gauge), the pairing and |F psi| are both rounding noise.
+        # max(|beta|^2, 1) |psi|^2 floors the scale: where F vanishes
+        # analytically (a closed gauge), the pairing and |F psi| are both
+        # rounding noise, and so is beta when the density is zero.
         psin = np.linalg.norm(psiv, axis=-1)
         scale = np.maximum(np.linalg.norm(fhat, axis=-1) * psin,
-                           np.abs(betas) ** 2 * psin ** 2)
+                           np.maximum(np.abs(betas) ** 2, 1.0) * psin ** 2)
         put("faraday-pairing", np.divide(pair, scale, out=pair.copy(), where=scale > 0))
     if cls in ("real", "zero"):
         rhs_r = 4.0 * n * (n - 1) * (betas.real ** 2)
@@ -196,20 +197,20 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
                               4.0 * (n - 1) * bv2 ** 2 * nupsi, f1, 0.5 * nu_fhat,
                               psiv, batch=1))
         coef15 = 4.0 * (n - 1) / (n - 2)
-        # The integrability terms join the scale: with F = 0 and a parallel
-        # density both sides vanish analytically.
+        # The integrability terms and the field norm join the scale: with
+        # F = 0 and a parallel density both sides vanish analytically, and
+        # with a zero density so do the terms.
         put("faraday-gradient-exchange",
             relative_residual(fhat + coef15 * grad_cliff, fhat, coef15 * grad_cliff,
-                              *terms, batch=1))
+                              *terms, psiv, batch=1))
         coef16 = 2.0 * (n - 1) / (n - 2)
         rhs16 = (2.0 * n * outer + 2.0 * nb_nu + (R2 / n) * nupsi
                  - f1 + coef16 * nu_grad)
         put("ric-contraction-reduced",
             relative_residual(ric1 - rhs16, ric1, 2.0 * n * outer, 2.0 * nb_nu,
                               (R2 / n) * nupsi, f1, coef16 * nu_grad, psiv, batch=1))
-        ew = _einstein_weyl(bund, n)
         put("einstein-weyl",
-            relative_residual(ew.via_ric, bund.ric.comp,
+            relative_residual(_einstein_weyl(bund, n), bund.ric.comp,
                               np.multiply.outer(R / n, np.eye(n)),
                               0.5 * n * bund.faraday.comp, 1.0, batch=1))
 

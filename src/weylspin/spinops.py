@@ -87,7 +87,7 @@ def _spin_connection(pack, rep):
     A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta.  A
     weight-w field adds (w - 1/2) theta_i (``_weighted``), so one
     connection serves every weight."""
-    A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.pair_products())
+    A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.slot_products(2))
     th = pack.theta_frame.truncate(A.order)
     theta_cliff = jet_einsum("k,kst->st", th, rep.gammas)
     return A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
@@ -413,8 +413,7 @@ def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
     dj = jet_einsum("ist,it->s", rep.gammas, P)
     _twistor_gate(rep, gauge.n, P, dj.v, psi.v, gate_tol, "the conserved densities", nb)
     if w != Fraction(1, 2):
-        fhat = contract("...ij,ist,jtu,...u->...s", pack.faraday_frame.v,
-                        rep.gammas, rep.gammas, psi.v)
+        fhat = _slot_action(pack.faraday_frame.v, rep, psi.v)
         gate = float(np.max(relative_residual(fhat, psi.v, batch=nb)))
         if gate > gate_tol:
             raise GateError("the conserved densities need weight 1/2 or a vanishing "

@@ -32,7 +32,6 @@ __all__ = [
     "Gauge",
     "FramePack",
     "CurvatureBundle",
-    "EwResidual",
     "weyl_christoffels",
     "frame_pack",
     "curvature",
@@ -168,7 +167,7 @@ class FramePack:
     leading point axis).
     """
 
-    __slots__ = ("gauge", "point", "n", "G", "TH", "L", "S", "Ginv", "gam_lc",
+    __slots__ = ("n", "G", "TH", "L", "S", "Ginv", "gam_lc",
                  "gam_weyl", "omega_lc_frame", "theta_frame", "omega_weyl",
                  "faraday_chart", "faraday_frame")
 
@@ -187,8 +186,6 @@ def weyl_christoffels(gauge, point):
     n = gauge.n
     E = np.eye(n)
     pack = FramePack()
-    pack.gauge = gauge
-    pack.point = point
     pack.n = n
     G = gauge.metric.jet(point)
     TH = gauge.theta.jet(point)
@@ -256,13 +253,12 @@ CurvatureBundle = namedtuple(
     [
         "rfull",          # SlotTensor, frame components R(s_a, s_b, s_c, s_d)
         "rfull_chart",    # ndarray, all-lowered chart components
-        "rprime",         # SlotTensor, metric-part curvature (direct route)
+        "rprime",         # SlotTensor, metric-part curvature R - F (x) delta
         "faraday",        # SlotTensor, frame components of d(theta)
         "faraday_chart",  # ndarray
         "ric",            # SlotTensor, tr of rfull over first/last slots
-        "ric_prime",      # SlotTensor
+        "ric_prime",      # SlotTensor, ric + F
         "scalar",         # Density, trace of ric
-        "checks",         # dict of internal cross-route residuals (relative)
     ],
 )
 
@@ -270,74 +266,47 @@ CurvatureBundle = namedtuple(
 def curvature(gauge, point, pack=None):
     """Frame curvature data of the Weyl connection at a chart point.
 
-    The metric-part curvature is computed twice, directly from the
-    connection with its scalar part removed and as the full curvature
-    minus the Faraday correction, and the relative gap between the two
-    routes is reported in ``checks['rprime-route']`` together with the
-    trace identities relating ric, ric_prime, and the Faraday form.
-    ``pack`` lets callers reuse frame data already computed at the point.
-    At a (P, n) array of points every component array carries a leading
-    point axis, the scalar curvature is an array and the checks are
-    per-point residual arrays.
+    The full curvature R comes from the Weyl Christoffels; its metric
+    part is R' = R - F (x) delta and Ric' = Ric + F, with F the frame
+    Faraday form.  ``pack`` lets callers reuse frame data already
+    computed at the point.  At a (P, n) array of points every component
+    array carries a leading point axis and the scalar curvature is an
+    array.
     """
     if pack is None:
         pack = weyl_christoffels(gauge, point)
     n = gauge.n
-    nb = pack.G.nb
     E = np.eye(n)
     Sv = pack.S.v
-    Gv = pack.G.v
-
-    def lowered_frame(coeffs):
-        chart = contract("...mkij,...ml->...ijkl", coeffs, Gv)
-        # One frame index at a time: four small contractions instead of a
-        # five-operand einsum.
-        frame = contract("...ijkl,...ld->...ijkd", chart, Sv)
-        frame = contract("...ijkd,...kc->...ijcd", frame, Sv)
-        frame = contract("...ijcd,...jb->...ibcd", frame, Sv)
-        frame = contract("...ibcd,...ia->...abcd", frame, Sv)
-        return chart, frame
-
     gam = pack.gam_weyl
-    r_chart, r_frame = lowered_frame(_curvature_coeffs(gam.v, gam.g))
-    TH = pack.TH
-    _, rp_frame = lowered_frame(_curvature_coeffs(
-        gam.v - contract("...i,kj->...kij", TH.v, E),
-        gam.g - contract("...ic,kj->...kijc", TH.g, E)))
+    r_chart = contract("...mkij,...ml->...ijkl", _curvature_coeffs(gam.v, gam.g), pack.G.v)
+    # One frame index at a time: four small contractions instead of a
+    # five-operand einsum.
+    r_frame = contract("...ijkl,...ld->...ijkd", r_chart, Sv)
+    r_frame = contract("...ijkd,...kc->...ijcd", r_frame, Sv)
+    r_frame = contract("...ijcd,...jb->...ibcd", r_frame, Sv)
+    r_frame = contract("...ibcd,...ia->...abcd", r_frame, Sv)
     Ff = pack.faraday_frame.v
-    rp_alt = r_frame - contract("...ab,cd->...abcd", Ff, E)
     ric = contract("...abca->...bc", r_frame)
-    ric_p = contract("...abca->...bc", rp_frame)
     scal = np.trace(ric, axis1=-2, axis2=-1)
-    if not nb:
+    if not pack.G.nb:
         scal = float(scal)
-    checks = {
-        "rprime-route": relative_residual(rp_frame - rp_alt, rp_frame, rp_alt, batch=nb),
-        "ric-prime-sum": relative_residual(ric_p - ric - Ff, ric_p, ric, Ff, batch=nb),
-        "alt-ric-faraday": relative_residual(
-            0.5 * (ric - np.swapaxes(ric, -1, -2)) + 0.5 * n * Ff, ric, Ff, batch=nb),
-    }
     return CurvatureBundle(
         rfull=SlotTensor(r_frame, -2),
         rfull_chart=r_chart,
-        rprime=SlotTensor(rp_frame, -2),
+        rprime=SlotTensor(r_frame - contract("...ab,cd->...abcd", Ff, E), -2),
         faraday=SlotTensor(Ff, -2),
         faraday_chart=pack.faraday_chart.v,
         ric=SlotTensor(ric, -2),
-        ric_prime=SlotTensor(ric_p, -2),
+        ric_prime=SlotTensor(ric + Ff, -2),
         scalar=Density(scal, -2),
-        checks=checks,
     )
 
 
-EwResidual = namedtuple("EwResidual", ["via_ric", "via_ric_prime"])
-
-
 def einstein_weyl_residual(gauge, point):
-    """Pointwise failure of the Einstein condition for the Weyl connection.
-
-    Returns the residual computed from ric and, equivalently, from
-    ric_prime; the two must agree (asserted to 1e-10 relative).  Requires
+    """Pointwise failure of the Einstein condition for the Weyl connection:
+    the (..., n, n) array Ric - (R/n) delta + (n/2) F, which vanishes
+    exactly where the symmetric trace-free Ricci part does.  Requires
     n >= 3, where the condition is defined.
     """
     if gauge.n < 3:
@@ -347,17 +316,9 @@ def einstein_weyl_residual(gauge, point):
 
 def _einstein_weyl(b, n):
     """``einstein_weyl_residual`` from a curvature bundle already in hand,
-    at one point or, checked point by point, at a batch."""
-    E = np.eye(n)
-    RE = np.multiply.outer(b.scalar.value / n, E)
-    Ff = b.faraday.comp
-    res1 = b.ric.comp - RE + 0.5 * n * Ff
-    res2 = b.ric_prime.comp - RE + 0.5 * (n - 2) * Ff
-    gap = np.max(relative_residual(res1 - res2, res1, res2, b.ric.comp, RE,
-                                   batch=np.ndim(b.scalar.value)))
-    if gap > 1e-10:
-        raise AssertionError(f"inconsistent Einstein residual forms (relative gap {gap:.3e})")
-    return EwResidual(res1, res2)
+    at one point or a batch."""
+    RE = np.multiply.outer(b.scalar.value / n, np.eye(n))
+    return b.ric.comp - RE + 0.5 * n * b.faraday.comp
 
 
 def change_gauge(gauge, f):

@@ -4,7 +4,9 @@
 ``poly_values`` and ``poly_diff`` evaluate and differentiate it
 symbolically, and ``finite_difference_jet`` takes central differences of
 any function.  The package's batched polynomial evaluator and its jet
-calculus are checked against them.
+calculus are checked against them.  ``metric_curvature`` takes the
+metric-part curvature straight from the Christoffels of a frame pack, the
+route the package's curvature does not take.
 """
 
 import numpy as np
@@ -92,3 +94,30 @@ def finite_difference_jet(fn, point, step=1e-4):
             h[..., a, b] = m
             h[..., b, a] = m
     return Jet(f0, g, h)
+
+
+def metric_curvature(pack):
+    """Frame components of the metric-part curvature R', its Ricci trace
+    Ric' and the Faraday form F from the jets of a frame pack, with
+    ``np.einsum`` only.
+
+    R' is the curvature of the Weyl Christoffels with theta's scalar part
+    theta_i delta^k_j removed, lowered with the metric and referred to
+    the frame; F is d(theta) in the frame.  Any leading point axes ride
+    along.
+    """
+    E = np.eye(pack.n)
+    gam, th = pack.gam_weyl, pack.TH
+    gv = gam.v - np.einsum("...i,kj->...kij", th.v, E)
+    gg = gam.g - np.einsum("...ic,kj->...kijc", th.g, E)
+    # R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}
+    coeffs = (np.einsum("...ljki->...lkij", gg) - np.einsum("...likj->...lkij", gg)
+              + np.einsum("...lim,...mjk->...lkij", gv, gv)
+              - np.einsum("...ljm,...mik->...lkij", gv, gv))
+    S = pack.S.v
+    chart = np.einsum("...mkij,...ml->...ijkl", coeffs, pack.G.v)
+    rprime = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", chart, S, S, S, S)
+    dth = th.g  # [a, c] = d_c theta_a
+    f_chart = np.swapaxes(dth, -1, -2) - dth
+    faraday = np.einsum("...ab,...ai,...bj->...ij", f_chart, S, S)
+    return rprime, np.einsum("...abca->...bc", rprime), faraday

@@ -63,8 +63,8 @@ def test_build_representation_validates_input():
 
 def test_pair_products_cached():
     rep = build_representation(3)
-    first = rep.pair_products()
-    assert first is rep.pair_products()
+    first = rep.slot_products(2)
+    assert first is rep.slot_products(2)
     assert np.allclose(first[0, 1], rep.gammas[0] @ rep.gammas[1])
 
 

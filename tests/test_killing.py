@@ -316,7 +316,7 @@ def step_coefficient(gauge, d, v):
         th = pack.theta_frame.v
         theta_cliff = np.einsum("k,kst->st", th, gammas)
         M = (0.25 * np.einsum("kli,i,klst->st", pack.omega_lc_frame.v, vf,
-                              rep.pair_products())
+                              rep.slot_products(2))
              - 0.5 * vg @ theta_cliff
              + (w - 0.5) * float(th @ vf) * np.eye(rep.dim))
         return -M + complex(d.beta.jet(x).v) * vg
@@ -416,3 +416,29 @@ def test_transport_rejects_an_unresolved_coefficient():
     with pytest.raises(RuntimeError, match="not resolved"):
         killing_transport(gauge, KillingDatum(d.psi, kink, rep),
                           np.array([-0.4, 0.1]), np.array([1.0, 0.0]), length=0.8)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("weight", [0, Fraction(1, 2)])
+def test_report_on_zero_density_parallel_data_along_a_closed_gauge_orbit(n, weight):
+    # A constant spinor of the flat gauge moved by a closed gauge change h,
+    # with a zero density: F = 0 and every integrability term vanishes, so
+    # the field norm alone keeps the Faraday items from dividing rounding
+    # noise by itself.
+    rep = build_representation(n)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        h = scalar_field([(float(rng.uniform(-0.3, 0.3)),
+                           tuple(int(e) for e in rng.integers(0, 4, n)))
+                          for _ in range(6)], n)
+        comp = [1.0, 1j] @ rng.normal(size=(2, rep.dim))
+        psi = gauge_transport_spinor(constant_field(comp, weight=weight), h)
+        d = KillingDatum(psi, constant_field(np.asarray(0j), weight=-1), rep)
+        pts = sample(seed, n=n, count=5) * 0.3
+        out = integrability_report(change_gauge(Gauge.flat(n), h), d, pts)
+        assert out["beta_class"] == "zero"
+        items = out["items"]
+        items.pop("pairing-coefficient")
+        assert "faraday-pairing" in items and "faraday-gradient-exchange" in items
+        for key, val in items.items():
+            assert val <= 1e-12, (n, weight, seed, key, val)

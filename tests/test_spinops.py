@@ -540,7 +540,7 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
     # out in one expression, (1/4) omega gamma gamma - (1/2) gamma theta
     # + (w - 1/2) theta.
     def connection(w):
-        A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.pair_products())
+        A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.slot_products(2))
         th = pack.theta_frame.truncate(A.order)
         return (A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas,
                                      jet_einsum("k,kst->st", th, rep.gammas))
