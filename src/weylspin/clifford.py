@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -59,7 +60,9 @@ class CliffordRep:
 
     def __init__(self, n, gammas):
         self.n = int(n)
-        self.gammas = np.asarray(gammas, dtype=complex)
+        # Read-only, like the cached products: build_representation shares it.
+        self.gammas = np.array(gammas, dtype=complex)
+        self.gammas.flags.writeable = False
         if self.gammas.shape != (self.n, self.dim, self.dim):
             raise ValueError(f"expected {self.n} square matrices, got shape {self.gammas.shape}")
         self._products = {}
@@ -74,6 +77,7 @@ class CliffordRep:
             op = np.eye(self.dim, dtype=complex)
             for _ in range(k):
                 op = contract("pab,...bc->p...ac", self.gammas, op)
+            op.flags.writeable = False
             self._products[k] = op
         return self._products[k]
 
@@ -86,21 +90,26 @@ def build_representation(n, matrices=None):
 
     The built-in generators are iterated tensor products of Pauli matrices
     (times i), which keeps every entry in {0, +-1, +-i} so the defining
-    relations hold exactly.  User matrices are accepted only if they satisfy
-    anticommutation and skew-hermiticity to 1e-12.
+    relations hold exactly; they are built once per n and shared.  User
+    matrices are accepted only if they satisfy anticommutation and
+    skew-hermiticity to 1e-12.
     """
     n = int(n)
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if matrices is not None:
-        gam = np.asarray(matrices, dtype=complex)
-        rep = CliffordRep(n, gam)
-        anti, skew = _relation_residuals(rep.gammas)
-        if anti > 1e-12:
-            raise ValueError(f"anticommutation violated by {anti:.3e}")
-        if skew > 1e-12:
-            raise ValueError(f"skew-hermiticity violated by {skew:.3e}")
-        return rep
+    if matrices is None:
+        return _builtin_representation(n)
+    rep = CliffordRep(n, matrices)
+    anti, skew = _relation_residuals(rep.gammas)
+    if anti > 1e-12:
+        raise ValueError(f"anticommutation violated by {anti:.3e}")
+    if skew > 1e-12:
+        raise ValueError(f"skew-hermiticity violated by {skew:.3e}")
+    return rep
+
+
+@cache
+def _builtin_representation(n):
     m = n // 2
     herms = []
     for k in range(1, m + 1):

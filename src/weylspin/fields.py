@@ -68,45 +68,42 @@ def _const(x):
     return x
 
 
-def _widen(arr, vshape, tail):
-    """Broadcast a derivative array (value axes + tail jet axes) to vshape + tail."""
-    target = vshape + arr.shape[arr.ndim - tail:]
-    if arr.shape == target:
-        return arr
-    return np.broadcast_to(arr, target)
+def _width(n, order):
+    """Length of the packed derivative axis of an order-``order`` jet."""
+    return (1, 1 + n, 1 + n + n * n)[order] if order else 1
 
 
 def _pad(jet, rank):
     """``jet`` with unit axes inserted after its batch axes up to ``rank``
     per-point axes, so per-point axes align from the right as they do for
     unbatched values."""
-    extra = rank - (jet.v.ndim - jet.nb)
+    d, nb = jet.d, jet.nb
+    extra = rank - (d.ndim - 1 - nb)
     if extra <= 0:
         return jet
-
-    def ins(a):
-        if a is None:
-            return None
-        return a.reshape(a.shape[:jet.nb] + (1,) * extra + a.shape[jet.nb:])
-
-    return Jet._make(ins(jet.v), ins(jet.g), ins(jet.h), jet.nb)
+    return Jet._make(d.reshape(d.shape[:nb] + (1,) * extra + d.shape[nb:]), jet.n, nb)
 
 
-def _align(a, b):
-    """Two jets laid out so that numpy broadcasting pairs batch axes with
-    batch axes and per-point axes with per-point axes."""
-    if a.nb == b.nb and a.v.ndim == b.v.ndim:
-        return a, b
-    rank = max(a.v.ndim - a.nb, b.v.ndim - b.nb)
-    return _pad(a, rank), _pad(b, rank)
+def _pair(a, b):
+    """Two jets laid out so that numpy broadcasting pairs batch with batch and
+    per-point with per-point axes; their packed width, n and batch count."""
+    if a.n is not None and b.n is not None and a.n != b.n:
+        raise ValueError(f"mixed jet dimensions {{{a.n}, {b.n}}}")
+    if a.nb != b.nb or a.d.ndim != b.d.ndim:
+        rank = max(a.d.ndim - a.nb, b.d.ndim - b.nb) - 1
+        a, b = _pad(a, rank), _pad(b, rank)
+    return a, b, min(a.d.shape[-1], b.d.shape[-1]), a.n or b.n, max(a.nb, b.nb)
 
 
 class Jet:
-    """Value plus trailing first/second derivative arrays.
+    """Value plus first and second derivatives, packed in one array.
 
-    v : ndarray of any shape
-    g : ndarray of shape ``v.shape + (n,)`` or None
-    h : ndarray of shape ``v.shape + (n, n)`` or None (requires g)
+    d  : ndarray of shape ``value shape + (K,)``.  Its trailing derivative
+         axis holds the value, then the n first partials, then the n² second
+         partials row by row: K is 1, 1 + n or 1 + n + n² at order 0, 1, 2.
+    v  : the value, ``d[..., 0]``; v, g and h are views of d
+    g  : the gradient, of shape ``v.shape + (n,)``, or None below order 1
+    h  : the Hessian, of shape ``v.shape + (n, n)``, or None below order 2
     nb : number of leading batch axes of ``v``, one jet per sample point.
          A jet built here is a single point (``nb = 0``); batched jets come
          from ``coordinate_jets``, ``constant_jet`` and the jet calculus.
@@ -114,140 +111,142 @@ class Jet:
          the per-point axes only, and batched jets combine point by point.
     """
 
-    __slots__ = ("v", "g", "h", "nb")
+    __slots__ = ("d", "n", "order", "nb")
 
     def __init__(self, v, g=None, h=None):
         v = np.asarray(v)
         if g is None and h is not None:
             raise ValueError("jet with hessian but no gradient")
+        parts = [v[..., None]]
         if g is not None:
             g = np.asarray(g)
             if g.shape[:-1] != v.shape:
                 raise ValueError(f"gradient shape {g.shape} does not extend value shape {v.shape}")
+            parts.append(g)
         if h is not None:
             h = np.asarray(h)
-            if h.shape != v.shape + (g.shape[-1], g.shape[-1]):
+            n = g.shape[-1]
+            if h.shape != v.shape + (n, n):
                 raise ValueError(f"hessian shape {h.shape} does not match {v.shape} + jet axes")
-        self.v = v
-        self.g = g
-        self.h = h
-        self.nb = 0
+            parts.append(h.reshape(v.shape + (n * n,)))
+        self.d, self.order, self.nb = np.concatenate(parts, axis=-1), len(parts) - 1, 0
+        self.n = None if g is None else g.shape[-1]
 
     @classmethod
-    def _make(cls, v, g, h, nb):
-        # Unchecked constructor for arrays the jet calculus built itself.
-        jet = object.__new__(cls)
-        jet.v, jet.g, jet.h, jet.nb = v, g, h, nb
+    def _make(cls, d, n, nb):
+        # Unchecked constructor for packed arrays the jet calculus built
+        # itself; the order follows from the packed width.
+        jet, k = object.__new__(cls), d.shape[-1]
+        jet.d, jet.nb, jet.n = d, nb, None if k == 1 else n
+        jet.order = 0 if k == 1 else (1 if k == n + 1 else 2)
         return jet
 
     @property
-    def order(self):
-        return 0 if self.g is None else (1 if self.h is None else 2)
+    def v(self):
+        return self.d[..., 0]
 
     @property
-    def n(self):
-        return None if self.g is None else self.g.shape[-1]
+    def g(self):
+        return None if self.order < 1 else self.d[..., 1:1 + self.n]
+
+    @property
+    def h(self):
+        n, d = self.n, self.d
+        return None if self.order < 2 else d[..., 1 + n:].reshape(d.shape[:-1] + (n, n))
 
     @property
     def shape(self):
         """The per-point value shape (batch axes excluded)."""
-        return self.v.shape[self.nb:]
+        return self.d.shape[self.nb:-1]
 
     def __repr__(self):
-        batch = f", batch={self.v.shape[:self.nb]}" if self.nb else ""
+        batch = f", batch={self.d.shape[:self.nb]}" if self.nb else ""
         return f"Jet(shape={self.shape}, order={self.order}, n={self.n}{batch})"
 
     # -- structural ops -------------------------------------------------
 
     def partial(self, a):
         """Jet of the a-th partial derivative (order drops by one)."""
-        if self.g is None:
-            raise ValueError("jet carries no first derivatives")
-        return Jet._make(self.g[..., a], None if self.h is None else self.h[..., a, :],
-                         None, self.nb)
+        return self.gradient()[(slice(None),) * len(self.shape) + (a,)]
 
     def gradient(self):
         """Jet of the full gradient: value gains a trailing axis, order drops."""
-        if self.g is None:
+        if self.order < 1:
             raise ValueError("jet carries no first derivatives")
-        return Jet._make(self.g, self.h, None, self.nb)
+        g = self.g[..., None]
+        d = g if self.order == 1 else np.concatenate([g, self.h], axis=-1)
+        return Jet._make(d, self.n, self.nb)
 
     def truncate(self, order):
         """The same jet without the derivatives above ``order``."""
-        return Jet._make(self.v, self.g if order >= 1 else None,
-                         self.h if order >= 2 else None, self.nb)
+        if order >= self.order:
+            return self
+        return Jet._make(self.d[..., :_width(self.n, order)], self.n, self.nb)
 
     def reshape(self, shape):
-        v = self.v.reshape(self.v.shape[:self.nb] + tuple(shape))
-        g = None if self.g is None else self.g.reshape(v.shape + (self.n,))
-        h = None if self.h is None else self.h.reshape(v.shape + (self.n, self.n))
-        return Jet._make(v, g, h, self.nb)
+        d = self.d
+        return Jet._make(d.reshape(d.shape[:self.nb] + tuple(shape) + d.shape[-1:]),
+                         self.n, self.nb)
 
     def __getitem__(self, idx):
         # idx addresses per-point value axes only (no Ellipsis): batch axes
-        # lead and jet axes trail, and both survive.
+        # lead and the packed axis trails, and both survive.
         idx = (slice(None),) * self.nb + (idx if isinstance(idx, tuple) else (idx,))
-        return Jet._make(
-            self.v[idx],
-            None if self.g is None else self.g[idx],
-            None if self.h is None else self.h[idx],
-            self.nb,
-        )
+        return Jet._make(self.d[idx], self.n, self.nb)
 
     # -- ring ops --------------------------------------------------------
 
     def __neg__(self):
-        return Jet._make(-self.v, None if self.g is None else -self.g,
-                         None if self.h is None else -self.h, self.nb)
+        return Jet._make(-self.d, self.n, self.nb)
 
     def _with_const(self, c):
         # A constant addresses per-point axes; give the jet as many.
-        if self.nb and c.ndim > self.v.ndim - self.nb:
+        if self.nb and c.ndim > self.d.ndim - 1 - self.nb:
             return _pad(self, c.ndim)
         return self
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            order = min(a.order, b.order)
-            v = a.v + b.v
-            g = a.g + b.g if order >= 1 else None
-            h = a.h + b.h if order == 2 else None
-            return Jet._make(v, g, h, max(a.nb, b.nb))
+            a, b, k, n, nb = _pair(self, other)
+            return Jet._make(a.d[..., :k] + b.d[..., :k], n, nb)
         c = np.asarray(_const(other))
         a = self._with_const(c)
         v = a.v + c
-        g = None if a.g is None else _widen(a.g, v.shape, 1)
-        h = None if a.h is None else _widen(a.h, v.shape, 2)
-        return Jet._make(v, g, h, a.nb)
+        d = np.empty(v.shape + a.d.shape[-1:], dtype=v.dtype)
+        d[...] = a.d
+        d[..., 0] = v
+        return Jet._make(d, a.n, a.nb)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(_const(other)))
+        if isinstance(other, Jet):
+            a, b, k, n, nb = _pair(self, other)
+            return Jet._make(a.d[..., :k] - b.d[..., :k], n, nb)
+        return self + -np.asarray(_const(other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            a, b = _align(self, other)
-            order = min(a.order, b.order)
-            v = a.v * b.v
-            g = h = None
-            if order >= 1:
-                g = a.g * b.v[..., None] + a.v[..., None] * b.g
-            if order == 2:
-                cross = a.g[..., :, None] * b.g[..., None, :]
-                h = (a.h * b.v[..., None, None] + a.v[..., None, None] * b.h
-                     + cross + np.swapaxes(cross, -1, -2))
-            return Jet._make(v, g, h, max(a.nb, b.nb))
+            a, b, k, n, nb = _pair(self, other)
+            av, bv = a.v, b.v
+            v = av * bv
+            d = np.empty(v.shape + (k,), dtype=v.dtype)
+            d[..., 0] = v
+            if k > 1:
+                ag, bg = a.g, b.g
+                np.add(ag * bv[..., None], av[..., None] * bg, out=d[..., 1:1 + n])
+                if k > 1 + n:
+                    cross = ag[..., :, None] * bg[..., None, :]
+                    np.add(a.h * bv[..., None, None] + av[..., None, None] * b.h + cross,
+                           np.swapaxes(cross, -1, -2),
+                           out=d[..., 1 + n:].reshape(v.shape + (n, n)))
+            return Jet._make(d, n, nb)
         c = np.asarray(_const(other))
         a = self._with_const(c)
-        v = a.v * c
-        g = None if a.g is None else a.g * c[..., None]
-        h = None if a.h is None else a.h * c[..., None, None]
-        return Jet._make(v, g, h, a.nb)
+        return Jet._make(a.d * c[..., None], a.n, a.nb)
 
     __rmul__ = __mul__
 
@@ -260,14 +259,7 @@ class Jet:
         return self._reciprocal() * other
 
     def _reciprocal(self):
-        v = 1.0 / self.v
-        g = h = None
-        if self.g is not None:
-            g = -self.g * (v * v)[..., None]
-        if self.h is not None:
-            h = (-self.h * (v * v)[..., None, None]
-                 + 2.0 * (self.g[..., :, None] * self.g[..., None, :]) * (v ** 3)[..., None, None])
-        return Jet._make(v, g, h, self.nb)
+        return self._chain(lambda x: 1.0 / x, lambda x: -1.0 / (x * x), lambda x: 2.0 / x ** 3)
 
     def __pow__(self, p):
         if isinstance(p, Jet):
@@ -280,14 +272,14 @@ class Jet:
     # -- analytic ops ----------------------------------------------------
 
     def _chain(self, f, df, d2f):
-        v = f(self.v)
-        g = h = None
-        if self.g is not None:
-            g = df(self.v)[..., None] * self.g
-        if self.h is not None:
-            h = (df(self.v)[..., None, None] * self.h
-                 + d2f(self.v)[..., None, None] * (self.g[..., :, None] * self.g[..., None, :]))
-        return Jet._make(v, g, h, self.nb)
+        # f(v), then f'(v) times every derivative slot, plus f''(v) g gᵀ.
+        x, n = self.v, self.n
+        d = self.d * df(x)[..., None]
+        d[..., 0] = f(x)
+        if self.order == 2:
+            gg = self.g[..., :, None] * self.g[..., None, :]
+            d[..., 1 + n:] += (d2f(x)[..., None, None] * gg).reshape(x.shape + (n * n,))
+        return Jet._make(d, n, self.nb)
 
     def exp(self):
         return self._chain(np.exp, np.exp, np.exp)
@@ -301,16 +293,13 @@ class Jet:
     # conj/real/imag are R-linear: valid because chart coordinates are real.
 
     def conj(self):
-        return Jet._make(np.conj(self.v), None if self.g is None else np.conj(self.g),
-                         None if self.h is None else np.conj(self.h), self.nb)
+        return Jet._make(np.conj(self.d), self.n, self.nb)
 
     def real(self):
-        return Jet._make(self.v.real, None if self.g is None else self.g.real,
-                         None if self.h is None else self.h.real, self.nb)
+        return Jet._make(self.d.real, self.n, self.nb)
 
     def imag(self):
-        return Jet._make(self.v.imag, None if self.g is None else self.g.imag,
-                         None if self.h is None else self.h.imag, self.nb)
+        return Jet._make(self.d.imag, self.n, self.nb)
 
 
 def coordinate_jets(point):
@@ -320,20 +309,18 @@ def coordinate_jets(point):
     """
     point = np.asarray(point, dtype=float)
     n = point.shape[-1]
-    g, h = np.eye(n), np.zeros((n, n, n))
-    if point.ndim > 1:
-        g = np.broadcast_to(g, point.shape + (n,))
-        h = np.broadcast_to(h, point.shape + (n, n))
-    return Jet._make(point, g, h, point.ndim - 1)
+    d = np.zeros(point.shape + (_width(n, 2),))
+    d[..., 0] = point
+    d[..., 1:1 + n] = np.eye(n)
+    return Jet._make(d, n, point.ndim - 1)
 
 
 def constant_jet(values, X):
     """Jet of constant components at the point(s) of the coordinate jet X."""
     arr = np.asarray(values)
-    v = np.broadcast_to(arr, X.v.shape[:X.nb] + arr.shape)
-    zero = np.zeros((), dtype=arr.dtype)
-    return Jet._make(v, np.broadcast_to(zero, v.shape + (X.n,)),
-                     np.broadcast_to(zero, v.shape + (X.n, X.n)), X.nb)
+    packed = np.zeros(arr.shape + (_width(X.n, 2),), dtype=arr.dtype)
+    packed[..., 0] = arr
+    return Jet._make(np.broadcast_to(packed, X.d.shape[:X.nb] + packed.shape), X.n, X.nb)
 
 
 def _expand(sub, ndim):
@@ -495,13 +482,14 @@ def contract(spec, *ops):
 
 @lru_cache(maxsize=None)
 def _einsum_plan(spec, kinds, order):
-    """The Leibniz expansion of one jet_einsum call shape.
+    """The packed Leibniz expansion of one jet_einsum call shape.
 
     ``kinds`` holds, per operand, None for a constant or the jet's batch
-    axis count.  Returns None when no operand is a jet, else the value,
-    gradient and Hessian terms as (einsum spec, sources) pairs, a source
-    being (operand, 0/1/2 for its v/g/h array); Hessian cross terms carry
-    a flag to add their transpose.
+    axis count.  Returns None when no operand is a jet, else: per jet
+    (only the first at order 0) an (operand, spec) pair whose operand
+    carries the packed axis X; per jet pair at order 2 an (operand,
+    operand, spec) triple for the cross Hessian term; the result's batch
+    axis count.
     """
     if "->" not in spec:
         raise ValueError("jet_einsum requires an explicit output spec")
@@ -519,19 +507,16 @@ def _einsum_plan(spec, kinds, order):
         subs = ["..." + s if kinds[k] else s for k, s in enumerate(subs)]
         out = "..." + out
 
-    def term(derivs, suffix):
-        sl = [s + derivs[k][1] if k in derivs else s for k, s in enumerate(subs)]
-        src = tuple((k, derivs[k][0] if k in derivs else 0) for k in range(len(subs)))
-        return ",".join(sl) + "->" + out + suffix, src
+    def term(derivs):
+        sl = [s + derivs.get(k, "") for k, s in enumerate(subs)]
+        return ",".join(sl) + "->" + out + "".join(derivs.values())
 
-    value = term({}, "")
-    grad = [term({k: (1, "X")}, "X") for k in jet_ix] if order >= 1 else []
-    hess = []
+    single = tuple((k, term({k: "X"})) for k in (jet_ix if order else jet_ix[:1]))
+    cross = ()
     if order == 2:
-        hess = [term({k: (2, "XY")}, "XY") + (False,) for k in jet_ix]
-        hess += [term({k: (1, "X"), l: (1, "Y")}, "XY") + (True,)
-                 for a, k in enumerate(jet_ix) for l in jet_ix[a + 1:]]
-    return value, grad, hess
+        cross = tuple((k, l, term({k: "X", l: "Y"}))
+                      for a, k in enumerate(jet_ix) for l in jet_ix[a + 1:])
+    return single, cross, max(kinds[k] for k in jet_ix)
 
 
 def jet_einsum(spec, *ops):
@@ -542,37 +527,39 @@ def jet_einsum(spec, *ops):
     Operands may be Jet instances or plain ndarrays (constants).  The
     result order is the minimum order among the jet operands; batched jet
     operands contract point by point and the result carries their batch
-    axes.
+    axes.  It makes one ``contract`` per jet operand, with that jet's
+    packed array in place of its value, and one per jet pair for the cross
+    Hessian term.
     """
-    kinds = tuple(op.nb if isinstance(op, Jet) else None for op in ops)
+    kinds = tuple([op.nb if isinstance(op, Jet) else None for op in ops])
     jets = [op for op in ops if isinstance(op, Jet)]
-    order = min((op.order for op in jets), default=0)
-    plan = _einsum_plan(spec, kinds, order)
+    plan = _einsum_plan(spec, kinds, min([op.order for op in jets], default=0))
     if plan is None:
         return contract(spec, *[np.asarray(op) for op in ops])
-    ns = {op.n for op in jets if op.n is not None}
+    ns = {op.n for op in jets} - {None}
     if len(ns) > 1:
         raise ValueError(f"mixed jet dimensions {ns}")
-    cols = [(op.v, op.g, op.h) if isinstance(op, Jet) else (np.asarray(op),) for op in ops]
-    value, grad, hess = plan
-
-    def run(spec_src):
-        spec_k, src = spec_src[:2]
-        return contract(spec_k, *[cols[k][j] for k, j in src])
-
-    v = run(value)
-    g = h = None
-    for t in grad:
-        g = run(t) if g is None else g + run(t)
-    for t in hess:
-        part = run(t)
-        if h is None:
-            h = part
-        elif t[2]:
-            h = h + part + np.swapaxes(part, -1, -2)
-        else:
-            h = h + part
-    return Jet._make(v, g, h, max(k for k in kinds if k is not None))
+    n = ns.pop() if ns else None
+    single, cross, nb = plan
+    vals = [op.d[..., 0] if isinstance(op, Jet) else np.asarray(op) for op in ops]
+    width = min([op.d.shape[-1] for op in jets])
+    (k, spec_k), *rest = single
+    args = vals.copy()
+    args[k] = ops[k].d[..., :width]
+    d = contract(spec_k, *args)
+    for k, spec_k in rest:
+        args = vals.copy()
+        args[k] = ops[k].d[..., 1:width]
+        d[..., 1:] += contract(spec_k, *args)
+    if cross:
+        h = d[..., 1 + n:].reshape(d.shape[:-1] + (n, n))
+        for k, l, spec_k in cross:
+            args = vals.copy()
+            args[k], args[l] = ops[k].g, ops[l].g
+            part = contract(spec_k, *args)
+            h += part
+            h += np.swapaxes(part, -1, -2)
+    return Jet._make(d, n, nb)
 
 
 def jet_stack(jets, axis=0):
@@ -580,24 +567,18 @@ def jet_stack(jets, axis=0):
     jets = list(jets)
     if axis < 0:
         raise ValueError("axis must address value axes from the front")
-    order = min(j.order for j in jets)
+    width = min(j.d.shape[-1] for j in jets)
     nb = jets[0].nb
-    v = np.stack([j.v for j in jets], axis=nb + axis)
-    g = np.stack([j.g for j in jets], axis=nb + axis) if order >= 1 else None
-    h = np.stack([j.h for j in jets], axis=nb + axis) if order == 2 else None
-    return Jet._make(v, g, h, nb)
+    return Jet._make(np.stack([j.d[..., :width] for j in jets], axis=nb + axis),
+                     jets[0].n, nb)
 
 
 def jet_transpose(jet, axes):
     """Permute the per-point value axes of a jet; batch axes stay leading
-    and derivative axes trailing."""
+    and the packed axis trailing."""
     nb = jet.nb
     axes = tuple(range(nb)) + tuple(nb + a for a in axes)
-    r = len(axes)
-    v = np.transpose(jet.v, axes)
-    g = None if jet.g is None else np.transpose(jet.g, axes + (r,))
-    h = None if jet.h is None else np.transpose(jet.h, axes + (r, r + 1))
-    return Jet._make(v, g, h, nb)
+    return Jet._make(np.transpose(jet.d, axes + (len(axes),)), jet.n, nb)
 
 
 @lru_cache(maxsize=None)
@@ -610,18 +591,20 @@ def _lower_inverse(L):
     return np.tril(np.linalg.inv(L))
 
 
-def _jet_axes_first(jet):
-    """Derivative arrays with the jet axes moved in front of the matrix
-    axes: g as [..., a, i, j] and h as [..., a, b, i, j]."""
-    dA = np.moveaxis(jet.g, -1, -3)
-    ddA = None if jet.h is None else np.moveaxis(jet.h, (-2, -1), (-4, -3))
-    return dA, ddA
+def _slots_first(jet):
+    """A matrix jet's derivative slots in front of its matrix axes: [..., z, i, j]."""
+    return np.moveaxis(jet.d[..., 1:], -1, -3)
 
 
-def _jet_axes_last(v, dA, ddA, nb):
-    g = np.moveaxis(dA, -3, -1)
-    h = None if ddA is None else np.moveaxis(ddA, (-4, -3), (-2, -1))
-    return Jet._make(v, g, h, nb)
+def _from_slots(v, slots, nb):
+    """The matrix jet of a value [..., i, j] and slots laid out as ``_slots_first``'s."""
+    packed = np.concatenate([v[..., None, :, :], slots], axis=-3)
+    return Jet._make(np.moveaxis(packed, -3, -1), v.shape[-1], nb)
+
+
+def _pairs(slots, n):
+    """The second-partial slots as [..., a, b, i, j]."""
+    return slots[..., n:, :, :].reshape(slots.shape[:-3] + (n, n) + slots.shape[-2:])
 
 
 def jet_cholesky(gram):
@@ -634,29 +617,28 @@ def jet_cholesky(gram):
         ∂_a L = L F_a,
         ∂_b ∂_a L = L (F_b F_a + Phi(L⁻¹ ∂_b ∂_a G L⁻ᵀ - F_b X_a - X_a F_bᵀ)).
 
-    A batched gram factors point by point.  Raises ValueError when the
+    Every derivative slot is one batch entry of the same products.  A
+    batched gram factors point by point.  Raises ValueError when the
     matrix is not positive definite at a point.
     """
     try:
         L = np.linalg.cholesky(gram.v)
     except np.linalg.LinAlgError:
         raise ValueError("matrix is not positive definite at this point") from None
-    if gram.g is None:
-        return Jet._make(L, None, None, gram.nb)
-    phi = _half_lower(L.shape[-1])
-    M = _lower_inverse(L)[..., None, :, :]
-    Mt = np.swapaxes(M, -1, -2)
-    dG, ddG = _jet_axes_first(gram)
-    X = M @ dG @ Mt
-    F = X * phi
-    dL = L[..., None, :, :] @ F
-    ddL = None
-    if ddG is not None:
-        Fb, Xa = F[..., None, :, :, :], X[..., :, None, :, :]
-        Z = (M[..., None, :, :] @ ddG @ Mt[..., None, :, :]
-             - Fb @ Xa - Xa @ np.swapaxes(Fb, -1, -2))
-        ddL = L[..., None, None, :, :] @ (Fb @ F[..., :, None, :, :] + Z * phi)
-    return _jet_axes_last(L, dL, ddL, gram.nb)
+    if gram.order == 0:
+        return Jet._make(L[..., None], None, gram.nb)
+    n = L.shape[-1]
+    phi = _half_lower(n)
+    M = _lower_inverse(L)
+    X = contract("...ij,...zjk,...lk->...zil", M, _slots_first(gram), M)
+    Xa = X[..., :n, :, :]
+    F = Xa * phi
+    if gram.order == 2:
+        FX, FF = contract("...bij,...sajk->s...abik", F, np.stack([Xa, F], axis=-4))
+        XF = contract("...aij,...bkj->...abik", Xa, F)
+        W = FF + (_pairs(X, n) - FX - XF) * phi
+        F = np.concatenate([F, W.reshape(W.shape[:-4] + (n * n, n, n))], axis=-3)
+    return _from_slots(L, contract("...ij,...zjk->...zik", L, F), gram.nb)
 
 
 def jet_lower_inverse(L):
@@ -666,17 +648,16 @@ def jet_lower_inverse(L):
     with K_a = M ∂_a L.
     """
     M = _lower_inverse(L.v)
-    if L.g is None:
-        return Jet._make(M, None, None, L.nb)
-    Mx = M[..., None, :, :]
-    dL, ddL = _jet_axes_first(L)
-    K = Mx @ dL
-    dM = -(K @ Mx)
-    ddM = None
-    if ddL is not None:
-        Kb, Ka = K[..., None, :, :, :], K[..., :, None, :, :]
-        ddM = (Kb @ Ka + Ka @ Kb - Mx[..., None, :, :] @ ddL) @ Mx[..., None, :, :]
-    return _jet_axes_last(M, dM, ddM, L.nb)
+    if L.order == 0:
+        return Jet._make(M[..., None], None, L.nb)
+    n = M.shape[-1]
+    K = contract("...ij,...zjk->...zik", M, _slots_first(L))
+    D = -K[..., :n, :, :]
+    if L.order == 2:
+        KK = contract("...bij,...ajk->...abik", D, D)
+        W = KK + np.swapaxes(KK, -4, -3) - _pairs(K, n)
+        D = np.concatenate([D, W.reshape(W.shape[:-4] + (n * n, n, n))], axis=-3)
+    return _from_slots(M, contract("...zij,...jk->...zik", D, M), L.nb)
 
 
 class Poly:
@@ -746,15 +727,16 @@ def constant_field(values, weight=0):
 @lru_cache(maxsize=256)
 def _layout(n, support):
     """How coefficients over ``support`` (distinct exponent tuples) become
-    the monomial coefficient matrices of values, gradients and Hessians.
+    the monomial coefficient matrix of packed jets.
 
-    Returns the exponents of the monomials, numbered in increasing order
-    of their integer keys in base (max exponent + 1) with the last
-    variable most significant; the row of each support monomial; and per
-    derivative order the (row, support index, jet axes..., integer
-    multipliers) of every term a support monomial contributes: c e_a
-    at the monomial minus unit a, and (c e_a) (e_b - delta_ab) at the
-    monomial minus units a and b.
+    Monomials are numbered in increasing order of their integer keys in
+    base (max exponent + 1) with the last variable most significant.
+    Returns the powers 0..max exponent; per monomial, the positions of its
+    variables' powers in the flattened (variable, power) table; and the
+    (row, support index, packed slot, integer multipliers e, f) of every
+    entry, coefficient c entering as (c e) f: c at the monomial itself,
+    c e_a at the monomial minus unit a, and (c e_a) (e_b - delta_ab) at
+    the monomial minus units a and b.
     """
     if len(set(support)) < len(support):
         raise ValueError("a polynomial support lists a monomial twice")
@@ -768,9 +750,20 @@ def _layout(n, support):
     base = int(every.max(initial=0)) + 1
     place = base ** np.arange(n, dtype=np.int64)
     keys, row = np.unique(every @ place, return_inverse=True)
-    r0, r1, r2 = np.split(row, [len(exps), len(exps) + len(m1)])
-    return (keys[:, None] // place % base, r0, (r1, m1, a1, exps[m1, a1]),
-            (r2, m2, a2, b2, exps[m2, a2], exps[m2, b2] - (a2 == b2)))
+    gather = np.arange(n) * base + keys[:, None] // place % base
+    m0, one = np.arange(len(exps)), np.ones(len(exps) + len(m1), dtype=np.int64)
+    return (np.arange(base), gather, row, np.concatenate([m0, m1, m2]),
+            np.concatenate([0 * m0, 1 + a1, 1 + n + n * a2 + b2]),
+            np.concatenate([one[:len(m0)], exps[m1, a1], exps[m2, a2]]),
+            np.concatenate([one, exps[m2, b2] - (a2 == b2)]))
+
+
+def _monomial_values(x, powers, gather):
+    """The monomials of a layout at the points x (last axis: coordinates):
+    products of entries of one table of every coordinate's ``powers``,
+    each entry a ``pow`` result."""
+    table = (x[..., :, None] ** powers).reshape(x.shape[:-1] + (-1,))
+    return np.prod(table[..., gather], axis=-1)
 
 
 def _poly_coefficients(polys):
@@ -803,9 +796,10 @@ def polynomial_field(polys, weight=0, support=None):
     ``polys`` is an array of Poly, or, with ``support`` (a tuple of
     distinct exponent tuples), an array of coefficients whose last axis
     runs over the support.  Values, gradients and Hessians of all
-    components are linear in one monomial basis, so a jet at P points is
-    one (P, M) power table times three coefficient matrices, filled from
-    a layout cached per support.
+    components are linear in one monomial basis, so a packed jet at P
+    points is one (P, M) monomial table times one coefficient matrix,
+    filled from a layout cached per support.  The monomials are products
+    of entries of a table of each coordinate's powers.
     """
     if support is None:
         n, support, coeffs = _poly_coefficients(np.asarray(polys, dtype=object))
@@ -815,24 +809,18 @@ def polynomial_field(polys, weight=0, support=None):
         if coeffs.shape[-1:] != (len(support),):
             raise ValueError(f"coefficients of shape {coeffs.shape} do not run "
                              f"over a support of {len(support)} monomials")
-    mono_exps, r0, (r1, m1, a1, e1), (r2, m2, a2, b2, ea, eb) = _layout(n, support)
+    powers, gather, row, col, slot, e, f = _layout(n, support)
     vshape = coeffs.shape[:-1]
     c = coeffs.reshape(math.prod(vshape), len(support))
-    rows, k = len(mono_exps), len(c)
-    cv = np.zeros((rows, k))
-    cv[r0] = c.T
-    cg = np.zeros((rows, k, n))
-    cg[r1, :, a1] = (c[:, m1] * e1).T
-    ch = np.zeros((rows, k, n, n))
-    ch[r2, :, a2, b2] = ((c[:, m2] * ea) * eb).T
-    cg, ch = cg.reshape(rows, k * n), ch.reshape(rows, k * n * n)
+    rows, k, width = len(gather), len(c), _width(n, 2)
+    cd = np.zeros((rows, k, width))
+    cd[row, :, slot] = ((c[:, col] * e) * f).T
+    cd = cd.reshape(rows, k * width)
 
     def fn(X):
         x = np.asarray(X.v, dtype=float)
-        shape = x.shape[:-1] + vshape
-        mono = np.prod(x[..., None, :] ** mono_exps, axis=-1)
-        return Jet._make((mono @ cv).reshape(shape), (mono @ cg).reshape(shape + (n,)),
-                         (mono @ ch).reshape(shape + (n, n)), X.nb)
+        mono = _monomial_values(x, powers, gather)
+        return Jet._make((mono @ cd).reshape(x.shape[:-1] + vshape + (width,)), n, X.nb)
 
     return ChartField(weight, fn)
 

@@ -88,8 +88,7 @@ def _spin_connection(pack, rep):
     weight-w field adds (w - 1/2) theta_i (``_weighted``), so one
     connection serves every weight."""
     A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.slot_products(2))
-    th = pack.theta_frame.truncate(A.order)
-    theta_cliff = jet_einsum("k,kst->st", th, rep.gammas)
+    theta_cliff = jet_einsum("k,kst->st", pack.theta_frame, rep.gammas)
     return A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
 
 
@@ -119,12 +118,15 @@ def _cov_frame(pack, rep, Q, weight, conn=None):
     LL = _SLOT_LETTERS[:r]
     if conn is None:
         conn = _spin_connection(pack, rep)
-    conn = _weighted(pack, rep, conn, weight)
+    # Every term is taken at the order of the derivative term, one below Q's.
+    order = Q.order - 1
     P = jet_einsum(f"ai,{LL}sa->i{LL}s", pack.S, Q.gradient())
+    Q, omega = Q.truncate(order), pack.omega_weyl.truncate(order)
+    conn = _weighted(pack, rep, conn.truncate(order), weight)
     P = P + jet_einsum(f"ist,{LL}t->i{LL}s", conn, Q)
     for p in range(r):
         sub_q = LL[:p] + "k" + LL[p + 1:]
-        P = P - jet_einsum(f"{LL[p]}ki,{sub_q}s->i{LL}s", pack.omega_weyl, Q)
+        P = P - jet_einsum(f"{LL[p]}ki,{sub_q}s->i{LL}s", omega, Q)
     return P
 
 

@@ -161,7 +161,9 @@ class FramePack:
       theta_frame      [i] = theta(s_i)
       omega_weyl       jet [j, k, i]: full-connection frame coefficients
                        (D_{s_i} s_j = sum_k omega_weyl[j, k, i] s_k)
-      faraday_chart, faraday_frame  d(theta) as jets
+      faraday_chart, faraday_frame  d(theta) as order-0 jets (values)
+
+    G, TH, L and S are second-order jets, the others first-order.
 
     A pack built at a (P, n) array of points holds batched jets (one
     leading point axis).
@@ -191,14 +193,14 @@ def weyl_christoffels(gauge, point):
     TH = gauge.theta.jet(point)
     L = jet_cholesky(G)
     S = jet_transpose(jet_lower_inverse(L), (1, 0))
-    Ginv = jet_einsum("ai,bi->ab", S, S)
+    # Each jet is built to the order its readers take: the connection
+    # carries first derivatives (gam_lc comes from metric derivatives).
+    S1, TH1 = S.truncate(1), TH.truncate(1)
+    Ginv = jet_einsum("ai,bi->ab", S1, S1)
     Gd = G.gradient()  # [a, b, c] = d_c g_ab
     term = jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1))
     gam_lc = 0.5 * jet_einsum("kl,lij->kij", Ginv, term)
-    # The connection carries first derivatives only (gam_lc comes from
-    # metric derivatives), so first-order copies feed its other terms.
-    TH1 = TH.truncate(1)
-    theta_up = jet_einsum("kl,l->k", Ginv.truncate(1), TH1)
+    theta_up = jet_einsum("kl,l->k", Ginv, TH1)
     gam_weyl = (gam_lc
                 + jet_einsum("i,kj->kij", TH1, E)
                 + jet_einsum("j,ki->kij", TH1, E)
@@ -208,13 +210,12 @@ def weyl_christoffels(gauge, point):
     W1 = jet_einsum("bc,bka->cka", G, V)
     omega_chart = jet_einsum("cka,cl->kla", W1, S)           # [k, l, a] = g(D_a s_k, s_l)
     omega_lc_frame = jet_einsum("kla,aj->klj", omega_chart, S)
-    theta_frame = jet_einsum("a,ai->i", TH, S)
-    th1 = theta_frame.truncate(1)
+    theta_frame = jet_einsum("a,ai->i", TH1, S1)
     omega_weyl = (omega_lc_frame
-                  + jet_einsum("i,jk->jki", th1, E)
-                  + jet_einsum("j,ik->jki", th1, E)
-                  - jet_einsum("ij,k->jki", E, th1))
-    THg = TH.gradient()  # [a, c] = d_c theta_a
+                  + jet_einsum("i,jk->jki", theta_frame, E)
+                  + jet_einsum("j,ik->jki", theta_frame, E)
+                  - jet_einsum("ij,k->jki", E, theta_frame))
+    THg = TH1.gradient()  # [a, c] = d_c theta_a
     f_chart = jet_transpose(THg, (1, 0)) - THg  # [a, b] = d_a theta_b - d_b theta_a
     f_frame = jet_einsum("ab,ai,bj->ij", f_chart, S, S)
     pack.G, pack.TH, pack.L, pack.S, pack.Ginv = G, TH, L, S, Ginv

@@ -1,4 +1,4 @@
-"""Test-only reference implementations that share no code with the package.
+"""Test-only reference implementations, independent of the package's code paths.
 
 ``poly_jet`` differentiates one ``Poly`` term by term in closed form,
 ``poly_values`` and ``poly_diff`` evaluate and differentiate it
@@ -6,12 +6,20 @@ symbolically, and ``finite_difference_jet`` takes central differences of
 any function.  The package's batched polynomial evaluator and its jet
 calculus are checked against them.  ``metric_curvature`` takes the
 metric-part curvature straight from the Christoffels of a frame pack, the
-route the package's curvature does not take.
+route the package's curvature does not take.  ``LeibnizJet`` and
+``leibniz_einsum`` keep a jet's value, gradient and Hessian as three
+arrays and combine them term by term, one contraction per Leibniz term:
+the reference for the package's packed jets.  They share only the
+contraction kernel ``contract`` with the package (itself checked against
+``np.einsum``), so the two calculi agree bit for bit wherever they make
+the same floating-point operations.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
-from weylspin.fields import Jet, Poly
+from weylspin.fields import Jet, Poly, contract
 
 
 def poly_jet(p, point):
@@ -121,3 +129,167 @@ def metric_curvature(pack):
     f_chart = np.swapaxes(dth, -1, -2) - dth
     faraday = np.einsum("...ab,...ai,...bj->...ij", f_chart, S, S)
     return rprime, np.einsum("...abca->...bc", rprime), faraday
+
+
+# -- the term-by-term Leibniz calculus ---------------------------------------
+
+
+class LeibnizJet:
+    """Value v, gradient g (or None) and Hessian h (or None) as separate
+    arrays, with ``nb`` leading batch axes; ring ops act array by array."""
+
+    __slots__ = ("v", "g", "h", "nb")
+
+    def __init__(self, v, g=None, h=None, nb=0):
+        self.v, self.g, self.h, self.nb = np.asarray(v), g, h, nb
+
+    @classmethod
+    def of(cls, jet):
+        """The three arrays of a packed jet, copied."""
+        copy = [None if a is None else np.array(a) for a in (jet.v, jet.g, jet.h)]
+        return cls(*copy, nb=jet.nb)
+
+    @property
+    def order(self):
+        return 0 if self.g is None else (1 if self.h is None else 2)
+
+    def __getitem__(self, idx):
+        idx = (slice(None),) * self.nb + (idx if isinstance(idx, tuple) else (idx,))
+        return LeibnizJet(*[None if a is None else a[idx] for a in (self.v, self.g, self.h)],
+                          nb=self.nb)
+
+    def _pad(self, rank):
+        extra = rank - (self.v.ndim - self.nb)
+        if extra <= 0:
+            return self
+
+        def ins(a):
+            if a is None:
+                return None
+            return a.reshape(a.shape[:self.nb] + (1,) * extra + a.shape[self.nb:])
+
+        return LeibnizJet(ins(self.v), ins(self.g), ins(self.h), self.nb)
+
+    def _align(self, other):
+        rank = max(self.v.ndim - self.nb, other.v.ndim - other.nb)
+        return self._pad(rank), other._pad(rank)
+
+    def _with_const(self, c):
+        if self.nb and c.ndim > self.v.ndim - self.nb:
+            return self._pad(c.ndim)
+        return self
+
+    def __neg__(self):
+        return LeibnizJet(-self.v, None if self.g is None else -self.g,
+                          None if self.h is None else -self.h, self.nb)
+
+    def __add__(self, other):
+        if isinstance(other, LeibnizJet):
+            a, b = self._align(other)
+            order = min(a.order, b.order)
+            return LeibnizJet(a.v + b.v, a.g + b.g if order >= 1 else None,
+                              a.h + b.h if order == 2 else None, max(a.nb, b.nb))
+        c = np.asarray(other)
+        a = self._with_const(c)
+        v = a.v + c
+
+        def widen(arr, tail):
+            return None if arr is None else np.broadcast_to(
+                arr, v.shape + arr.shape[arr.ndim - tail:])
+
+        return LeibnizJet(v, widen(a.g, 1), widen(a.h, 2), a.nb)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, LeibnizJet) else -np.asarray(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, LeibnizJet):
+            a, b = self._align(other)
+            order = min(a.order, b.order)
+            g = h = None
+            if order >= 1:
+                g = a.g * b.v[..., None] + a.v[..., None] * b.g
+            if order == 2:
+                cross = a.g[..., :, None] * b.g[..., None, :]
+                h = (a.h * b.v[..., None, None] + a.v[..., None, None] * b.h
+                     + cross + np.swapaxes(cross, -1, -2))
+            return LeibnizJet(a.v * b.v, g, h, max(a.nb, b.nb))
+        c = np.asarray(other)
+        a = self._with_const(c)
+        return LeibnizJet(a.v * c, None if a.g is None else a.g * c[..., None],
+                          None if a.h is None else a.h * c[..., None, None], a.nb)
+
+    __rmul__ = __mul__
+
+    def conj(self):
+        return LeibnizJet(*[None if a is None else np.conj(a) for a in (self.v, self.g, self.h)],
+                          nb=self.nb)
+
+    def real(self):
+        return LeibnizJet(*[None if a is None else a.real for a in (self.v, self.g, self.h)],
+                          nb=self.nb)
+
+    def imag(self):
+        return LeibnizJet(*[None if a is None else a.imag for a in (self.v, self.g, self.h)],
+                          nb=self.nb)
+
+
+@lru_cache(maxsize=None)
+def _leibniz_terms(spec, kinds, order):
+    """Per Leibniz term of ``spec``: its contraction spec and, per operand,
+    which array it reads (0, 1, 2 for v, g, h); Hessian cross terms carry a
+    flag to add their transpose."""
+    lhs, out = spec.split("->")
+    subs = lhs.split(",")
+    jet_ix = [k for k, kind in enumerate(kinds) if kind is not None]
+    if any(kinds[k] for k in jet_ix):
+        subs = ["..." + s if kinds[k] else s for k, s in enumerate(subs)]
+        out = "..." + out
+
+    def term(derivs, suffix):
+        sl = [s + derivs[k][1] if k in derivs else s for k, s in enumerate(subs)]
+        src = tuple(derivs[k][0] if k in derivs else 0 for k in range(len(subs)))
+        return ",".join(sl) + "->" + out + suffix, src
+
+    value = term({}, "")
+    grad = [term({k: (1, "X")}, "X") for k in jet_ix] if order >= 1 else []
+    hess = []
+    if order == 2:
+        hess = [term({k: (2, "XY")}, "XY") + (False,) for k in jet_ix]
+        hess += [term({k: (1, "X"), m: (1, "Y")}, "XY") + (True,)
+                 for a, k in enumerate(jet_ix) for m in jet_ix[a + 1:]]
+    return value, grad, hess
+
+
+def leibniz_einsum(spec, *ops):
+    """``jet_einsum`` on LeibnizJet operands, one contraction per Leibniz
+    term: the value, each jet's gradient and Hessian term, and each jet
+    pair's cross term plus its transpose."""
+    jets = [op for op in ops if isinstance(op, LeibnizJet)]
+    kinds = tuple(op.nb if isinstance(op, LeibnizJet) else None for op in ops)
+    order = min(op.order for op in jets)
+    cols = [(op.v, op.g, op.h) if isinstance(op, LeibnizJet) else (np.asarray(op),) * 3
+            for op in ops]
+    value, grad, hess = _leibniz_terms(spec, kinds, order)
+
+    def run(t):
+        return contract(t[0], *[col[j] for col, j in zip(cols, t[1])])
+
+    v = run(value)
+    g = h = None
+    for t in grad:
+        g = run(t) if g is None else g + run(t)
+    for t in hess:
+        part = run(t)
+        if h is None:
+            h = part
+        elif t[2]:
+            h = h + part + np.swapaxes(part, -1, -2)
+        else:
+            h = h + part
+    return LeibnizJet(v, g, h, max(k for k in kinds if k is not None))

@@ -61,6 +61,23 @@ def test_build_representation_validates_input():
         build_representation(3, PLANE_DIAG_FIRST)
 
 
+def test_built_in_representation_is_shared_and_read_only():
+    rep = build_representation(4)
+    assert build_representation(4) is rep
+    assert rep.slot_products(2) is build_representation(4).slot_products(2)
+    for arr in (rep.gammas, rep.slot_products(2)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0, 0] = 0.0
+    # User matrices are copied and validated on every call.
+    mats = PLANE_DIAG_FIRST.copy()
+    a, b = build_representation(2, mats), build_representation(2, mats)
+    assert a is not b and not np.shares_memory(a.gammas, mats)
+    repeated = np.stack([mats[0], mats[0]])
+    for _ in range(2):
+        with pytest.raises(ValueError, match="anticommutation"):
+            build_representation(2, repeated)
+
+
 def test_pair_products_cached():
     rep = build_representation(3)
     first = rep.slot_products(2)

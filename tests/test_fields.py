@@ -39,7 +39,14 @@ from weylspin.fields import (
 )
 from weylspin.killing import example_killing_half, example_parallel_zero
 
-from oracles import finite_difference_jet, poly_diff, poly_jet, poly_values
+from oracles import (
+    LeibnizJet,
+    finite_difference_jet,
+    leibniz_einsum,
+    poly_diff,
+    poly_jet,
+    poly_values,
+)
 
 HYPO = settings(max_examples=25, deadline=None, derandomize=True)
 
@@ -204,6 +211,33 @@ def test_polynomial_field_over_a_support_matches_the_poly_route():
         polynomial_field(np.ones(2), support=((1, 0), (1, 0)))
     with pytest.raises(ValueError, match="support of 4"):
         polynomial_field(coeffs[..., :3], support=support)
+
+
+def test_power_table_matches_the_direct_powers_on_every_suite_support(monkeypatch):
+    # The monomials are products of gathered entries of one table of each
+    # coordinate's powers; every entry must be the pow result the direct
+    # expression x ** e computes, at every support a suite draws.
+    supports = set()
+    layout = fields._layout
+
+    def recording(n, support):
+        supports.add((n, support))
+        return layout(n, support)
+
+    monkeypatch.setattr(fields, "_layout", recording)
+    harness._GROUP_CACHE.clear()
+    report = weylspin.run_suite(weylspin.SuiteConfig(gauges=1, dims=(2, 3, 4, 6)))
+    monkeypatch.undo()
+    harness._GROUP_CACHE.clear()
+    assert report.passed
+    assert {n for n, _ in supports} == {2, 3, 4, 6}
+    rng = np.random.default_rng(16)
+    for n, support in sorted(supports):
+        powers, gather = fields._layout(n, support)[:2]
+        exps = gather - np.arange(n) * len(powers)
+        for x in (rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, (20, n))):
+            direct = np.prod(x[..., None, :] ** exps, axis=-1)
+            assert np.array_equal(fields._monomial_values(x, powers, gather), direct)
 
 
 def test_field_call_returns_the_values_of_its_jet():
@@ -379,6 +413,147 @@ def test_jet_einsum_spec_validation():
         jet_einsum("i,i->", j, coordinate_jets(np.zeros(3)))
 
 
+# -- packed jets against the term-by-term Leibniz oracle -----------------------
+
+
+def _random_jets(rng, n, shapes, points=None, complex_values=False):
+    """Order-2 jets of random quadratic fields of the given value shapes at
+    one point, or at ``points`` points (batched)."""
+    support = harness._monomials(n, 2)
+    X = coordinate_jets(rng.uniform(-1, 1, (points, n) if points else n))
+
+    def field():
+        return polynomial_field(rng.uniform(-1, 1, shape + (len(support),)), support=support)
+
+    jets = []
+    for shape in shapes:
+        j = field().fn(X)
+        if complex_values:
+            j = j + field().fn(X) * 1j
+        jets.append(j)
+    return jets
+
+
+def _oracle(op):
+    return LeibnizJet.of(op) if isinstance(op, Jet) else op
+
+
+def _magnitude(op):
+    """The operand with every entry replaced by its absolute value."""
+    if not isinstance(op, Jet):
+        return np.abs(op)
+    return LeibnizJet(*[None if a is None else np.abs(a) for a in (op.v, op.g, op.h)], nb=op.nb)
+
+
+def _assert_matches_oracle(packed, ref, exact=True, scale=None):
+    """A packed jet against a LeibnizJet: value, gradient and Hessian bit
+    for bit, or within 1e-15 of ``scale`` (the oracle on absolute values)."""
+    assert packed.nb == ref.nb and packed.order == ref.order
+    arrays = zip((packed.v, packed.g, packed.h), (ref.v, ref.g, ref.h),
+                 (None, None, None) if scale is None else (scale.v, scale.g, scale.h))
+    for got, want, size in arrays:
+        if want is None:
+            assert got is None
+            continue
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if exact:
+            assert np.array_equal(got, want)
+        else:
+            bound = 1e-15 * np.max(size, initial=0.0)
+            assert np.max(np.abs(got - want), initial=0.0) <= bound
+
+
+@pytest.mark.parametrize("points", [None, 5])
+@pytest.mark.parametrize("orders", [(0, 0), (1, 1), (2, 2), (2, 1), (1, 2), (0, 2)])
+def test_jet_ring_ops_match_the_leibniz_oracle_bit_for_bit(points, orders):
+    rng = np.random.default_rng(40)
+    a, b, s = _random_jets(rng, 3, [(3, 2), (3, 2), ()], points)
+    a, b = a.truncate(orders[0]), b.truncate(orders[1])
+    z = _random_jets(rng, 3, [(2,)], points, complex_values=True)[0]
+    c = rng.uniform(-1, 1, (3, 2))
+    cases = {
+        "a + b": lambda a, b, s, z: a + b,
+        "a - b": lambda a, b, s, z: a - b,
+        "-a": lambda a, b, s, z: -a,
+        "a * b": lambda a, b, s, z: a * b,
+        "scalar * a": lambda a, b, s, z: s * a,
+        "a + const": lambda a, b, s, z: a + c,
+        "const - a": lambda a, b, s, z: 0.75 - a,
+        "a * const": lambda a, b, s, z: a * c,
+        "a * 0.5j": lambda a, b, s, z: a * 0.5j,
+        "a + row const": lambda a, b, s, z: a + c[0],
+        "a * broadcast const": lambda a, b, s, z: a * np.ones((4, 3, 2)),
+        "a - b row": lambda a, b, s, z: a - b[0],
+        "z conj": lambda a, b, s, z: z.conj(),
+        "z real": lambda a, b, s, z: z.real(),
+        "z imag": lambda a, b, s, z: z.imag(),
+        "z * a row": lambda a, b, s, z: z * a[0],
+    }
+    for name, op in cases.items():
+        packed = op(a, b, s, z)
+        ref = op(*map(_oracle, (a, b, s, z)))
+        _assert_matches_oracle(packed, ref)
+    # An unbatched jet meets a batched one point by point.
+    if points:
+        single = _random_jets(rng, 3, [(3, 2)])[0]
+        _assert_matches_oracle(a * single, _oracle(a) * _oracle(single))
+        _assert_matches_oracle(single - a, _oracle(single) - _oracle(a))
+
+
+def _einsum_cases(rng, n, points):
+    A, B, V, F, S = _random_jets(rng, n, [(n, n), (n, n), (n,), (n, n), (n, n)], points)
+    single = _random_jets(rng, n, [(n,)])[0]
+    psi, chi = _random_jets(rng, n, [(2,), (2,)], points, complex_values=True)
+    gammas = clifford.build_representation(2).gammas
+    E = np.eye(n)
+    pts = np.zeros((points, n)) if points else np.zeros(n)
+    const = constant_jet(rng.uniform(-1, 1, (n, n)), coordinate_jets(pts))
+    return [
+        ("ij,j->i", (A, V)),
+        ("ij,j->i", (A, single)),
+        ("ij,jk->ik", (A, B)),
+        ("ij,j->i", (A, rng.uniform(-1, 1, n))),
+        ("ij,jk,k->i", (A, rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n))),
+        ("i,kj->kij", (V, E)),
+        ("ab,ai,bj->ij", (F, S, S)),
+        ("ab,ai,bj->ij", (F, S, B)),
+        ("s,s->", (psi.conj(), chi)),
+        ("s,ist,t->i", (psi.conj(), gammas, chi)),
+        ("ij,jk->ik", (const, B)),
+        ("ii->", (A,)),
+    ]
+
+
+@pytest.mark.parametrize("points", [None, 5])
+@pytest.mark.parametrize("orders", [0, 1, 2, "mixed"])
+def test_jet_einsum_matches_the_leibniz_oracle(points, orders):
+    rng = np.random.default_rng(41)
+    for spec, ops in _einsum_cases(rng, 3, points):
+        jets = [k for k, op in enumerate(ops) if isinstance(op, Jet)]
+        ops = list(ops)
+        for pos, k in enumerate(jets):
+            order = (2 - pos % 2 if orders == "mixed" else orders)
+            ops[k] = ops[k].truncate(order)
+        packed = jet_einsum(spec, *ops)
+        ref = leibniz_einsum(spec, *map(_oracle, ops))
+        scale = leibniz_einsum(spec, *map(_magnitude, ops))
+        _assert_matches_oracle(packed, ref, exact=False, scale=scale)
+
+
+def test_jet_einsum_makes_one_contract_per_jet_operand(monkeypatch):
+    rng = np.random.default_rng(43)
+    A, B = _random_jets(rng, 3, [(3, 3), (3, 3)], points=4)
+    calls = []
+    kernel = fields.contract
+    monkeypatch.setattr(fields, "contract", lambda spec, *ops: calls.append(spec)
+                        or kernel(spec, *ops))
+    jet_einsum("ij,jk->ik", A, B)
+    assert len(calls) <= 3
+    calls.clear()
+    jet_einsum("ij,jk,k->i", A, rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3))
+    assert len(calls) == 1
+
+
 # -- the contraction kernel ----------------------------------------------------
 
 
@@ -461,6 +636,18 @@ def test_contract_falls_back_to_einsum_only_off_the_product_chain(spec, shapes, 
     contract(spec, *ops)
     contract("ij,jk->ik", rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))
     assert calls == [spec]
+
+
+def test_one_default_suite_fits_the_plan_caches():
+    # An evicted plan would be planned again on every call.
+    fields._contraction_plan.cache_clear()
+    fields._contraction_form.cache_clear()
+    harness._GROUP_CACHE.clear()
+    assert weylspin.run_suite(weylspin.SuiteConfig()).passed
+    harness._GROUP_CACHE.clear()
+    for cache in (fields._contraction_plan, fields._contraction_form):
+        info = cache.cache_info()
+        assert info.currsize < info.maxsize
 
 
 def test_no_raw_einsum_outside_the_kernel():

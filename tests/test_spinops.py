@@ -555,6 +555,26 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def test_cov_frame_takes_every_term_at_the_derivative_order():
+    n = 3
+    rng = np.random.default_rng(81)
+    rep = build_representation(n)
+    gauge = random_gauge(82, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=1)
+    pack = weyl_christoffels(gauge, gauge.sample_points(rng, 4))
+    psi = field.jet(gauge.sample_points(rng, 4))
+    P = _cov_frame(pack, rep, psi, field.weight)
+    assert P.order == 1
+    H = _cov_frame(pack, rep, P, field.weight)
+    assert H.order == 0
+    # The values are those of the terms at their full orders.
+    conn = spinops._weighted(pack, rep, spinops._spin_connection(pack, rep), field.weight)
+    full = (jet_einsum("ai,jsa->ijs", pack.S, P.gradient())
+            + jet_einsum("ist,jt->ijs", conn, P)
+            - jet_einsum("jki,ks->ijs", pack.omega_weyl, P))
+    assert np.abs(H.v - full.v).max() <= 1e-14 * np.abs(full.v).max()
+
+
 def test_hessian_identity_at_a_zero_of_the_family():
     rng = np.random.default_rng(76)
     for n in (2, 3):

@@ -5,6 +5,7 @@ import pytest
 
 from weylspin.fields import (
     Poly,
+    jet_einsum,
     polynomial_field,
 )
 from weylspin import weyl
@@ -172,6 +173,22 @@ def test_frame_pack_orthonormalizes_the_metric():
     for i in range(3):
         assert np.allclose(pack.frame_components(S[:, i]),
                            np.eye(3)[i], atol=1e-13)
+
+
+def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
+    g = random_gauge(24, 3)
+    pts = g.sample_points(np.random.default_rng(3), 4)
+    pack = weyl_christoffels(g, pts)
+    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "Ginv": 1, "gam_lc": 1, "gam_weyl": 1,
+              "omega_lc_frame": 1, "theta_frame": 1, "omega_weyl": 1,
+              "faraday_chart": 0, "faraday_frame": 0}
+    assert {name: getattr(pack, name).order for name in orders} == orders
+    # The kept orders are the same as from the full jets.
+    S, TH = pack.S, pack.TH
+    for got, want in ((pack.Ginv, jet_einsum("ai,bi->ab", S, S)),
+                      (pack.theta_frame, jet_einsum("a,ai->i", TH, S))):
+        for a, b in ((got.v, want.v), (got.g, want.g)):
+            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_faraday_is_gauge_invariant_and_matches_differences():
