@@ -112,6 +112,9 @@ class Jet:
     """
 
     __slots__ = ("d", "n", "order", "nb")
+    # An ndarray on the left of +, -, * or / defers to the jet's reflected
+    # operator instead of broadcasting over the jet as an object scalar.
+    __array_ufunc__ = None
 
     def __init__(self, v, g=None, h=None):
         v = np.asarray(v)

@@ -315,13 +315,16 @@ _CHEB_START, _CHEB_CAP, _CHEB_TAIL = 16, 256, 1e-13
 
 @lru_cache(maxsize=None)
 def _cheb_rule(deg):
-    """The deg + 1 Chebyshev points of the first kind, the matrix from values
-    there to interpolant coefficients, the one from those to the values of
-    the integral from -1 at the points, and the integral's weights at 1."""
+    """The deg + 1 Chebyshev points of the first kind, the matrix from
+    interpolant coefficients to values there (the Vandermonde; its first
+    m columns evaluate any series of m coefficients), its inverse, the
+    matrix from coefficients to the values of the integral from -1 at the
+    points, and the integral's weights at 1."""
     s = chebpts1(deg + 1)
-    fit = np.linalg.inv(chebvander(s, deg))
+    vander = chebvander(s, deg)
+    fit = np.linalg.inv(vander)
     integral = chebint(fit, lbnd=-1)
-    return s, fit, chebvander(s, deg + 1) @ integral, integral.sum(axis=0)
+    return s, vander, fit, chebvander(s, deg + 1) @ integral, integral.sum(axis=0)
 
 
 def _resolve(fit_at, deg, what):
@@ -345,18 +348,19 @@ def _path_coefficient(gauge, d, x0, v, length):
     Along the line the Killing equation reads dc/dt = A(t) c with
     A = sum_i v_i (beta gamma_i - A_i), v_i the frame components of v and
     A_i the spinor connection.  Each trial degree samples A at its
-    Chebyshev points with one batched frame pack; the leading axis of the
+    Chebyshev points with one batched frame pack; only connection values
+    are read, so the pack is the first-order one.  The leading axis of the
     result is the degree.  Raises RuntimeError if the cap leaves A unresolved.
     """
     rep = d.rep
 
     def fit_at(deg):
-        s, fit, _, _ = _cheb_rule(deg)
+        s, _, fit, _, _ = _cheb_rule(deg)
         pts = x0 + np.multiply.outer(0.5 * length * (s + 1.0), v)
-        pack = weyl_christoffels(gauge, pts)
+        pack = weyl_christoffels(gauge, pts).truncate(1)
         vf = pack.frame_components(v)
         A = _weighted(pack, rep, _spin_connection(pack, rep), d.psi.weight).v
-        beta = np.asarray(d.beta.jet(pts).v, dtype=complex)
+        beta = np.asarray(d.beta(pts), dtype=complex)
         coeff = contract("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
         coef = contract("kp,pst->kst", fit, coeff)
         return coef, coef
@@ -390,8 +394,8 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
     psi0 = np.asarray(d.psi(x0), dtype=complex)
 
     def fit_at(deg):
-        s, fit, integrate, weights = _cheb_rule(deg)
-        A = contract("pk,kst->pst", chebvander(s, len(coef) - 1), coef)
+        s, vander, fit, integrate, weights = _cheb_rule(deg)
+        A = contract("pk,kst->pst", vander[:, :len(coef)], coef)
         # Row (j, a), column (k, b): c_j - (length / 2) integrate[j, k] A_k c_k.
         system = np.eye(len(s) * N) - (0.5 * length) * (
             integrate[:, None, :, None] * A.transpose(1, 0, 2)).reshape(len(s) * N, -1)

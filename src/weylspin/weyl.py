@@ -11,7 +11,7 @@ conformal change of gauge as a weight tag.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -151,7 +151,9 @@ class Gauge:
 class FramePack:
     """Frame, Christoffel, and spin-rotation data of a gauge at one point.
 
-    Jets (value + derivatives) unless noted:
+    The pack holds the metric and theta jets ``G`` and ``TH``; every other
+    member is built from them on its first read and then kept.  Jets
+    (value + derivatives) unless noted:
       G, TH            metric and theta
       L, S             Cholesky factor and its inverse transpose; the
                        columns of S are the orthonormal frame vectors
@@ -163,67 +165,113 @@ class FramePack:
                        (D_{s_i} s_j = sum_k omega_weyl[j, k, i] s_k)
       faraday_chart, faraday_frame  d(theta) as order-0 jets (values)
 
-    G, TH, L and S are second-order jets, the others first-order.
+    Orders follow the input jets.  L and S take the order of G and TH;
+    the connection members, Ginv to omega_weyl, one order less, since the
+    Christoffels read first derivatives of the metric; the Faraday forms
+    are values at either order.  ``weyl_christoffels`` builds second-order
+    packs, and ``truncate(1)`` gives the first-order pack, whose
+    connection members are values.
 
     A pack built at a (P, n) array of points holds batched jets (one
     leading point axis).
     """
 
-    __slots__ = ("n", "G", "TH", "L", "S", "Ginv", "gam_lc",
-                 "gam_weyl", "omega_lc_frame", "theta_frame", "omega_weyl",
-                 "faraday_chart", "faraday_frame")
+    def __init__(self, G, TH):
+        self.n = G.shape[-1]
+        self.G, self.TH = G, TH
+
+    def truncate(self, order):
+        """The pack of the input jets without the derivatives above
+        ``order`` (at least 1): its members carry one order less."""
+        if order >= self.G.order:
+            return self
+        if order < 1:
+            raise ValueError("a frame pack needs first derivatives of the metric")
+        return FramePack(self.G.truncate(order), self.TH.truncate(order))
+
+    def _low(self, jet):
+        # The connection members' order: one below the input jets'.
+        return jet.truncate(self.G.order - 1)
 
     def frame_components(self, X):
         """Chart vector -> components in the orthonormal frame."""
         return np.swapaxes(self.L.v, -1, -2) @ np.asarray(X, dtype=float)
 
+    @cached_property
+    def L(self):
+        return jet_cholesky(self.G)
+
+    @cached_property
+    def S(self):
+        return jet_transpose(jet_lower_inverse(self.L), (1, 0))
+
+    @cached_property
+    def Ginv(self):
+        S = self._low(self.S)
+        return jet_einsum("ai,bi->ab", S, S)
+
+    @cached_property
+    def gam_lc(self):
+        Gd = self.G.gradient()  # [a, b, c] = d_c g_ab
+        term = jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1))
+        return 0.5 * jet_einsum("kl,lij->kij", self.Ginv, term)
+
+    @cached_property
+    def gam_weyl(self):
+        E = np.eye(self.n)
+        TH = self._low(self.TH)
+        theta_up = jet_einsum("kl,l->k", self.Ginv, TH)
+        return (self.gam_lc
+                + jet_einsum("i,kj->kij", TH, E)
+                + jet_einsum("j,ki->kij", TH, E)
+                - jet_einsum("ij,k->kij", self._low(self.G), theta_up))
+
+    @cached_property
+    def omega_lc_frame(self):
+        # Metric spin rotation: project the frame derivative back onto the frame.
+        S = self.S
+        V = S.gradient() + jet_einsum("bac,ci->bia", self.gam_lc, S)  # (D_a s_i)^b, [b, i, a]
+        W1 = jet_einsum("bc,bka->cka", self.G, V)
+        omega_chart = jet_einsum("cka,cl->kla", W1, S)  # [k, l, a] = g(D_a s_k, s_l)
+        return jet_einsum("kla,aj->klj", omega_chart, S)
+
+    @cached_property
+    def theta_frame(self):
+        # Taken at first order in every pack, then truncated: on values
+        # alone this contraction is a matrix-vector product, whose last
+        # bits differ from the value slot of the first-order product.
+        th = jet_einsum("a,ai->i", self.TH.truncate(1), self.S.truncate(1))
+        return self._low(th)
+
+    @cached_property
+    def omega_weyl(self):
+        E = np.eye(self.n)
+        th = self.theta_frame
+        return (self.omega_lc_frame
+                + jet_einsum("i,jk->jki", th, E)
+                + jet_einsum("j,ik->jki", th, E)
+                - jet_einsum("ij,k->jki", E, th))
+
+    @cached_property
+    def faraday_chart(self):
+        THg = self.TH.truncate(1).gradient()  # [a, c] = d_c theta_a
+        return jet_transpose(THg, (1, 0)) - THg  # [a, b] = d_a theta_b - d_b theta_a
+
+    @cached_property
+    def faraday_frame(self):
+        S = self.S
+        return jet_einsum("ab,ai,bj->ij", self.faraday_chart, S, S)
+
 
 def weyl_christoffels(gauge, point):
-    """Frame and connection data of the gauge at a chart point.
+    """Frame and connection data of the gauge at a chart point: the
+    second-order pack of the metric and theta jets there.
 
     ``point`` may also be a (P, n) array: every jet of the pack then
     carries one leading point axis.
     """
     point = np.asarray(point, dtype=float)
-    n = gauge.n
-    E = np.eye(n)
-    pack = FramePack()
-    pack.n = n
-    G = gauge.metric.jet(point)
-    TH = gauge.theta.jet(point)
-    L = jet_cholesky(G)
-    S = jet_transpose(jet_lower_inverse(L), (1, 0))
-    # Each jet is built to the order its readers take: the connection
-    # carries first derivatives (gam_lc comes from metric derivatives).
-    S1, TH1 = S.truncate(1), TH.truncate(1)
-    Ginv = jet_einsum("ai,bi->ab", S1, S1)
-    Gd = G.gradient()  # [a, b, c] = d_c g_ab
-    term = jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1))
-    gam_lc = 0.5 * jet_einsum("kl,lij->kij", Ginv, term)
-    theta_up = jet_einsum("kl,l->k", Ginv, TH1)
-    gam_weyl = (gam_lc
-                + jet_einsum("i,kj->kij", TH1, E)
-                + jet_einsum("j,ki->kij", TH1, E)
-                - jet_einsum("ij,k->kij", G.truncate(1), theta_up))
-    # Metric spin rotation: project the frame derivative back onto the frame.
-    V = S.gradient() + jet_einsum("bac,ci->bia", gam_lc, S)  # (D_a s_i)^b at [b, i, a]
-    W1 = jet_einsum("bc,bka->cka", G, V)
-    omega_chart = jet_einsum("cka,cl->kla", W1, S)           # [k, l, a] = g(D_a s_k, s_l)
-    omega_lc_frame = jet_einsum("kla,aj->klj", omega_chart, S)
-    theta_frame = jet_einsum("a,ai->i", TH1, S1)
-    omega_weyl = (omega_lc_frame
-                  + jet_einsum("i,jk->jki", theta_frame, E)
-                  + jet_einsum("j,ik->jki", theta_frame, E)
-                  - jet_einsum("ij,k->jki", E, theta_frame))
-    THg = TH1.gradient()  # [a, c] = d_c theta_a
-    f_chart = jet_transpose(THg, (1, 0)) - THg  # [a, b] = d_a theta_b - d_b theta_a
-    f_frame = jet_einsum("ab,ai,bj->ij", f_chart, S, S)
-    pack.G, pack.TH, pack.L, pack.S, pack.Ginv = G, TH, L, S, Ginv
-    pack.gam_lc, pack.gam_weyl = gam_lc, gam_weyl
-    pack.omega_lc_frame, pack.theta_frame = omega_lc_frame, theta_frame
-    pack.omega_weyl = omega_weyl
-    pack.faraday_chart, pack.faraday_frame = f_chart, f_frame
-    return pack
+    return FramePack(gauge.metric.jet(point), gauge.theta.jet(point))
 
 
 frame_pack = weyl_christoffels

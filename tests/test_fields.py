@@ -500,6 +500,19 @@ def test_jet_ring_ops_match_the_leibniz_oracle_bit_for_bit(points, orders):
         _assert_matches_oracle(single - a, _oracle(single) - _oracle(a))
 
 
+@pytest.mark.parametrize("points", [None, 5])
+def test_an_array_on_the_left_defers_to_the_jet(points):
+    # Without numpy deferring, c - a would broadcast c over the jet as an
+    # object scalar and return an object array of jets.
+    rng = np.random.default_rng(44)
+    a = _random_jets(rng, 3, [(3, 2)], points)[0]
+    c = rng.uniform(-1, 1, (3, 2))
+    for got, want in ((c + a, a + c), (c * a, a * c), (c - a, -(a - c))):
+        assert isinstance(got, Jet)
+        assert got.nb == want.nb and got.order == want.order
+        assert np.array_equal(got.d, want.d)
+
+
 def _einsum_cases(rng, n, points):
     A, B, V, F, S = _random_jets(rng, n, [(n, n), (n, n), (n,), (n, n), (n, n)], points)
     single = _random_jets(rng, n, [(n,)])[0]
@@ -566,32 +579,63 @@ def assert_matches_einsum(spec, *ops):
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-13 * scale, spec
 
 
+_CONTRACT_MODULES = (fields, clifford, weyl, spinops, killing, harness)
+
+
 def test_contract_matches_einsum_on_every_call_of_a_draw_and_a_transport(monkeypatch):
-    # The first operands seen for each (spec, shapes, dtypes) in one default
-    # suite draw and one transport, as the package passes them (views,
-    # broadcasts and all).
-    seen = {}
+    # The first operands seen for each (spec, shapes, dtypes) in one seed-1
+    # suite draw per dimension and one transport per plane family, as the
+    # package passes them (views, broadcasts and all).  Each of those
+    # inputs must reach the recorder: a draw replayed from the sweep cache,
+    # or a contraction imported past the patch, would record nothing.
+    seen, phases = {}, {}
 
     def recording(spec, *ops):
         key = (spec,) + tuple((op.shape, op.dtype.str) for op in ops)
         seen.setdefault(key, ops)
+        phases.setdefault(phase, set()).add(key)
         return contract(spec, *ops)
 
-    for mod in (fields, clifford, weyl, spinops, killing, harness):
+    for mod in _CONTRACT_MODULES:
         monkeypatch.setattr(mod, "contract", recording)
-    report = weylspin.run_suite(weylspin.SuiteConfig(gauges=1, seed=1))
-    assert all(r.passed for r in report.records)
-    for family in (example_killing_half(0.9 + 0.2j, -1), example_parallel_zero(1.1, 0.4j)):
-        gauge, datum, _ = family
+    harness._GROUP_CACHE.clear()
+    for phase in (2, 3, 4):
+        report = weylspin.run_suite(weylspin.SuiteConfig(gauges=1, seed=1, dims=(phase,)))
+        assert all(r.passed for r in report.records)
+    harness._GROUP_CACHE.clear()
+    families = {"killing-half": example_killing_half(0.9 + 0.2j, -1),
+                "parallel-zero": example_parallel_zero(1.1, 0.4j)}
+    for phase, (gauge, datum, _) in families.items():
         out = weylspin.killing_transport(gauge, datum, np.array([-0.3, 0.2]),
                                          np.array([0.6, -0.8]), length=0.8)
         assert out["residual"] < 1e-6
     monkeypatch.undo()
+    assert set(phases) == {2, 3, 4, *families}
     planned = [key for key in seen if fields._contraction_plan(
         key[0], tuple(shape for shape, _ in key[1:])) is not None]
-    assert len(seen) > 500 and len(planned) > 0.9 * len(seen)
+    assert len(planned) > 0.9 * len(seen)
     for key, ops in seen.items():
         assert_matches_einsum(key[0], *ops)
+
+
+def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
+    # One unrecorded draw first fills the shared representations'
+    # slot_products, so the count does not depend on which tests ran before.
+    config = weylspin.SuiteConfig(gauges=1, seed=1)
+    harness._GROUP_CACHE.clear()
+    weylspin.run_suite(config)
+    harness._GROUP_CACHE.clear()
+    calls = []
+
+    def counting(spec, *ops):
+        calls.append(spec)
+        return contract(spec, *ops)
+
+    for mod in _CONTRACT_MODULES:
+        monkeypatch.setattr(mod, "contract", counting)
+    assert weylspin.run_suite(config).passed
+    harness._GROUP_CACHE.clear()
+    assert len(calls) <= 5500, len(calls)
 
 
 def test_contract_on_broadcast_mixed_and_chained_operands():

@@ -11,7 +11,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import solve_ivp
 
 import weylspin
-from weylspin import killing
+from weylspin import killing, weyl
 from weylspin.clifford import Spinor, build_representation
 from weylspin.harness import random_gauge
 from weylspin.killing import (
@@ -380,6 +380,35 @@ def test_transport_builds_one_frame_pack(monkeypatch):
                             length=0.8)
     assert out["residual"] < 1e-6
     assert calls == [(17, 2)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_first_order_pack_gives_the_full_packs_coefficient(n, monkeypatch):
+    gauge, d = random_datum(95 + n, n, 0.6 - 0.4j)
+    x0, v, length = random_path(96 + n, n)
+    coef = killing._path_coefficient(gauge, d, x0, v, length)
+    monkeypatch.setattr(weyl.FramePack, "truncate", lambda pack, order: pack)
+    full = killing._path_coefficient(gauge, d, x0, v, length)
+    assert coef.shape == full.shape and np.array_equal(coef, full)
+
+
+def test_transport_builds_only_the_connection_members(monkeypatch):
+    gauge, d = random_datum(99, 3, 0.3 + 0.2j)
+    x0, v, length = random_path(100, 3)
+    packs = []
+    truncate = weyl.FramePack.truncate
+
+    def kept(pack, order):
+        packs.extend([pack, truncate(pack, order)])
+        return packs[-1]
+
+    monkeypatch.setattr(weyl.FramePack, "truncate", kept)
+    killing_transport(gauge, d, x0, v, length=length)
+    assert packs and all(low.G.order == 1 for low in packs[1::2])
+    assert all(set(vars(full)) == {"n", "G", "TH"} for full in packs[::2])
+    built = set().union(*map(vars, packs))
+    assert built.isdisjoint({"gam_weyl", "omega_weyl", "faraday_chart", "faraday_frame"})
+    assert "omega_lc_frame" in built
 
 
 def test_transport_resolves_an_oscillating_solution():

@@ -575,6 +575,21 @@ def test_cov_frame_takes_every_term_at_the_derivative_order():
     assert np.abs(H.v - full.v).max() <= 1e-14 * np.abs(full.v).max()
 
 
+def test_derivatives_without_curvature_leave_the_weyl_christoffels_unbuilt():
+    n = 3
+    rng = np.random.default_rng(83)
+    rep = build_representation(n)
+    gauge = random_gauge(84, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=1)
+    pts = gauge.sample_points(rng, 4)
+    pack = weyl_christoffels(gauge, pts)
+    weyl_spinor_derivative(gauge, rep, field, pts, pack=pack)
+    _derivative_stack(gauge, rep, field, pts, pack=pack)
+    assert "omega_weyl" in vars(pack) and "gam_weyl" not in vars(pack)
+    curvature(gauge, pts, pack=pack)
+    assert "gam_weyl" in vars(pack)
+
+
 def test_hessian_identity_at_a_zero_of_the_family():
     rng = np.random.default_rng(76)
     for n in (2, 3):

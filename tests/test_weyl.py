@@ -183,12 +183,32 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
               "omega_lc_frame": 1, "theta_frame": 1, "omega_weyl": 1,
               "faraday_chart": 0, "faraday_frame": 0}
     assert {name: getattr(pack, name).order for name in orders} == orders
+    # A first-order pack takes every member one order lower; the Faraday
+    # forms stay values.
+    low = pack.truncate(1)
+    assert low.G.order == 1 and pack.truncate(2) is pack
+    assert {name: getattr(low, name).order for name in orders} == {
+        name: max(order - 1, 0) for name, order in orders.items()}
+    with pytest.raises(ValueError, match="first derivatives"):
+        pack.truncate(0)
     # The kept orders are the same as from the full jets.
     S, TH = pack.S, pack.TH
     for got, want in ((pack.Ginv, jet_einsum("ai,bi->ab", S, S)),
                       (pack.theta_frame, jet_einsum("a,ai->i", TH, S))):
         for a, b in ((got.v, want.v), (got.g, want.g)):
             assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+
+def test_frame_pack_builds_each_member_once_on_first_read():
+    g = random_gauge(25, 3)
+    pack = weyl_christoffels(g, g.sample_points(np.random.default_rng(5), 3))
+    assert set(vars(pack)) == {"n", "G", "TH"}
+    first = pack.omega_lc_frame
+    assert "gam_weyl" not in vars(pack) and "omega_weyl" not in vars(pack)
+    assert pack.omega_lc_frame is first
+    for name in ("L", "S", "Ginv", "gam_lc", "gam_weyl", "theta_frame", "omega_weyl",
+                 "faraday_chart", "faraday_frame"):
+        assert getattr(pack, name) is getattr(pack, name), name
 
 
 def test_faraday_is_gauge_invariant_and_matches_differences():
