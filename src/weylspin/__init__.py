@@ -9,12 +9,11 @@ exact rationals carried as metadata.
 """
 
 from .clifford import (CliffordRep, Density, SlotTensor, Spinor,
-                       build_representation, clifford_mul, herm, nu,
+                       build_representation, clifford_mul, nu,
                        tensor_clifford)
-from .fields import (ChartField, Jet, Poly, alt, as_fraction, compose,
-                     conf_trace, constant_field, coordinate_jets, jet_einsum,
-                     permute, polynomial_field, sym, transposition, zyk,
-                     zyk_four)
+from .fields import (ChartField, Jet, Poly, as_fraction, constant_field,
+                     coordinate_jets, jet_einsum, permute, polynomial_field,
+                     zyk)
 from .harness import (CHECKS, EXAMPLES, CheckRecord, Report, SuiteConfig,
                       emit_report, load_config, parse_report, random_gauge,
                       resolve_checks, run_example, run_suite)
@@ -38,22 +37,21 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CHECKS", "ChartField", "CheckRecord", "CliffordRep", "CurvatureBundle",
-    "Density", "EXAMPLES", "FramePack", "GateError", "Gauge",
-    "Jet", "KillingDatum", "Poly", "Report", "SlotTensor", "Spinor",
-    "SuiteConfig", "alt", "as_fraction", "build_representation",
-    "change_gauge", "clifford_mul", "compose", "conf_trace",
+    "Density", "EXAMPLES", "FramePack", "GateError", "Gauge", "Jet",
+    "KillingDatum", "Poly", "Report", "SlotTensor", "Spinor", "SuiteConfig",
+    "as_fraction", "build_representation", "change_gauge", "clifford_mul",
     "connection_residuals", "constant_field", "coordinate_jets", "curvature",
     "curvature_contraction_checks", "dirac", "einstein_weyl_residual",
     "emit_report", "example_killing_half", "example_parallel_zero", "faraday",
-    "first_integrals", "flat_twistor_family",
-    "frame_pack", "gauge_transport_spinor", "herm", "hessian_identity_check",
+    "first_integrals", "flat_twistor_family", "frame_pack",
+    "gauge_transport_spinor", "hessian_identity_check",
     "integrability_report", "integrability_residual", "jet_einsum",
     "killing_kernel_determinant", "killing_residual", "killing_transport",
     "load_config", "nabla_dirac_residual", "nu", "pair_parallel_residuals",
     "parse_report", "permute", "polynomial_field", "polynomial_spinor",
     "random_gauge", "relative_residual", "resolve_checks", "run_example",
     "run_suite", "sl_residual", "spin_lc_derivative", "spinor_laplacian",
-    "spinorial_curvature", "sym", "tensor_clifford", "transposition",
-    "twistor", "twistor_laplacian_residuals", "weyl_christoffels",
-    "weyl_spinor_derivative", "zyk", "zyk_four",
+    "spinorial_curvature", "tensor_clifford", "twistor",
+    "twistor_laplacian_residuals", "weyl_christoffels",
+    "weyl_spinor_derivative", "zyk",
 ]

@@ -26,7 +26,6 @@ __all__ = [
     "clifford_mul",
     "tensor_clifford",
     "nu",
-    "herm",
 ]
 
 _PAULI_1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -125,10 +124,9 @@ def _builtin_representation(n):
 class Spinor:
     """Spinor components with optional leading frame slots and a weight tag.
 
-    The trailing axis is the spinor axis; any leading axes are frame slots
-    (so the slot calculus in :mod:`weylspin.fields` applies).  The weight
-    is the scaling exponent of the components under a conformal gauge
-    change of the underlying chart data.
+    The trailing axis is the spinor axis; any leading axes are frame
+    slots.  The weight is the scaling exponent of the components under a
+    conformal gauge change of the underlying chart data.
     """
 
     __slots__ = ("rep", "comp", "weight")
@@ -143,9 +141,6 @@ class Spinor:
     @property
     def arity(self):
         return self.comp.ndim - 1
-
-    def with_comp(self, comp):
-        return Spinor(self.rep, comp, self.weight)
 
     def __add__(self, other):
         if other.weight != self.weight:
@@ -184,9 +179,6 @@ class SlotTensor:
     @property
     def arity(self):
         return self.comp.ndim
-
-    def with_comp(self, comp):
-        return SlotTensor(comp, self.weight)
 
     def __repr__(self):
         return f"SlotTensor(shape={self.comp.shape}, weight={self.weight})"
@@ -258,14 +250,3 @@ def nu(psi):
     comp = contract("iab,...b->i...a", psi.rep.gammas, psi.comp)
     return Spinor(psi.rep, comp, psi.weight)
 
-
-def herm(phi, psi):
-    """Hermitian product of component vectors, conjugate-linear in the first.
-
-    Slots broadcast elementwise; the result is a Density whose weight is
-    the sum of the operand weights.
-    """
-    if phi.rep.dim != psi.rep.dim:
-        raise ValueError("spinors from different representations")
-    value = contract("...a,...a->...", np.conj(phi.comp), psi.comp)
-    return Density(value, phi.weight + psi.weight)

@@ -8,10 +8,8 @@ second partial.  Arithmetic degrades gracefully: combining a second-order
 jet with a first-order one yields a first-order jet, and plain numbers or
 ndarrays act as constants of unlimited order.
 
-The slot helpers (permute, sym, alt, zyk, zyk_four, conf_trace) act on
-plain ndarrays or on any object exposing ``comp`` (an ndarray), ``arity``
-(how many leading axes are tensor slots) and ``with_comp`` (rebuild with
-new components).  Non-slot trailing axes ride along untouched.
+The slot helpers ``permute`` and ``zyk`` act on the leading axes of
+ndarrays; any further trailing axes ride along untouched.
 """
 
 from __future__ import annotations
@@ -37,13 +35,7 @@ __all__ = [
     "polynomial_field",
     "as_fraction",
     "permute",
-    "compose",
-    "transposition",
-    "sym",
-    "alt",
     "zyk",
-    "zyk_four",
-    "conf_trace",
 ]
 
 # Derivative axes in jet_einsum specs use these reserved labels.
@@ -666,8 +658,8 @@ def jet_lower_inverse(L):
 class Poly:
     """Real polynomial in n variables stored as ((coeff, exponent-tuple), ...).
 
-    The term container of hand-built and serialized gauges;
-    ``polynomial_field`` evaluates arrays of them.
+    The term-list input of ``polynomial_field``, which evaluates arrays
+    of them.
     """
 
     __slots__ = ("terms", "n")
@@ -682,13 +674,6 @@ class Poly:
         for _, exps in self.terms:
             if len(exps) != self.n:
                 raise ValueError("inconsistent exponent tuple length")
-
-    def to_dict(self):
-        return {"n": self.n, "terms": [[c, list(e)] for c, e in self.terms]}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls([(c, tuple(e)) for c, e in d["terms"]], d["n"])
 
     def __repr__(self):
         return f"Poly({self.terms!r}, n={self.n})"
@@ -831,100 +816,28 @@ def polynomial_field(polys, weight=0, support=None):
 # -- slot calculus ------------------------------------------------------
 
 
-def _as_slots(A):
-    """(arity, components, rebuild) for ndarrays or slot-tagged objects."""
-    if hasattr(A, "comp") and hasattr(A, "arity"):
-        return A.arity, np.asarray(A.comp), A.with_comp
-    arr = np.asarray(A)
-    return arr.ndim, arr, lambda c: c
+def permute(A, sigma):
+    """Pull slot indices back through sigma: result(i_1..i_r) = A(i_sigma(1), ..).
 
-
-def _permute_axes(comp, sigma, arity):
+    A left group action: permuting by s and then by t permutes by t∘s.
+    Shorter sigmas act on the leading slots, fixing the rest.
+    """
+    A = np.asarray(A)
     sigma = tuple(int(s) for s in sigma)
     r = len(sigma)
     if sorted(sigma) != list(range(1, r + 1)):
         raise ValueError(f"{sigma} is not a permutation of 1..{r}")
-    if r > arity:
-        raise ValueError(f"permutation of {r} slots on arity-{arity} tensor")
+    if r > A.ndim:
+        raise ValueError(f"permutation of {r} slots on arity-{A.ndim} tensor")
     axes = [0] * r
     for k in range(r):
         axes[sigma[k] - 1] = k
-    axes += list(range(r, comp.ndim))
-    return np.transpose(comp, axes)
-
-
-def permute(A, sigma):
-    """Pull slot indices back through sigma: result(i_1..i_r) = A(i_sigma(1), ..).
-
-    A left group action: permute(permute(A, s), t) == permute(A, compose(t, s)).
-    Shorter sigmas act on the leading slots, fixing the rest.
-    """
-    arity, comp, rebuild = _as_slots(A)
-    return rebuild(_permute_axes(comp, sigma, arity))
-
-
-def compose(tau, sigma):
-    """Composite permutation tau∘sigma (apply sigma first)."""
-    r = max(len(tau), len(sigma))
-    t = tuple(tau) + tuple(range(len(tau) + 1, r + 1))
-    s = tuple(sigma) + tuple(range(len(sigma) + 1, r + 1))
-    return tuple(t[s[x] - 1] for x in range(r))
-
-
-def transposition(a, b, r):
-    """The permutation of 1..r exchanging slots a and b."""
-    img = list(range(1, r + 1))
-    img[a - 1], img[b - 1] = img[b - 1], img[a - 1]
-    return tuple(img)
-
-
-def sym(A, a=1, b=2):
-    """A plus A with slots a and b exchanged (no 1/2 factor)."""
-    arity, comp, rebuild = _as_slots(A)
-    if arity < 2:
-        raise ValueError("sym needs arity >= 2")
-    return rebuild(comp + np.swapaxes(comp, a - 1, b - 1))
-
-
-def alt(A, a=1, b=2):
-    """A minus A with slots a and b exchanged (no 1/2 factor)."""
-    arity, comp, rebuild = _as_slots(A)
-    if arity < 2:
-        raise ValueError("alt needs arity >= 2")
-    return rebuild(comp - np.swapaxes(comp, a - 1, b - 1))
+    return np.transpose(A, axes + list(range(r, A.ndim)))
 
 
 def zyk(A):
     """Sum over the cyclic permutations of the first three slots."""
-    arity, comp, rebuild = _as_slots(A)
-    if arity < 3:
+    A = np.asarray(A)
+    if A.ndim < 3:
         raise ValueError("cyclic sum needs arity >= 3")
-    out = comp.copy()
-    for sigma in ((2, 3, 1), (3, 1, 2)):
-        out = out + _permute_axes(comp, sigma, arity)
-    return rebuild(out)
-
-
-def zyk_four(A):
-    """Sum over the cyclic permutations of the first four slots."""
-    arity, comp, rebuild = _as_slots(A)
-    if arity < 4:
-        raise ValueError("cyclic sum needs arity >= 4")
-    out = comp.copy()
-    for sigma in ((2, 3, 4, 1), (3, 4, 1, 2), (4, 1, 2, 3)):
-        out = out + _permute_axes(comp, sigma, arity)
-    return rebuild(out)
-
-
-def conf_trace(A, a=1, b=2):
-    """Contract slots a and b with the frame pairing (plain delta).
-
-    The stored weight tag (the frame-component scaling exponent) is
-    unchanged by the contraction.
-    """
-    arity, comp, rebuild = _as_slots(A)
-    if arity < 2:
-        raise ValueError("trace needs arity >= 2")
-    if a == b or not (1 <= a <= arity and 1 <= b <= arity):
-        raise ValueError(f"invalid trace slots ({a}, {b}) for arity {arity}")
-    return rebuild(np.trace(comp, axis1=a - 1, axis2=b - 1))
+    return (A + permute(A, (2, 3, 1))) + permute(A, (3, 1, 2))

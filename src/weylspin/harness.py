@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .clifford import SlotTensor, Spinor, build_representation, tensor_clifford
-from .fields import Poly, as_fraction, contract, permute, polynomial_field, zyk
+from .fields import as_fraction, contract, permute, polynomial_field, zyk
 from .killing import (example_killing_half, example_parallel_zero,
                       flat_twistor_family, integrability_report,
                       killing_kernel_determinant)
@@ -109,6 +109,20 @@ def _unit_spinor(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def _random_gauge_coefficients(seed, n, degree, margin):
+    """The draw of ``random_gauge``: the support, the metric perturbation
+    (symmetric, without delta) and the theta coefficients over it."""
+    rng = np.random.default_rng(seed)
+    exps = _monomials(n, degree)
+    scale = (1.0 - margin) / (2.0 * n * len(exps))
+    metric = np.empty((n, n, len(exps)))
+    for i in range(n):
+        for j in range(i, n):
+            metric[i, j] = metric[j, i] = rng.uniform(-scale, scale, size=len(exps))
+    theta = _random_coefficients(rng, exps, n, 1.0 / len(exps))
+    return exps, metric, theta
+
+
 def random_gauge(seed, n, degree=3, margin=0.5):
     """A polynomial gauge with the identity-plus-perturbation metric.
 
@@ -122,30 +136,11 @@ def random_gauge(seed, n, degree=3, margin=0.5):
     if not 0.0 < margin < 1.0:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
     n = int(n)
-    rng = np.random.default_rng(seed)
-    exps = _monomials(n, degree)
-    scale = (1.0 - margin) / (2.0 * n * len(exps))
-    metric = np.empty((n, n, len(exps)))
-    for i in range(n):
-        for j in range(i, n):
-            metric[i, j] = metric[j, i] = rng.uniform(-scale, scale, size=len(exps))
-    theta = _random_coefficients(rng, exps, n, 1.0 / len(exps))
-    zero = (0,) * n
-    # The field adds delta to the diagonal's constant coefficient as c + 1.0,
-    # the sum a Poly-array build makes of the separate trailing term that the
-    # serialized diagonal keeps.
-    shifted = metric.copy()
-    shifted[range(n), range(n), exps.index(zero)] += 1.0
-
-    def polys():
-        mp = [[Poly(list(zip(metric[i, j], exps)) + ([(1.0, zero)] if i == j else []), n)
-               for j in range(n)] for i in range(n)]
-        tp = [Poly(list(zip(c, exps)), n) for c in theta]
-        return np.array(mp, dtype=object), np.array(tp, dtype=object)
-
-    return Gauge(n, polynomial_field(shifted, weight=2, support=exps),
+    exps, metric, theta = _random_gauge_coefficients(seed, n, degree, margin)
+    metric[range(n), range(n), exps.index((0,) * n)] += 1.0
+    return Gauge(n, polynomial_field(metric, weight=2, support=exps),
                  polynomial_field(theta, weight=None, support=exps),
-                 name=f"random-{seed}", polys=polys)
+                 name=f"random-{seed}")
 
 
 # -- configuration ----------------------------------------------------------
@@ -899,6 +894,8 @@ def resolve_checks(selection):
     names = list(selection)
     if not names:
         raise ValueError("empty check selection (use None for all checks)")
+    if any(not name.strip() for name in names):
+        raise ValueError(f"blank check name in {names!r}")
     out = []
     for name in names:
         matches = [k for k in CHECKS if k == name]

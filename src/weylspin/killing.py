@@ -18,7 +18,8 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
 from .clifford import Spinor, _slot_action, build_representation
-from .fields import ChartField, Poly, constant_field, contract, jet_einsum
+from .fields import (ChartField, constant_field, contract, jet_einsum,
+                     polynomial_field)
 from .spinops import (GateError, _check_rep, _first_order, _per_point,
                       _spin_connection, _weighted)
 from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
@@ -229,10 +230,9 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
 
 def _gauge_form_plane(name):
     """The plane with the flat metric and gauge 1-form x_1 dx^2."""
-    one = [(1.0, (0, 0))]
-    metric = [[Poly(one, 2), Poly([], 2)], [Poly([], 2), Poly(one, 2)]]
-    theta = [Poly([], 2), Poly([(1.0, (1, 0))], 2)]
-    return Gauge.from_polys(metric, theta, name=name)
+    return Gauge(2, polynomial_field(np.eye(2)[..., None], weight=2, support=((0, 0),)),
+                 polynomial_field([[0.0], [1.0]], weight=None, support=((1, 0),)),
+                 name=name)
 
 
 _REP_DIAG_FIRST = np.array([[[1j, 0.0], [0.0, -1j]],
@@ -309,8 +309,11 @@ def killing_kernel_determinant(beta_g, x1):
 
 
 # The resolution rule along a transport path: the Chebyshev degree doubles
-# until the two trailing coefficients fall to the tail bound of the largest.
+# until the two trailing coefficients fall to the tail bound of the largest,
+# or to the rounding floor: _CHEB_FLOOR times the largest term the sampled
+# values are built from.
 _CHEB_START, _CHEB_CAP, _CHEB_TAIL = 16, 256, 1e-13
+_CHEB_FLOOR = 16 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -328,16 +331,20 @@ def _cheb_rule(deg):
 
 
 def _resolve(fit_at, deg, what):
-    """Call fit_at(deg) -> (Chebyshev coefficients, degree first; value) at
-    doubling degrees and return the first value whose coefficients resolve."""
+    """Call fit_at(deg) -> (Chebyshev coefficients, degree first; value;
+    term scale) at doubling degrees and return the first value whose
+    coefficients resolve.  The term scale, a function called only when the
+    tail bound fails, gives the largest term the sampled values are built
+    from: where they cancel to rounding noise, the noise resolves."""
     while deg <= _CHEB_CAP:
-        coef, value = fit_at(deg)
+        coef, value, scale = fit_at(deg)
         mags = np.abs(coef.reshape(deg + 1, -1)).max(axis=1)
-        if mags[-2:].max() <= _CHEB_TAIL * mags.max():
+        tail = mags[-2:].max()
+        if tail <= _CHEB_TAIL * mags.max() or tail <= _CHEB_FLOOR * scale():
             return value
         deg *= 2
     raise RuntimeError(f"{what} not resolved at Chebyshev degree {_CHEB_CAP}: "
-                       f"trailing coefficients {mags[-2:].max():.3e} "
+                       f"trailing coefficients {tail:.3e} "
                        f"against {mags.max():.3e}")
 
 
@@ -363,7 +370,13 @@ def _path_coefficient(gauge, d, x0, v, length):
         beta = np.asarray(d.beta(pts), dtype=complex)
         coeff = contract("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
         coef = contract("kp,pst->kst", fit, coeff)
-        return coef, coef
+
+        def scale():
+            # The two terms whose difference is the coefficient.
+            return max(np.max(np.abs(beta) * np.linalg.norm(vf, axis=-1)),
+                       np.abs(contract("pi,pist->pst", vf, A)).max())
+
+        return coef, coef, scale
 
     return _resolve(fit_at, _CHEB_START, "transport coefficient")
 
@@ -377,10 +390,12 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
     solution's values at the Chebyshev points s_j solve c(s_j) = c(-1) +
     (length / 2) * integral from -1 to s_j of A c, and the endpoint takes
     the same integral to s = 1.  Both interpolants must resolve (the two
-    trailing coefficients within 1e-13 of the largest), the solution's at
-    more points if needed, with A taken from its series there; a path the
-    degree cap cannot resolve (a kinked coefficient, a fast oscillation)
-    raises RuntimeError.  The field itself enters only at the two ends.
+    trailing coefficients within 1e-13 of the largest; A's also when they
+    are under 16 eps of its largest term, where A cancels to rounding
+    noise), the solution's at more points if needed, with A taken from its
+    series there; a path the degree cap cannot resolve (a kinked
+    coefficient, a fast oscillation) raises RuntimeError.  The field itself
+    enters only at the two ends.
 
     Returns the endpoint, the transported components, the field's own
     components there, and their relative gap.
@@ -401,7 +416,7 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
             integrate[:, None, :, None] * A.transpose(1, 0, 2)).reshape(len(s) * N, -1)
         c = np.linalg.solve(system, np.tile(psi0, len(s))).reshape(-1, N)
         end = psi0 + (0.5 * length) * (weights @ contract("pst,pt->ps", A, c))
-        return fit @ c, end
+        return fit @ c, end, lambda: 0.0
 
     transported = _resolve(fit_at, len(coef) - 1, "transported field")
     end = x0 + length * v

@@ -11,14 +11,13 @@ conformal change of gauge as a weight tag.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from .clifford import Density, SlotTensor
 from .fields import (
     ChartField,
-    Poly,
     constant_field,
     contract,
     jet_cholesky,
@@ -74,15 +73,12 @@ class Gauge:
     """A chart with metric components, a 1-form theta, and a sample domain.
 
     ``metric`` ([i, j] components, weight 2) and ``theta`` are chart fields;
-    ``domain`` is an (n, 2) array of box bounds used for sampling.  A
-    polynomial gauge also has ``metric_polys`` and ``theta_polys``, the
-    Poly arrays it serializes; ``polys`` is a function returning that
-    pair, called once, on their first access.
+    ``domain`` is an (n, 2) array of box bounds used for sampling.
     """
 
-    __slots__ = ("n", "metric", "theta", "domain", "name", "_polys")
+    __slots__ = ("n", "metric", "theta", "domain", "name")
 
-    def __init__(self, n, metric, theta, domain=None, name=None, polys=None):
+    def __init__(self, n, metric, theta, domain=None, name=None):
         self.n = int(n)
         self.metric = metric
         self.theta = theta
@@ -92,57 +88,17 @@ class Gauge:
         if self.domain.shape != (self.n, 2):
             raise ValueError(f"domain must be an ({self.n}, 2) box")
         self.name = name
-        self._polys = None if polys is None else cache(polys)
-
-    @property
-    def metric_polys(self):
-        return None if self._polys is None else self._polys()[0]
-
-    @property
-    def theta_polys(self):
-        return None if self._polys is None else self._polys()[1]
-
-    @classmethod
-    def from_polys(cls, metric_polys, theta_polys, domain=None, name=None):
-        mp = np.asarray(metric_polys, dtype=object)
-        tp = np.asarray(theta_polys, dtype=object)
-        return cls(mp.shape[0], polynomial_field(mp, weight=2),
-                   polynomial_field(tp, weight=None), domain=domain, name=name,
-                   polys=lambda: (mp, tp))
 
     @classmethod
     def flat(cls, n, domain=None):
-        zero = (0,) * n
-
-        def polys():
-            metric = [[Poly([(1.0, zero)] if i == j else [], n) for j in range(n)]
-                      for i in range(n)]
-            return np.asarray(metric, dtype=object), np.asarray([Poly([], n)] * n, dtype=object)
-
-        return cls(n, polynomial_field(np.eye(n)[..., None], weight=2, support=(zero,)),
-                   polynomial_field(np.zeros((n, 1)), weight=None, support=(zero,)),
-                   domain=domain, name="flat", polys=polys)
+        zero = ((0,) * n,)
+        return cls(n, polynomial_field(np.eye(n)[..., None], weight=2, support=zero),
+                   polynomial_field(np.zeros((n, 1)), weight=None, support=zero),
+                   domain=domain, name="flat")
 
     def sample_points(self, rng, count):
         lo, hi = self.domain[:, 0], self.domain[:, 1]
         return lo + (hi - lo) * rng.random((count, self.n))
-
-    def to_dict(self):
-        if self.metric_polys is None or self.theta_polys is None:
-            raise ValueError("only polynomial-backed gauges are serializable")
-        return {
-            "n": self.n,
-            "name": self.name,
-            "domain": self.domain.tolist(),
-            "metric": [[p.to_dict() for p in row] for row in self.metric_polys],
-            "theta": [p.to_dict() for p in self.theta_polys],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        metric = [[Poly.from_dict(p) for p in row] for row in d["metric"]]
-        theta = [Poly.from_dict(p) for p in d["theta"]]
-        return cls.from_polys(metric, theta, domain=d["domain"], name=d.get("name"))
 
     def __repr__(self):
         return f"Gauge(n={self.n}, name={self.name!r})"

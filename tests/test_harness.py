@@ -25,7 +25,6 @@ from weylspin.harness import (
     run_example,
     run_suite,
 )
-from weylspin.weyl import Gauge
 
 TINY = dict(dims=(2,), weights=("1/2",), gauges=2, points=3, trials=40,
             seed=11, degree=2)
@@ -110,11 +109,39 @@ def test_load_config(tmp_path):
 # -- random gauge factory ------------------------------------------------------
 
 
+def gauge_json(seed, n):
+    """The JSON form a random gauge of degree 3 and margin 0.5 was pinned
+    in: each component a list of [coefficient, exponents] terms over the
+    drawn support, delta a separate trailing term of the diagonal."""
+    exps, metric, theta = hz._random_gauge_coefficients(seed, n, 3, 0.5)
+
+    def poly(coeffs, extra=()):
+        terms = [[float(c), list(e)] for c, e in zip(coeffs, exps)]
+        return {"n": n, "terms": terms + list(extra)}
+
+    one = [[1.0, [0] * n]]
+    return {
+        "n": n,
+        "name": f"random-{seed}",
+        "domain": [[-1.0, 1.0]] * n,
+        "metric": [[poly(metric[i, j], one if i == j else ()) for j in range(n)]
+                   for i in range(n)],
+        "theta": [poly(c) for c in theta],
+    }
+
+
+def gauge_jets(g, pts):
+    return [jet.d for jet in (g.metric.jet(pts), g.theta.jet(pts))]
+
+
 def test_random_gauge_is_deterministic():
-    a = random_gauge(5, 3)
-    b = random_gauge(5, 3)
-    assert a.to_dict() == b.to_dict()
-    assert a.to_dict() != random_gauge(6, 3).to_dict()
+    pts = np.random.default_rng(5).uniform(-1, 1, (4, 3))
+    a = gauge_jets(random_gauge(5, 3), pts)
+    b = gauge_jets(random_gauge(5, 3), pts)
+    c = gauge_jets(random_gauge(6, 3), pts)
+    assert all(np.array_equal(u, w) for u, w in zip(a, b))
+    assert not any(np.array_equal(u, w) for u, w in zip(a, c))
+    assert random_gauge(5, 3).name == "random-5"
 
 
 PINNED_DRAWS = [
@@ -128,19 +155,29 @@ PINNED_DRAWS = [
 
 @pytest.mark.parametrize("seed, n, digest", PINNED_DRAWS)
 def test_random_gauge_draws_are_pinned(seed, n, digest):
-    text = json.dumps(random_gauge(seed, n).to_dict(), sort_keys=True)
+    text = json.dumps(gauge_json(seed, n), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("seed, n", [(seed, n) for seed, n, _ in PINNED_DRAWS])
 def test_random_gauge_jets_survive_serialization_bit_for_bit(seed, n):
-    # The drawn fields come from coefficient arrays, the loaded ones from
-    # Poly terms; both must compile to the same matrices.
+    # The drawn fields come from coefficient arrays; Poly arrays of the
+    # pinned JSON terms, delta's separate term included, must compile to
+    # the same matrices.
+    d = gauge_json(seed, n)
+
+    def polys(entries):
+        return np.array([fields.Poly([(c, tuple(e)) for c, e in p["terms"]], p["n"])
+                         for p in entries], dtype=object)
+
+    metric = fields.polynomial_field(
+        np.stack([polys(row) for row in d["metric"]]), weight=2)
+    theta = fields.polynomial_field(polys(d["theta"]), weight=None)
     g = random_gauge(seed, n)
-    back = Gauge.from_dict(g.to_dict())
+    assert g.name == d["name"] and g.domain.tolist() == d["domain"]
     pts = np.random.default_rng(seed).uniform(-1, 1, (5, n))
-    for a, b in ((g.metric.jet(pts), back.metric.jet(pts)),
-                 (g.theta.jet(pts), back.theta.jet(pts))):
+    for a, b in ((g.metric.jet(pts), metric.jet(pts)),
+                 (g.theta.jet(pts), theta.jet(pts))):
         assert np.array_equal(a.v, b.v)
         assert np.array_equal(a.g, b.g)
         assert np.array_equal(a.h, b.h)
@@ -215,6 +252,11 @@ def test_resolve_checks():
         resolve_checks([])
     with pytest.raises(ValueError, match="unknown check 'nope'"):
         resolve_checks(["nope"])
+    for blank in ("", " ", "\t"):
+        with pytest.raises(ValueError, match="blank check name"):
+            resolve_checks([blank])
+        with pytest.raises(ValueError, match="blank check name"):
+            resolve_checks(["lichnerowicz", blank])
 
 
 def test_examples_map_to_registry_keys():
@@ -385,6 +427,13 @@ def test_cli_config_errors(capsys):
     assert "not a number" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_blank_check_name(capsys):
+    assert main(cli_args("check", "")) == 2
+    assert "blank check name" in capsys.readouterr().err
+    assert main(cli_args("verify", "--checks", "lichnerowicz", " ")) == 2
+    assert "blank check name" in capsys.readouterr().err
+
+
 def test_cli_report_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code = main(cli_args("example", "parallel-zero", "--format", "machine",
@@ -432,14 +481,10 @@ def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
 # -- polynomial fields of the draw path ------------------------------------------
 
 
-# The checks whose draws are random gauges, random spinor fields, conformal
-# factors and flat twistor families; the plane families of the examples
-# and of twistor-first-integrals are hand-built from Poly terms.
-DRAWN = [k for k in CHECKS
-         if not k.startswith(("clifford", "example")) and k != "twistor-first-integrals"]
-
-
 def test_drawn_sweeps_build_no_poly(monkeypatch):
+    # Every check, the plane families of the examples and of
+    # twistor-first-integrals included, builds its fields from coefficient
+    # arrays.
     built = []
     init = fields.Poly.__init__
 
@@ -448,10 +493,10 @@ def test_drawn_sweeps_build_no_poly(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(fields.Poly, "__init__", counting)
-    report = fresh_run(tiny_config(dims=(2, 3), trials=5), checks=DRAWN)
-    assert {r.check for r in report.records} == set(DRAWN)
+    report = fresh_run(tiny_config(dims=(2, 3), trials=5))
+    assert {r.check for r in report.records} == set(CHECKS)
     assert built == []
-    Gauge.flat(2).to_dict()  # serializing builds the terms, so the count is live
+    fields.Poly([], 2)  # the count is live
     assert built
 
 

@@ -25,7 +25,8 @@ from weylspin.killing import (
     killing_residual,
     killing_transport,
 )
-from weylspin.fields import ChartField, Poly, constant_field, polynomial_field
+from weylspin.fields import (ChartField, Poly, constant_field, constant_jet, jet_stack,
+                             polynomial_field)
 from weylspin.spinops import (GateError, dirac, gauge_transport_spinor, polynomial_spinor,
                               twistor)
 from weylspin.weyl import Gauge, change_gauge, weyl_christoffels
@@ -382,7 +383,7 @@ def test_transport_builds_one_frame_pack(monkeypatch):
     assert calls == [(17, 2)]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_first_order_pack_gives_the_full_packs_coefficient(n, monkeypatch):
     gauge, d = random_datum(95 + n, n, 0.6 - 0.4j)
     x0, v, length = random_path(96 + n, n)
@@ -424,6 +425,33 @@ def test_transport_rejects_an_unresolved_solution():
     gauge, d, rep = example_parallel_zero(1.0, 0.25j)
     with pytest.raises(RuntimeError, match="not resolved"):
         killing_transport(gauge, d, np.zeros(2), np.array([1.0, 0.0]), length=60.0)
+
+
+def round_s3_chart():
+    """The round S^3 in the chart (u, v, t): g = (du + cos t dv)^2 +
+    sin^2 t dv^2 + dt^2, with theta = 0."""
+
+    def metric(X):
+        c = X[2]._chain(np.cos, lambda t: -np.sin(t), lambda t: -np.cos(t))
+        one, zero = constant_jet(1.0, X), constant_jet(0.0, X)
+        return jet_stack([jet_stack([one, c, zero]), jet_stack([c, one, zero]),
+                          jet_stack([zero, zero, one])])
+
+    return Gauge(3, ChartField(2, metric), constant_field(np.zeros(3), weight=None))
+
+
+def test_transport_resolves_a_coefficient_that_cancels_to_rounding():
+    # Along the t-line the density term cancels the spin connection for
+    # beta = 1/4, so the transport is the identity and its coefficient is
+    # rounding noise, which no Chebyshev degree resolves against its own
+    # size; the noise floor, set by the terms that cancel, resolves it.
+    gauge = round_s3_chart()
+    psi = constant_field(np.array([0.6 - 0.2j, 0.3 + 0.7j]), weight=0)
+    d = KillingDatum(psi, constant_field(0.25 + 0j, weight=-1), build_representation(3))
+    x0 = np.array([0.1, 0.2, 1.2])
+    out = killing_transport(gauge, d, x0, np.array([0.0, 0.0, 0.3]))
+    want = psi(x0)
+    assert np.linalg.norm(out["transported"] - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_import_loads_no_scipy():

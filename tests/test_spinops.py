@@ -160,8 +160,8 @@ def test_metric_derivative_agrees_when_theta_vanishes():
     rng = np.random.default_rng(61)
     n = 3
     base = random_gauge(71, n)
-    g = Gauge.from_polys(base.metric_polys, [Poly([], n)] * n,
-                         domain=base.domain, name="theta-zero")
+    g = Gauge(n, base.metric, constant_field(np.zeros(n), weight=None),
+              domain=base.domain, name="theta-zero")
     rep = build_representation(n)
     field = rand_spinor_field(rng, n, rep.dim, weight=1)
     for x in g.sample_points(rng, 3):
