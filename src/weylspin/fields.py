@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "jet_einsum",
     "jet_stack",
     "jet_transpose",
+    "CholeskyDifferential",
     "jet_cholesky",
     "jet_lower_inverse",
     "Poly",
@@ -602,38 +603,83 @@ def _pairs(slots, n):
     return slots[..., n:, :, :].reshape(slots.shape[:-3] + (n, n) + slots.shape[-2:])
 
 
-def jet_cholesky(gram):
-    """Lower-triangular jet L with L Lᵀ = gram (symmetric positive definite).
+class CholeskyDifferential:
+    """The Cholesky factor L of a symmetric positive definite matrix jet
+    G = L Lᵀ, its inverse transpose S = L⁻ᵀ, and their derivatives.
 
     Closed form (Murray, "Differentiation of the Cholesky decomposition",
     arXiv:1602.07527): with Phi taking the lower triangle at half weight on
-    the diagonal, X_a = L⁻¹ ∂_a G L⁻ᵀ and F_a = Phi(X_a),
+    the diagonal, X_a = Sᵀ ∂_aG S and F_a = Phi(X_a),
 
-        ∂_a L = L F_a,
-        ∂_b ∂_a L = L (F_b F_a + Phi(L⁻¹ ∂_b ∂_a G L⁻ᵀ - F_b X_a - X_a F_bᵀ)).
+        ∂_bF_a = Phi(Sᵀ ∂_b∂_aG S - F_b X_a - X_a F_bᵀ),
+        ∂_aL = L F_a,       ∂_b∂_aL = L (F_b F_a + ∂_bF_a),
+        ∂_aS = -S F_aᵀ,     ∂_b∂_aS = S (F_a F_b - ∂_bF_a)ᵀ.
 
-    Every derivative slot is one batch entry of the same products.  A
-    batched gram factors point by point.  Raises ValueError when the
-    matrix is not positive definite at a point.
+    ``L`` and ``S`` hold the values; ``F``, built on its first read, is
+    the jet [a, i, j] of F_a, one order below G's (None for a value G),
+    whose gradient is ∂_bF_a.
+    ``factor()`` and ``inverse_transpose()`` give the jets of L and S at
+    G's order.  Every derivative slot is one batch entry of the same
+    products.  A batched G factors point by point.  Raises ValueError
+    when G is not positive definite at a point.
     """
-    try:
-        L = np.linalg.cholesky(gram.v)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive definite at this point") from None
-    if gram.order == 0:
-        return Jet._make(L[..., None], None, gram.nb)
-    n = L.shape[-1]
-    phi = _half_lower(n)
-    M = _lower_inverse(L)
-    X = contract("...ij,...zjk,...lk->...zil", M, _slots_first(gram), M)
-    Xa = X[..., :n, :, :]
-    F = Xa * phi
-    if gram.order == 2:
-        FX, FF = contract("...bij,...sajk->s...abik", F, np.stack([Xa, F], axis=-4))
-        XF = contract("...aij,...bkj->...abik", Xa, F)
-        W = FF + (_pairs(X, n) - FX - XF) * phi
-        F = np.concatenate([F, W.reshape(W.shape[:-4] + (n * n, n, n))], axis=-3)
-    return _from_slots(L, contract("...ij,...zjk->...zik", L, F), gram.nb)
+
+    def __init__(self, gram):
+        try:
+            L = np.linalg.cholesky(gram.v)
+        except np.linalg.LinAlgError:
+            raise ValueError("matrix is not positive definite at this point") from None
+        M = _lower_inverse(L)
+        self.L, self.S, self._nb = L, np.swapaxes(M, -1, -2), gram.nb
+        self._F = self._dF = self._FF = None
+        if gram.order == 0:
+            return
+        n = L.shape[-1]
+        phi = _half_lower(n)
+        X = contract("...ij,...zjk,...lk->...zil", M, _slots_first(gram), M)
+        Xa = X[..., :n, :, :]
+        F = self._F = Xa * phi
+        if gram.order == 2:
+            FX, self._FF = contract("...bij,...sajk->s...abik", F, np.stack([Xa, F], axis=-4))
+            XF = contract("...aij,...bkj->...abik", Xa, F)
+            self._dF = (_pairs(X, n) - FX - XF) * phi  # [a, b, i, j] = ∂_bF_a
+
+    @cached_property
+    def F(self):
+        F, dF = self._F, self._dF
+        if F is None:
+            return None
+        if dF is None:
+            return Jet._make(F[..., None], None, self._nb)
+        packed = np.concatenate([F[..., :, None, :, :], dF], axis=-3)
+        return Jet._make(np.moveaxis(packed, -3, -1), F.shape[-1], self._nb)
+
+    def _jet(self, value, spec, sign, FF):
+        # The jet whose slots are contract(spec, value, D), with D_a = sign F_a
+        # and D_ab = FF_ab + sign ∂_bF_a.
+        if self._F is None:
+            return Jet._make(value[..., None], None, self._nb)
+        D = sign * self._F
+        if FF is not None:
+            n = value.shape[-1]
+            W = FF + sign * self._dF
+            D = np.concatenate([D, W.reshape(W.shape[:-4] + (n * n, n, n))], axis=-3)
+        return _from_slots(value, contract(spec, value, D), self._nb)
+
+    def factor(self):
+        """The jet of L, lower triangular."""
+        return self._jet(self.L, "...ij,...zjk->...zik", 1.0, self._FF)
+
+    def inverse_transpose(self):
+        """The jet of S = L⁻ᵀ, upper triangular."""
+        FF = None if self._FF is None else np.swapaxes(self._FF, -4, -3)
+        return self._jet(self.S, "...ij,...zkj->...zik", -1.0, FF)
+
+
+def jet_cholesky(gram):
+    """Lower-triangular jet L with L Lᵀ = gram (symmetric positive definite),
+    by ``CholeskyDifferential``."""
+    return CholeskyDifferential(gram).factor()
 
 
 def jet_lower_inverse(L):

@@ -157,7 +157,8 @@ class SuiteConfig:
     ``weights`` are exact rationals given as ints, Fractions, or strings
     like "1/2".  ``tolerances`` overrides the per-check defaults.
     ``checks`` restricts the run to the named checks (prefixes allowed);
-    None means all.
+    None means all.  Tolerance keys and check names are resolved against
+    the registry here, so a config that loads can run.
     """
 
     dims: tuple = (2, 3, 4)
@@ -204,6 +205,8 @@ class SuiteConfig:
         object.__setattr__(self, "margin", float(self.margin))
         tols = {}
         for k, v in dict(self.tolerances).items():
+            if str(k) not in CHECKS:
+                fail("tolerances", f"tolerance override for unknown check {k!r}")
             try:
                 v = float(v)
             except (TypeError, ValueError):
@@ -214,8 +217,10 @@ class SuiteConfig:
         object.__setattr__(self, "tolerances", tols)
         if self.checks is not None:
             sel = tuple(str(c) for c in self.checks)
-            if not sel:
-                fail("checks", "empty selection (use null/None for all checks)")
+            try:
+                resolve_checks(sel)
+            except ValueError as e:
+                fail("checks", str(e))
             object.__setattr__(self, "checks", sel)
 
     def fractions(self):
@@ -933,9 +938,6 @@ def _sweep_rows(config, sweep):
 def run_suite(config=None, checks=None):
     """Run the selected checks and return the sorted report."""
     config = config if config is not None else SuiteConfig()
-    for k in config.tolerances:
-        if k not in CHECKS:
-            raise ValueError(f"tolerance override for unknown check {k!r}")
     keys = resolve_checks(checks if checks is not None else config.checks)
     records = []
     for sweep in dict.fromkeys(CHECKS[k].sweep for k in keys):

@@ -87,9 +87,9 @@ def _spin_connection(pack, rep):
     A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta.  A
     weight-w field adds (w - 1/2) theta_i (``_weighted``), so one
     connection serves every weight."""
-    A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.slot_products(2))
-    theta_cliff = jet_einsum("k,kst->st", pack.theta_frame, rep.gammas)
-    return A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas, theta_cliff)
+    gg = rep.slot_products(2)
+    A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * gg)
+    return A - jet_einsum("k,iksu->isu", pack.theta_frame, 0.5 * gg)
 
 
 def _weighted(pack, rep, conn, weight):

@@ -18,11 +18,10 @@ import numpy as np
 from .clifford import Density, SlotTensor
 from .fields import (
     ChartField,
+    CholeskyDifferential,
     constant_field,
     contract,
-    jet_cholesky,
     jet_einsum,
-    jet_lower_inverse,
     jet_transpose,
     polynomial_field,
 )
@@ -111,15 +110,29 @@ class FramePack:
     member is built from them on its first read and then kept.  Jets
     (value + derivatives) unless noted:
       G, TH            metric and theta
+      cholesky         the ``CholeskyDifferential`` of G: the values of L
+                       and S, and the jet of F_a = Phi(Sᵀ ∂_aG S)
       L, S             Cholesky factor and its inverse transpose; the
                        columns of S are the orthonormal frame vectors
       Ginv             inverse metric
-      gam_lc, gam_weyl Christoffels [k, i, j] with i the direction slot
+      gam1             first-kind Christoffels [d, a, c] =
+                       (∂_a g_dc + ∂_c g_da - ∂_d g_ac) / 2
+      gam_lc, gam_weyl Christoffels [k, i, j] with i the direction slot;
+                       gam_lc = Ginv gam1
       omega_lc_frame   metric spin rotation [k, l, j] = g(D_{s_j} s_k, s_l)
       theta_frame      [i] = theta(s_i)
       omega_weyl       jet [j, k, i]: full-connection frame coefficients
                        (D_{s_i} s_j = sum_k omega_weyl[j, k, i] s_k)
       faraday_chart, faraday_frame  d(theta) as order-0 jets (values)
+
+    The frame and its spin rotation come in closed form from the Cholesky
+    differential: ∂_aS = -S F_aᵀ, ∂_b∂_aS = S (F_a F_b - ∂_bF_a)ᵀ, and
+
+        omega_lc_frame[k, l, j] = sum_a ((Sᵀ gam1_a S)[l, k] - F_a[k, l]) S[a, j],
+
+    with gam1_a the matrix [d, c] of gam1 at direction a.  Neither reads
+    the inverse metric: Ginv and gam_lc serve gam_weyl, and Ginv also the
+    trace check of ``connection_residuals``.
 
     Orders follow the input jets.  L and S take the order of G and TH;
     the connection members, Ginv to omega_weyl, one order less, since the
@@ -151,15 +164,19 @@ class FramePack:
 
     def frame_components(self, X):
         """Chart vector -> components in the orthonormal frame."""
-        return np.swapaxes(self.L.v, -1, -2) @ np.asarray(X, dtype=float)
+        return np.swapaxes(self.cholesky.L, -1, -2) @ np.asarray(X, dtype=float)
+
+    @cached_property
+    def cholesky(self):
+        return CholeskyDifferential(self.G)
 
     @cached_property
     def L(self):
-        return jet_cholesky(self.G)
+        return self.cholesky.factor()
 
     @cached_property
     def S(self):
-        return jet_transpose(jet_lower_inverse(self.L), (1, 0))
+        return self.cholesky.inverse_transpose()
 
     @cached_property
     def Ginv(self):
@@ -167,10 +184,13 @@ class FramePack:
         return jet_einsum("ai,bi->ab", S, S)
 
     @cached_property
-    def gam_lc(self):
+    def gam1(self):
         Gd = self.G.gradient()  # [a, b, c] = d_c g_ab
-        term = jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1))
-        return 0.5 * jet_einsum("kl,lij->kij", self.Ginv, term)
+        return 0.5 * (jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1)))
+
+    @cached_property
+    def gam_lc(self):
+        return jet_einsum("kl,lij->kij", self.Ginv, self.gam1)
 
     @cached_property
     def gam_weyl(self):
@@ -184,12 +204,10 @@ class FramePack:
 
     @cached_property
     def omega_lc_frame(self):
-        # Metric spin rotation: project the frame derivative back onto the frame.
-        S = self.S
-        V = S.gradient() + jet_einsum("bac,ci->bia", self.gam_lc, S)  # (D_a s_i)^b, [b, i, a]
-        W1 = jet_einsum("bc,bka->cka", self.G, V)
-        omega_chart = jet_einsum("cka,cl->kla", W1, S)  # [k, l, a] = g(D_a s_k, s_l)
-        return jet_einsum("kla,aj->klj", omega_chart, S)
+        # g(D_a s_k, s_l) = (Sᵀ gam1_a S)[l, k] - F_a[k, l], then along s_j.
+        S = self._low(self.S)
+        W = jet_einsum("dl,dac,ck->akl", S, self.gam1, S) - self.cholesky.F
+        return jet_einsum("akl,aj->klj", W, S)
 
     @cached_property
     def theta_frame(self):

@@ -6,7 +6,10 @@ symbolically, and ``finite_difference_jet`` takes central differences of
 any function.  The package's batched polynomial evaluator and its jet
 calculus are checked against them.  ``metric_curvature`` takes the
 metric-part curvature straight from the Christoffels of a frame pack, the
-route the package's curvature does not take.  ``LeibnizJet`` and
+route the package's curvature does not take.  ``inverse_route_rotation``
+takes the frame and its spin rotation through the inverse jet of the
+Cholesky factor and the inverse metric, the route the package's frame pack
+does not take.  ``LeibnizJet`` and
 ``leibniz_einsum`` keep a jet's value, gradient and Hessian as three
 arrays and combine them term by term, one contraction per Leibniz term:
 the reference for the package's packed jets.  They share only the
@@ -19,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from weylspin.fields import Jet, Poly, contract
+from weylspin.fields import (Jet, Poly, contract, jet_cholesky, jet_einsum,
+                             jet_lower_inverse, jet_transpose)
 
 
 def poly_jet(p, point):
@@ -129,6 +133,25 @@ def metric_curvature(pack):
     f_chart = np.swapaxes(dth, -1, -2) - dth
     faraday = np.einsum("...ab,...ai,...bj->...ij", f_chart, S, S)
     return rprime, np.einsum("...abca->...bc", rprime), faraday
+
+
+def inverse_route_rotation(pack):
+    """The frame jet S and the metric spin rotation omega_lc_frame of a
+    frame pack, by the inverse route: S is the transposed inverse jet of
+    the Cholesky factor, and omega[k, l, j] = g(D_{s_j} s_k, s_l) projects
+    the frame derivative (D_a s_k)^b = d_a S[b, k] + Gamma^b_{ac} S[c, k],
+    with the Christoffels raised by the inverse metric S Sᵀ.  The orders
+    follow the pack's: S at the input jets' order, omega one below.
+    """
+    G = pack.G
+    S = jet_transpose(jet_lower_inverse(jet_cholesky(G)), (1, 0))
+    low = S.truncate(G.order - 1)
+    Ginv = jet_einsum("ai,bi->ab", low, low)
+    Gd = G.gradient()  # [a, b, c] = d_c g_ab
+    term = jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1))
+    gam = 0.5 * jet_einsum("kl,lij->kij", Ginv, term)
+    V = S.gradient() + jet_einsum("bac,ci->bia", gam, S)  # [b, k, a] = (D_a s_k)^b
+    return S, jet_einsum("bc,bka,cl,aj->klj", G, V, low, low)
 
 
 # -- the term-by-term Leibniz calculus ---------------------------------------

@@ -18,6 +18,7 @@ import weylspin
 from weylspin import clifford, fields, harness, killing, spinops, weyl
 from weylspin.fields import (
     ChartField,
+    CholeskyDifferential,
     Jet,
     Poly,
     as_fraction,
@@ -629,7 +630,25 @@ def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
         monkeypatch.setattr(mod, "contract", counting)
     assert weylspin.run_suite(config).passed
     harness._GROUP_CACHE.clear()
-    assert len(calls) <= 5500, len(calls)
+    assert len(calls) <= 4800, len(calls)
+
+
+def test_a_transport_fits_the_contract_budget(monkeypatch):
+    # A first transport fills the representation's slot_products.
+    gauge, datum, _ = example_parallel_zero(1.0, 0.25j)
+    x0, v = np.array([-0.3, 0.1]), np.array([0.6, 0.8])
+    weylspin.killing_transport(gauge, datum, x0, v, length=0.8)
+    calls = []
+
+    def counting(spec, *ops):
+        calls.append(spec)
+        return contract(spec, *ops)
+
+    for mod in _CONTRACT_MODULES:
+        monkeypatch.setattr(mod, "contract", counting)
+    out = weylspin.killing_transport(gauge, datum, x0, v, length=0.8)
+    assert out["residual"] < 1e-12
+    assert len(calls) <= 18, len(calls)
 
 
 def test_contract_on_broadcast_mixed_and_chained_operands():
@@ -735,6 +754,14 @@ def test_jet_cholesky_and_lower_inverse():
     assert np.allclose(eye.v, np.eye(n), atol=1e-12)
     assert np.allclose(eye.g, 0.0, atol=1e-11)
     assert np.allclose(eye.h, 0.0, atol=1e-10)
+    # The differential's inverse transpose, at every order of G.
+    for order in (0, 1, 2):
+        chol = CholeskyDifferential(G.truncate(order))
+        S = chol.inverse_transpose()
+        want = jet_transpose(jet_lower_inverse(L.truncate(order)), (1, 0))
+        assert S.order == order and (chol.F is None) == (order == 0)
+        assert np.abs(S.d - want.d).max() <= 1e-13 * np.abs(want.d).max()
+        assert np.abs(chol.factor().d - L.truncate(order).d).max() <= 1e-15 * np.abs(L.d).max()
 
 
 def test_jet_cholesky_rejects_indefinite():

@@ -74,6 +74,10 @@ def test_config_defaults_and_canonical_weights():
     ("tolerances", dict(tolerances={"lichnerowicz": "tight"})),
     ("dims", dict(dims=(2, 3, 2))),
     ("weights", dict(weights=("1/2", Fraction(1, 2)))),
+    ("checks", dict(checks=("nope",))),
+    ("checks", dict(checks=("",))),
+    ("checks", dict(checks=("lichnerowicz", " "))),
+    ("tolerances", dict(tolerances={"bogus": 1e-9})),
 ])
 def test_config_field_validation(field, kwargs):
     with pytest.raises(ValueError, match=f"config field '{field}'"):
@@ -103,6 +107,13 @@ def test_load_config(tmp_path):
     assert "line 1" in str(err.value) and str(path) in str(err.value)
     path.write_text(json.dumps({"bogus": 1}))
     with pytest.raises(ValueError, match="unknown config field"):
+        load_config(path)
+    # Check names and tolerance keys are validated on load, not on run.
+    path.write_text(json.dumps({"checks": ["nope"]}))
+    with pytest.raises(ValueError, match="config field 'checks': unknown check 'nope'"):
+        load_config(path)
+    path.write_text(json.dumps({"tolerances": {"nope": 1e-9}}))
+    with pytest.raises(ValueError, match="config field 'tolerances'.*unknown check 'nope'"):
         load_config(path)
 
 
@@ -476,6 +487,9 @@ def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
     path.write_text('{"dims": [2],}')
     assert main(["verify", "--config", str(path)]) == 2
     assert "line 1" in capsys.readouterr().err
+    path.write_text(json.dumps({"checks": ["nope"]}))
+    assert main(["verify", "--config", str(path)]) == 2
+    assert "config field 'checks': unknown check 'nope'" in capsys.readouterr().err
 
 
 # -- polynomial fields of the draw path ------------------------------------------

@@ -409,6 +409,8 @@ def test_transport_builds_only_the_connection_members(monkeypatch):
     assert all(set(vars(full)) == {"n", "G", "TH"} for full in packs[::2])
     built = set().union(*map(vars, packs))
     assert built.isdisjoint({"gam_weyl", "omega_weyl", "faraday_chart", "faraday_frame"})
+    # The spin rotation comes from the Cholesky differential alone.
+    assert built.isdisjoint({"Ginv", "gam_lc", "L"})
     assert "omega_lc_frame" in built
 
 

@@ -22,7 +22,7 @@ from weylspin.weyl import (
     weyl_christoffels,
 )
 
-from oracles import finite_difference_jet, metric_curvature
+from oracles import finite_difference_jet, inverse_route_rotation, metric_curvature
 
 
 def plane_form_gauge():
@@ -178,7 +178,7 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
     g = random_gauge(24, 3)
     pts = g.sample_points(np.random.default_rng(3), 4)
     pack = weyl_christoffels(g, pts)
-    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "Ginv": 1, "gam_lc": 1, "gam_weyl": 1,
+    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "Ginv": 1, "gam1": 1, "gam_lc": 1, "gam_weyl": 1,
               "omega_lc_frame": 1, "theta_frame": 1, "omega_weyl": 1,
               "faraday_chart": 0, "faraday_frame": 0}
     assert {name: getattr(pack, name).order for name in orders} == orders
@@ -203,11 +203,38 @@ def test_frame_pack_builds_each_member_once_on_first_read():
     pack = weyl_christoffels(g, g.sample_points(np.random.default_rng(5), 3))
     assert set(vars(pack)) == {"n", "G", "TH"}
     first = pack.omega_lc_frame
-    assert "gam_weyl" not in vars(pack) and "omega_weyl" not in vars(pack)
+    # The spin rotation reads the Cholesky differential, not the inverse metric.
+    assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "S", "gam1", "omega_lc_frame"}
     assert pack.omega_lc_frame is first
-    for name in ("L", "S", "Ginv", "gam_lc", "gam_weyl", "theta_frame", "omega_weyl",
-                 "faraday_chart", "faraday_frame"):
+    for name in ("cholesky", "L", "S", "Ginv", "gam1", "gam_lc", "gam_weyl", "theta_frame",
+                 "omega_weyl", "faraday_chart", "faraday_frame"):
         assert getattr(pack, name) is getattr(pack, name), name
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_frame_and_spin_rotation_match_the_inverse_route(n):
+    g = random_gauge(30 + n, n)
+    full = weyl_christoffels(g, g.sample_points(np.random.default_rng(n), 6))
+    for pack in (full, full.truncate(1)):
+        S, omega = inverse_route_rotation(pack)
+        for got, want in ((pack.S, S), (pack.omega_lc_frame, omega)):
+            assert got.order == want.order
+            assert np.abs(got.d - want.d).max() <= 1e-13 * np.abs(want.d).max()
+        # A metric connection: omega is antisymmetric in (k, l) in every slot.
+        w = pack.omega_lc_frame.d
+        assert np.abs(w + np.swapaxes(w, -4, -3)).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_frame_derivatives_match_finite_differences(n):
+    g = random_gauge(40 + n, n)
+    x = g.sample_points(np.random.default_rng(n), 1)[0]
+    S = weyl_christoffels(g, x).S
+    fd = finite_difference_jet(lambda y: np.linalg.inv(np.linalg.cholesky(g.metric(y))).T,
+                               x, 1e-5)
+    assert np.abs(S.v - fd.v).max() <= 1e-15
+    assert np.abs(S.g - fd.g).max() <= 1e-9
+    assert np.abs(S.h - fd.h).max() <= 1e-4
 
 
 def test_faraday_is_gauge_invariant_and_matches_differences():
