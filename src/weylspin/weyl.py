@@ -11,7 +11,7 @@ conformal change of gauge as a weight tag.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -103,6 +103,18 @@ class Gauge:
         return f"Gauge(n={self.n}, name={self.name!r})"
 
 
+@lru_cache(maxsize=None)
+def _theta_tensor(n):
+    """T[m, j, k, i] = d_mi d_jk + d_mj d_ik - d_ij d_mk (read-only): theta's
+    part of the Weyl connection, omega_weyl - omega_lc_frame =
+    sum_m theta_frame[m] T[m, j, k, i]."""
+    E = np.eye(n)
+    T = (E[:, None, None, :] * E[None, :, :, None] + E[:, :, None, None] * E[None, None]
+         - E[None, :, None, :] * E[:, None, :, None])
+    T.flags.writeable = False
+    return T
+
+
 class FramePack:
     """Frame, Christoffel, and spin-rotation data of a gauge at one point.
 
@@ -122,7 +134,9 @@ class FramePack:
       omega_lc_frame   metric spin rotation [k, l, j] = g(D_{s_j} s_k, s_l)
       theta_frame      [i] = theta(s_i)
       omega_weyl       jet [j, k, i]: full-connection frame coefficients
-                       (D_{s_i} s_j = sum_k omega_weyl[j, k, i] s_k)
+                       (D_{s_i} s_j = sum_k omega_weyl[j, k, i] s_k),
+                       omega_lc_frame + sum_m theta_frame[m] T[m, j, k, i]
+                       with T = ``_theta_tensor(n)``
       faraday_chart, faraday_frame  d(theta) as order-0 jets (values)
 
     The frame and its spin rotation come in closed form from the Cholesky
@@ -131,8 +145,12 @@ class FramePack:
         omega_lc_frame[k, l, j] = sum_a ((Sᵀ gam1_a S)[l, k] - F_a[k, l]) S[a, j],
 
     with gam1_a the matrix [d, c] of gam1 at direction a.  Neither reads
-    the inverse metric: Ginv and gam_lc serve gam_weyl, and Ginv also the
-    trace check of ``connection_residuals``.
+    the inverse metric.  Readers: S, omega_weyl and the Faraday forms serve
+    ``curvature`` and the spinor derivative; the Killing transport reads
+    the first-order pack's frame, omega_lc_frame and theta_frame.  gam_weyl
+    serves only ``connection_residuals`` and the Hessian identity check;
+    Ginv and gam_lc serve gam_weyl, and Ginv also the trace check of
+    ``connection_residuals``.
 
     Orders follow the input jets.  L and S take the order of G and TH;
     the connection members, Ginv to omega_weyl, one order less, since the
@@ -219,12 +237,8 @@ class FramePack:
 
     @cached_property
     def omega_weyl(self):
-        E = np.eye(self.n)
-        th = self.theta_frame
-        return (self.omega_lc_frame
-                + jet_einsum("i,jk->jki", th, E)
-                + jet_einsum("j,ik->jki", th, E)
-                - jet_einsum("ij,k->jki", E, th))
+        return self.omega_lc_frame + jet_einsum("m,mjki->jki", self.theta_frame,
+                                                _theta_tensor(self.n))
 
     @cached_property
     def faraday_chart(self):
@@ -261,21 +275,10 @@ def faraday(gauge):
     return ChartField(0, fn)
 
 
-def _curvature_coeffs(gv, gg):
-    """R^l_{kij} at [..., l, k, i, j] from Christoffel values [..., k, i, j]
-    (i = direction) and their derivatives [..., k, i, j, c]."""
-    d_i = contract("...ljki->...lkij", gg)  # d_i Gamma^l_{jk}
-    d_j = contract("...likj->...lkij", gg)  # d_j Gamma^l_{ik}
-    quad_i = contract("...lim,...mjk->...lkij", gv, gv)
-    quad_j = contract("...ljm,...mik->...lkij", gv, gv)
-    return d_i - d_j + quad_i - quad_j
-
-
 CurvatureBundle = namedtuple(
     "CurvatureBundle",
     [
         "rfull",          # SlotTensor, frame components R(s_a, s_b, s_c, s_d)
-        "rfull_chart",    # ndarray, all-lowered chart components
         "rprime",         # SlotTensor, metric-part curvature R - F (x) delta
         "faraday",        # SlotTensor, frame components of d(theta)
         "faraday_chart",  # ndarray
@@ -289,26 +292,35 @@ CurvatureBundle = namedtuple(
 def curvature(gauge, point, pack=None):
     """Frame curvature data of the Weyl connection at a chart point.
 
-    The full curvature R comes from the Weyl Christoffels; its metric
-    part is R' = R - F (x) delta and Ric' = Ric + F, with F the frame
-    Faraday form.  ``pack`` lets callers reuse frame data already
-    computed at the point.  At a (P, n) array of points every component
-    array carries a leading point axis and the scalar curvature is an
-    array.
+    The full curvature comes from the frame connection alone, by Cartan's
+    second structure equation on omega = ``pack.omega_weyl``.  With
+    s_i = sum_a S[a, i] d_a and the torsion-free bracket
+    [s_i, s_l] = sum_m (omega[l, m, i] - omega[i, m, l]) s_m,
+
+        A[i, l, j, k] = s_i(omega[j, k, l]) + sum_m omega[j, m, l] omega[m, k, i]
+                        - sum_m omega[l, m, i] omega[j, k, m]
+
+    and R(s_i, s_l) s_j = sum_k (A[i, l, j, k] - A[l, i, j, k]) s_k.  Its
+    metric part is R' = R - F (x) delta and Ric' = Ric + F, with F the
+    frame Faraday form.  So curvature reads S, omega_weyl and the Faraday
+    forms, and builds neither the inverse metric nor a chart Christoffel
+    of the second kind.  ``pack`` lets callers reuse frame data already
+    computed at the point; it must carry the connection's first
+    derivatives (a second-order pack).  At a (P, n) array of points every
+    component array carries a leading point axis and the scalar curvature
+    is an array.
     """
     if pack is None:
         pack = weyl_christoffels(gauge, point)
-    n = gauge.n
-    E = np.eye(n)
-    Sv = pack.S.v
-    gam = pack.gam_weyl
-    r_chart = contract("...mkij,...ml->...ijkl", _curvature_coeffs(gam.v, gam.g), pack.G.v)
-    # One frame index at a time: four small contractions instead of a
-    # five-operand einsum.
-    r_frame = contract("...ijkl,...ld->...ijkd", r_chart, Sv)
-    r_frame = contract("...ijkd,...kc->...ijcd", r_frame, Sv)
-    r_frame = contract("...ijcd,...jb->...ibcd", r_frame, Sv)
-    r_frame = contract("...ibcd,...ia->...abcd", r_frame, Sv)
+    om = pack.omega_weyl
+    if om.order < 1:
+        raise ValueError("curvature needs the connection's first derivatives: "
+                         "pass a second-order frame pack")
+    E = np.eye(gauge.n)
+    A = (contract("...ai,...jkla->...iljk", pack.S.v, om.g)
+         + contract("...jml,...mki->...iljk", om.v, om.v)
+         - contract("...lmi,...jkm->...iljk", om.v, om.v))
+    r_frame = A - np.swapaxes(A, -4, -3)
     Ff = pack.faraday_frame.v
     ric = contract("...abca->...bc", r_frame)
     scal = np.trace(ric, axis1=-2, axis2=-1)
@@ -316,7 +328,6 @@ def curvature(gauge, point, pack=None):
         scal = float(scal)
     return CurvatureBundle(
         rfull=SlotTensor(r_frame, -2),
-        rfull_chart=r_chart,
         rprime=SlotTensor(r_frame - contract("...ab,cd->...abcd", Ff, E), -2),
         faraday=SlotTensor(Ff, -2),
         faraday_chart=pack.faraday_chart.v,

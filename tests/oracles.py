@@ -9,7 +9,8 @@ metric-part curvature straight from the Christoffels of a frame pack, the
 route the package's curvature does not take.  ``inverse_route_rotation``
 takes the frame and its spin rotation through the inverse jet of the
 Cholesky factor and the inverse metric, the route the package's frame pack
-does not take.  ``LeibnizJet`` and
+does not take.  ``round_gauge`` gives the round sphere and the hyperbolic
+ball, whose curvature is known in closed form.  ``LeibnizJet`` and
 ``leibniz_einsum`` keep a jet's value, gradient and Hessian as three
 arrays and combine them term by term, one contraction per Leibniz term:
 the reference for the package's packed jets.  They share only the
@@ -22,8 +23,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from weylspin.fields import (Jet, Poly, contract, jet_cholesky, jet_einsum,
-                             jet_lower_inverse, jet_transpose)
+from weylspin.fields import (ChartField, Jet, Poly, constant_field, contract, jet_cholesky,
+                             jet_einsum, jet_lower_inverse, jet_transpose)
+from weylspin.weyl import Gauge, change_gauge
 
 
 def poly_jet(p, point):
@@ -133,6 +135,19 @@ def metric_curvature(pack):
     f_chart = np.swapaxes(dth, -1, -2) - dth
     faraday = np.einsum("...ab,...ai,...bj->...ij", f_chart, S, S)
     return rprime, np.einsum("...abca->...bc", rprime), faraday
+
+
+def round_gauge(n, family):
+    """The round sphere (``family`` "sphere") or the hyperbolic ball
+    ("ball") in a stereographic chart: the metric exp(2 f) delta with
+    f = log 2 - log(1 + K |x|^2) and theta = 0, of constant sectional
+    curvature K = 1 or -1.  Returns the gauge, f and K."""
+    K = 1.0 if family == "sphere" else -1.0
+    f = ChartField(0, lambda X: np.log(2.0)
+                   - (1.0 + K * sum(X[a] * X[a] for a in range(n))).log())
+    gauge = Gauge(n, change_gauge(Gauge.flat(n), f).metric,
+                  constant_field(np.zeros(n), weight=None))
+    return gauge, f, K
 
 
 def inverse_route_rotation(pack):

@@ -31,6 +31,8 @@ from weylspin.spinops import (GateError, dirac, gauge_transport_spinor, polynomi
                               twistor)
 from weylspin.weyl import Gauge, change_gauge, weyl_christoffels
 
+from oracles import round_gauge
+
 
 def sample(seed, n=2, count=12):
     return np.random.default_rng(seed).uniform(-1, 1, (count, n))
@@ -260,11 +262,7 @@ def round_killing_datum(n, family, sign, seed):
     with the constant density c/2, where c = sign on the sphere and
     sign * i on the ball."""
     rep = build_representation(n)
-    curv = 1.0 if family == "sphere" else -1.0
-    f = ChartField(0, lambda X: np.log(2.0)
-                   - (1.0 + curv * sum(X[a] * X[a] for a in range(n))).log())
-    gauge = Gauge(n, change_gauge(Gauge.flat(n), f).metric,
-                  constant_field(np.zeros(n), weight=None))
+    gauge, f, _ = round_gauge(n, family)
     c = sign * (1.0 if family == "sphere" else 1j)
     phi0 = [1.0, 1j] @ np.random.default_rng(seed).normal(size=(2, rep.dim))
     half = Fraction(1, 2)

@@ -8,7 +8,6 @@ from weylspin.fields import (
     jet_einsum,
     polynomial_field,
 )
-from weylspin import weyl
 from weylspin.harness import random_gauge
 from weylspin.weyl import (
     Gauge,
@@ -22,7 +21,7 @@ from weylspin.weyl import (
     weyl_christoffels,
 )
 
-from oracles import finite_difference_jet, inverse_route_rotation, metric_curvature
+from oracles import finite_difference_jet, inverse_route_rotation, metric_curvature, round_gauge
 
 
 def plane_form_gauge():
@@ -109,42 +108,71 @@ def test_connection_residuals_on_random_gauges():
 
 
 def test_curvature_internal_cross_routes():
-    # The package derives R' and Ric' from R by the Faraday correction;
-    # the oracle takes them straight from the Christoffels.
+    # The package takes R from the frame connection by Cartan's structure
+    # equation and derives R' and Ric' by the Faraday correction; the
+    # oracle takes R' straight from the chart Christoffels.
     rng = np.random.default_rng(3)
-    for n, seed in ((2, 11), (3, 12), (4, 13)):
+    for n, seed in ((2, 11), (3, 12), (4, 13), (5, 14), (6, 15)):
         g = random_gauge(seed, n)
         pts = g.sample_points(rng, 3)
         for x in (*pts, pts):
             nb = np.ndim(x) - 1
             b = curvature(g, x)
             rp, ric_p, F = metric_curvature(weyl_christoffels(g, x))
+            rfull = rp + np.einsum("...ab,cd->...abcd", F, np.eye(n))
+            scalar = np.trace(ric_p, axis1=-2, axis2=-1)
             ric = b.ric.comp
             res = {
+                "rfull": relative_residual(b.rfull.comp - rfull, b.rfull.comp, rfull, batch=nb),
                 "rprime": relative_residual(b.rprime.comp - rp, b.rprime.comp, rp, batch=nb),
                 "ric-prime": relative_residual(b.ric_prime.comp - ric_p, b.ric_prime.comp,
                                                ric_p, batch=nb),
+                "scalar": relative_residual(b.scalar.value - scalar, b.scalar.value, scalar,
+                                            batch=nb),
                 "ric-antisymmetry": relative_residual(
                     0.5 * (ric - np.swapaxes(ric, -1, -2)) + 0.5 * n * F, ric, F, batch=nb),
             }
             assert all(np.max(v) < 1e-9 for v in res.values()), res
 
 
-def test_curvature_takes_one_route(monkeypatch):
-    calls = []
-    coeffs = weyl._curvature_coeffs
-
-    def counted(*args):
-        calls.append(1)
-        return coeffs(*args)
-
-    monkeypatch.setattr(weyl, "_curvature_coeffs", counted)
+def test_curvature_takes_one_route():
+    # The frame route reads omega_weyl, S and the Faraday forms only: no
+    # inverse metric and no second-kind Christoffels.
     g = random_gauge(19, 3)
     pts = g.sample_points(np.random.default_rng(7), 4)
     for x in (pts[0], pts):
-        calls.clear()
-        curvature(g, x)
-        assert len(calls) == 1
+        pack = weyl_christoffels(g, x)
+        curvature(g, x, pack=pack)
+        assert "omega_weyl" in vars(pack)
+        assert vars(pack).keys().isdisjoint({"Ginv", "gam_lc", "gam_weyl"})
+
+
+def test_curvature_rejects_a_first_order_pack():
+    g = random_gauge(20, 3)
+    x = g.sample_points(np.random.default_rng(8), 2)
+    with pytest.raises(ValueError, match="first derivatives"):
+        curvature(g, x, pack=weyl_christoffels(g, x).truncate(1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", ["sphere", "ball"])
+def test_round_metrics_have_constant_curvature(n, family):
+    # Sectional curvature K: R(s_a, s_b) s_c = K (d_bc s_a - d_ac s_b).
+    gauge, _, K = round_gauge(n, family)
+    rng = np.random.default_rng(60 + n)
+    pts = rng.uniform(-1, 1, (6, n))
+    pts *= 0.9 * rng.random((6, 1)) / np.linalg.norm(pts, axis=1, keepdims=True)
+    b = curvature(gauge, pts)
+    E = np.eye(n)
+    want = {
+        "rfull": K * (np.einsum("bc,ad->abcd", E, E) - np.einsum("ac,bd->abcd", E, E)),
+        "ric": K * (n - 1) * E,
+        "scalar": K * n * (n - 1),
+    }
+    got = {"rfull": b.rfull.comp, "ric": b.ric.comp, "scalar": b.scalar.value}
+    for key, val in want.items():
+        assert np.abs(got[key] - val).max() <= 1e-12 * np.abs(val).max(), key
+    assert np.abs(b.faraday.comp).max() <= 1e-12
 
 
 def test_curvature_accepts_precomputed_pack():
