@@ -3,7 +3,10 @@
 Subcommands: ``verify`` runs the full (or filtered) suite, ``check`` runs
 named checks, ``example`` runs one of the worked closed-form examples.
 Exit status 0 means every executed check passed, 1 means at least one
-residual exceeded its tolerance, 2 means the configuration was invalid.
+residual exceeded its tolerance, 2 means the configuration was invalid,
+and 3 means running the checks raised an error (a ``ValueError`` or a
+``RuntimeError`` such as ``GateError``); errors print as ``error: ...``
+and write no report.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import sys
 
 from .harness import (_SWEEP_INPUTS, CHECKS, EXAMPLES, SuiteConfig, emit_report,
-                      load_config, run_example, run_suite)
+                      load_config, resolve_checks, run_example, run_suite)
 
 
 def _add_common(parser):
@@ -88,15 +91,18 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        if args.command == "verify":
-            report = run_suite(config)
-        elif args.command == "check":
-            report = run_suite(config, checks=list(args.keys))
-        else:
-            report = run_example(args.name, config)
+        checks = resolve_checks(args.keys) if args.command == "check" else None
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    try:
+        if args.command == "example":
+            report = run_example(args.name, config)
+        else:
+            report = run_suite(config, checks=checks)
+    except (ValueError, RuntimeError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 3
     text = emit_report(report, args.format)
     sys.stdout.write(text)
     if args.report:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -611,13 +611,13 @@ class CholeskyDifferential:
     arXiv:1602.07527): with Phi taking the lower triangle at half weight on
     the diagonal, X_a = Sᵀ ∂_aG S and F_a = Phi(X_a),
 
-        ∂_bF_a = Phi(Sᵀ ∂_b∂_aG S - F_b X_a - X_a F_bᵀ),
+        ∂_bX_a = Sᵀ ∂_b∂_aG S - F_b X_a - X_a F_bᵀ,      ∂_bF_a = Phi(∂_bX_a),
         ∂_aL = L F_a,       ∂_b∂_aL = L (F_b F_a + ∂_bF_a),
         ∂_aS = -S F_aᵀ,     ∂_b∂_aS = S (F_a F_b - ∂_bF_a)ᵀ.
 
-    ``L`` and ``S`` hold the values; ``F``, built on its first read, is
-    the jet [a, i, j] of F_a, one order below G's (None for a value G),
-    whose gradient is ∂_bF_a.
+    ``L`` and ``S`` hold the values; ``X`` [a, i, j] = X_a and ``F`` its
+    masked form F_a (None for a value G), and ``dX`` [a, b, i, j] =
+    ∂_bX_a, unmasked (None below a second-order G).
     ``factor()`` and ``inverse_transpose()`` give the jets of L and S at
     G's order.  Every derivative slot is one batch entry of the same
     products.  A batched G factors point by point.  Raises ValueError
@@ -631,40 +631,43 @@ class CholeskyDifferential:
             raise ValueError("matrix is not positive definite at this point") from None
         M = _lower_inverse(L)
         self.L, self.S, self._nb = L, np.swapaxes(M, -1, -2), gram.nb
-        self._F = self._dF = self._FF = None
+        self.X = self.F = self.dX = self._dF = self._FF = None
         if gram.order == 0:
             return
         n = L.shape[-1]
         phi = _half_lower(n)
         X = contract("...ij,...zjk,...lk->...zil", M, _slots_first(gram), M)
-        Xa = X[..., :n, :, :]
-        F = self._F = Xa * phi
+        Xa = self.X = X[..., :n, :, :]
+        F = self.F = Xa * phi
         if gram.order == 2:
             FX, self._FF = contract("...bij,...sajk->s...abik", F, np.stack([Xa, F], axis=-4))
             XF = contract("...aij,...bkj->...abik", Xa, F)
-            self._dF = (_pairs(X, n) - FX - XF) * phi  # [a, b, i, j] = ∂_bF_a
-
-    @cached_property
-    def F(self):
-        F, dF = self._F, self._dF
-        if F is None:
-            return None
-        if dF is None:
-            return Jet._make(F[..., None], None, self._nb)
-        packed = np.concatenate([F[..., :, None, :, :], dF], axis=-3)
-        return Jet._make(np.moveaxis(packed, -3, -1), F.shape[-1], self._nb)
+            self.dX = _pairs(X, n) - FX - XF
+            self._dF = self.dX * phi  # [a, b, i, j] = ∂_bF_a
 
     def _jet(self, value, spec, sign, FF):
         # The jet whose slots are contract(spec, value, D), with D_a = sign F_a
         # and D_ab = FF_ab + sign ∂_bF_a.
-        if self._F is None:
+        if self.F is None:
             return Jet._make(value[..., None], None, self._nb)
-        D = sign * self._F
+        D = sign * self.F
         if FF is not None:
             n = value.shape[-1]
             W = FF + sign * self._dF
             D = np.concatenate([D, W.reshape(W.shape[:-4] + (n * n, n, n))], axis=-3)
         return _from_slots(value, contract(spec, value, D), self._nb)
+
+    def frame_gradient(self):
+        """The jet [j, l, k] of Y_j = sum_a S[a, j] X_a, the derivative of
+        G along the frame vector s_j in frame components, one order below
+        G's (G of order 1 or 2).  Its gradient is ∂_bY_j =
+        sum_a S[a, j] ∂_bX_a - sum_m F_b[j, m] Y_m, since ∂_bS = -S F_bᵀ."""
+        Y = contract("...aj,...alk->...jlk", self.S, self.X)
+        if self.dX is None:
+            return Jet._make(Y[..., None], None, self._nb)
+        dY = (contract("...aj,...ablk->...jlkb", self.S, self.dX)
+              - contract("...bjm,...mlk->...jlkb", self.F, Y))
+        return Jet._make(np.concatenate([Y[..., None], dY], axis=-1), Y.shape[-1], self._nb)
 
     def factor(self):
         """The jet of L, lower triangular."""

@@ -19,6 +19,7 @@ from .clifford import Density, SlotTensor
 from .fields import (
     ChartField,
     CholeskyDifferential,
+    _half_lower,
     constant_field,
     contract,
     jet_einsum,
@@ -123,7 +124,7 @@ class FramePack:
     (value + derivatives) unless noted:
       G, TH            metric and theta
       cholesky         the ``CholeskyDifferential`` of G: the values of L
-                       and S, and the jet of F_a = Phi(Sᵀ ∂_aG S)
+                       and S, X_a = Sᵀ ∂_aG S, F_a = Phi(X_a) and ∂_bX_a
       L, S             Cholesky factor and its inverse transpose; the
                        columns of S are the orthonormal frame vectors
       Ginv             inverse metric
@@ -140,17 +141,21 @@ class FramePack:
       faraday_chart, faraday_frame  d(theta) as order-0 jets (values)
 
     The frame and its spin rotation come in closed form from the Cholesky
-    differential: ∂_aS = -S F_aᵀ, ∂_b∂_aS = S (F_a F_b - ∂_bF_a)ᵀ, and
+    differential: ∂_aS = -S F_aᵀ, ∂_b∂_aS = S (F_a F_b - ∂_bF_a)ᵀ, and,
+    with Y[j, l, k] = sum_a S[a, j] X_a[l, k] the derivative of g along s_j
+    in frame components (``CholeskyDifferential.frame_gradient``),
 
-        omega_lc_frame[k, l, j] = sum_a ((Sᵀ gam1_a S)[l, k] - F_a[k, l]) S[a, j],
+        omega_lc_frame[k, l, j] = (Y[j, l, k] + Y[k, l, j] - Y[l, j, k]) / 2
+                                  - Phi(Y_j)[k, l].
 
-    with gam1_a the matrix [d, c] of gam1 at direction a.  Neither reads
-    the inverse metric.  Readers: S, omega_weyl and the Faraday forms serve
+    Its gradient is the same combination of ∂_bY_j.  So omega_lc_frame
+    reads ``cholesky`` alone: no inverse metric, no Christoffel and not the
+    jet of S.  Readers: S, omega_weyl and the Faraday forms serve
     ``curvature`` and the spinor derivative; the Killing transport reads
     the first-order pack's frame, omega_lc_frame and theta_frame.  gam_weyl
     serves only ``connection_residuals`` and the Hessian identity check;
-    Ginv and gam_lc serve gam_weyl, and Ginv also the trace check of
-    ``connection_residuals``.
+    Ginv and gam_lc serve gam_weyl, gam1 serves gam_lc, and Ginv also the
+    trace check of ``connection_residuals``.
 
     Orders follow the input jets.  L and S take the order of G and TH;
     the connection members, Ginv to omega_weyl, one order less, since the
@@ -222,10 +227,11 @@ class FramePack:
 
     @cached_property
     def omega_lc_frame(self):
-        # g(D_a s_k, s_l) = (Sᵀ gam1_a S)[l, k] - F_a[k, l], then along s_j.
-        S = self._low(self.S)
-        W = jet_einsum("dl,dac,ck->akl", S, self.gam1, S) - self.cholesky.F
-        return jet_einsum("akl,aj->klj", W, S)
+        # Y_j is symmetric, so Y[j, l, k] / 2 - Phi(Y_j)[k, l] is
+        # ((1/2 - Phi) Y_j)[k, l].
+        Y = self.cholesky.frame_gradient()
+        half = (0.5 - _half_lower(self.n))[:, :, None]
+        return 0.5 * (Y - jet_transpose(Y, (2, 0, 1))) + half * jet_transpose(Y, (1, 2, 0))
 
     @cached_property
     def theta_frame(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import weylspin.harness as hz
-from weylspin import fields
+from weylspin import GateError, fields
 from weylspin.cli import main
 from weylspin.harness import (
     CHECKS,
@@ -436,6 +436,25 @@ def test_cli_config_errors(capsys):
     assert main(cli_args("check", "clifford-nu-trace",
                          "--tol", "clifford-nu-trace=x")) == 2
     assert "not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [ValueError("metric is not positive definite"),
+                                   GateError("not a twistor-type field"),
+                                   RuntimeError("transport not resolved")])
+def test_cli_exit_three_when_a_check_raises(error, monkeypatch, capsys):
+    def raising(config):
+        raise error
+
+    cd = hz.CHECKS["example-2d-parallel"]
+    monkeypatch.setitem(hz.CHECKS, "example-2d-parallel", cd._replace(sweep=raising))
+    for argv in (cli_args("check", "example-2d-parallel"),
+                 cli_args("verify", "--checks", "example-2d-parallel"),
+                 cli_args("example", "parallel-zero")):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}\n" and captured.out == ""
+    # A bad config still exits 2, before any check runs.
+    assert main(cli_args("check", "example-2d-parallel", "--margin", "1.5")) == 2
 
 
 def test_cli_rejects_a_blank_check_name(capsys):

@@ -408,7 +408,7 @@ def test_transport_builds_only_the_connection_members(monkeypatch):
     built = set().union(*map(vars, packs))
     assert built.isdisjoint({"gam_weyl", "omega_weyl", "faraday_chart", "faraday_frame"})
     # The spin rotation comes from the Cholesky differential alone.
-    assert built.isdisjoint({"Ginv", "gam_lc", "L"})
+    assert built.isdisjoint({"Ginv", "gam1", "gam_lc", "L"})
     assert "omega_lc_frame" in built
 
 

@@ -231,8 +231,9 @@ def test_frame_pack_builds_each_member_once_on_first_read():
     pack = weyl_christoffels(g, g.sample_points(np.random.default_rng(5), 3))
     assert set(vars(pack)) == {"n", "G", "TH"}
     first = pack.omega_lc_frame
-    # The spin rotation reads the Cholesky differential, not the inverse metric.
-    assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "S", "gam1", "omega_lc_frame"}
+    # The spin rotation reads the Cholesky differential alone: not the
+    # frame jet, the Christoffels or the inverse metric.
+    assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "omega_lc_frame"}
     assert pack.omega_lc_frame is first
     for name in ("cholesky", "L", "S", "Ginv", "gam1", "gam_lc", "gam_weyl", "theta_frame",
                  "omega_weyl", "faraday_chart", "faraday_frame"):
@@ -251,6 +252,41 @@ def test_frame_and_spin_rotation_match_the_inverse_route(n):
         # A metric connection: omega is antisymmetric in (k, l) in every slot.
         w = pack.omega_lc_frame.d
         assert np.abs(w + np.swapaxes(w, -4, -3)).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", ["sphere", "ball"])
+def test_spin_rotation_of_a_round_metric_is_analytic(n, family):
+    # g = exp(2 f) delta with theta = 0 has the frame s_j = exp(-f) d_j and
+    # omega[k, l, j] = exp(-f) (d_jl d_k f - d_jk d_l f).  Here
+    # f = log 2 - log(1 + K |x|^2), differentiated by hand.
+    gauge, _, K = round_gauge(n, family)
+    rng = np.random.default_rng(70 + n)
+    x = rng.uniform(-1, 1, (7, n))
+    x *= 0.9 * rng.random((7, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    q = 1.0 + K * np.sum(x * x, axis=1)
+    e = q / 2.0  # exp(-f)
+    df = -2.0 * K * x / q[:, None]
+    ddf = (-2.0 * K * np.eye(n) / q[:, None, None]
+           + 4.0 * K * K * x[:, :, None] * x[:, None, :] / (q * q)[:, None, None])
+    E = np.eye(n)
+
+    def rotation(u):
+        # u[p, k] -> u_k d_jl - u_l d_jk at [p, k, l, j]
+        return u[:, :, None, None] * E - u[:, None, :, None] * E[:, None, :]
+
+    value = e[:, None, None, None] * rotation(df)
+    # d_b (exp(-f) d_k f) = exp(-f) (d_b d_k f - d_b f d_k f)
+    dw = ddf - df[:, None, :] * df[:, :, None]  # [p, b, k]
+    grad = e[:, None, None, None, None] * np.stack(
+        [rotation(dw[:, b]) for b in range(n)], axis=-1)
+    full = weyl_christoffels(gauge, x)
+    for pack in (full, full.truncate(1)):
+        omega = pack.omega_lc_frame
+        assert omega.order == pack.G.order - 1
+        assert np.abs(omega.v - value).max() <= 1e-13 * np.abs(value).max()
+    omega = full.omega_lc_frame
+    assert np.abs(omega.g - grad).max() <= 1e-13 * np.abs(grad).max()
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
