@@ -3,10 +3,11 @@
 Subcommands: ``verify`` runs the full (or filtered) suite, ``check`` runs
 named checks, ``example`` runs one of the worked closed-form examples.
 Exit status 0 means every executed check passed, 1 means at least one
-residual exceeded its tolerance, 2 means the configuration was invalid,
-and 3 means running the checks raised an error (a ``ValueError`` or a
-``RuntimeError`` such as ``GateError``); errors print as ``error: ...``
-and write no report.
+residual exceeded its tolerance, 2 means the configuration was invalid
+or the ``--report`` file could not be written, and 3 means running the
+checks raised an error (a ``ValueError`` or a ``RuntimeError`` such as
+``GateError``).  Errors print as ``error: ...``; only an unwritable
+``--report`` file leaves a report, on stdout.
 """
 
 from __future__ import annotations
@@ -106,8 +107,12 @@ def main(argv=None):
     text = emit_report(report, args.format)
     sys.stdout.write(text)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
     return 0 if report.passed else 1
 
 

@@ -884,8 +884,7 @@ CHECKS = {
     "weyl-compatibility": CheckDef(
         _gauge_sweep("weyl-compatibility", _weyl_compatibility, weighted=False),
         "The connection is torsion-free, the metric derivative is "
-        "-2 theta (x) g, the density trace is n theta, and the Faraday form "
-        "is closed.",
+        "-2 theta (x) g, and the Faraday form is closed.",
         1e-9),
 }
 

@@ -465,20 +465,19 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
         raise GateError("the Hessian identity holds at zeros of the field; "
                         f"|field| = {np.linalg.norm(psi.v):.3e} at this point")
     u = jet_einsum("s,s->", psi.conj(), psi).real()
-    th = pack.TH
-    V = u.g + w2 * th.v * u.v
-    dV = u.h + w2 * (th.g * u.v + contract("b,a->ba", th.v, u.g))
-    gam = pack.gam_weyl.v
-    Hc = (np.transpose(dV, (1, 0))
-          - contract("cab,c->ab", gam, V)
-          + w2 * contract("a,b->ab", th.v, V))
-    Sv = pack.S.v
-    Hf = contract("ai,ab,bj->ij", Sv, Hc, Sv)
+    # The covariant derivative du + 2w theta u of the weight-2w density u,
+    # a chart 1-form, and its frame components V_j = V(s_j).
+    V = u.gradient() + w2 * pack.TH.truncate(1) * u.truncate(1)
+    Vf = jet_einsum("b,bj->j", V, pack.S.truncate(1))
+    # H[i, j] = s_i(V_j) - sum_k omega[j, k, i] V_k + 2w theta(s_i) V_j
+    Hf = (contract("ai,ja->ij", pack.S.v, Vf.g)
+          - contract("jki,k->ij", pack.omega_weyl.v, Vf.v)
+          + w2 * np.multiply.outer(pack.theta_frame.v, Vf.v))
     expected = (2.0 / n ** 2) * dnorm2 * np.eye(n)
     return {
         "residual": relative_residual(Hf - expected, Hf, expected),
         "hessian": Hf,
         "expected": expected,
-        "gradient": float(np.max(np.abs(V))),
+        "gradient": float(np.max(np.abs(V.v))),
         "degenerate": bool(dnorm2 < 1e-12),
     }

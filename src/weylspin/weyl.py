@@ -117,7 +117,7 @@ def _theta_tensor(n):
 
 
 class FramePack:
-    """Frame, Christoffel, and spin-rotation data of a gauge at one point.
+    """Frame, spin-rotation and Faraday data of a gauge at one point.
 
     The pack holds the metric and theta jets ``G`` and ``TH``; every other
     member is built from them on its first read and then kept.  Jets
@@ -127,11 +127,6 @@ class FramePack:
                        and S, X_a = Sᵀ ∂_aG S, F_a = Phi(X_a) and ∂_bX_a
       L, S             Cholesky factor and its inverse transpose; the
                        columns of S are the orthonormal frame vectors
-      Ginv             inverse metric
-      gam1             first-kind Christoffels [d, a, c] =
-                       (∂_a g_dc + ∂_c g_da - ∂_d g_ac) / 2
-      gam_lc, gam_weyl Christoffels [k, i, j] with i the direction slot;
-                       gam_lc = Ginv gam1
       omega_lc_frame   metric spin rotation [k, l, j] = g(D_{s_j} s_k, s_l)
       theta_frame      [i] = theta(s_i)
       omega_weyl       jet [j, k, i]: full-connection frame coefficients
@@ -152,14 +147,12 @@ class FramePack:
     reads ``cholesky`` alone: no inverse metric, no Christoffel and not the
     jet of S.  Readers: S, omega_weyl and the Faraday forms serve
     ``curvature`` and the spinor derivative; the Killing transport reads
-    the first-order pack's frame, omega_lc_frame and theta_frame.  gam_weyl
-    serves only ``connection_residuals`` and the Hessian identity check;
-    Ginv and gam_lc serve gam_weyl, gam1 serves gam_lc, and Ginv also the
-    trace check of ``connection_residuals``.
+    the first-order pack's frame, omega_lc_frame and theta_frame.  The
+    chart Christoffels live in the test oracles only.
 
     Orders follow the input jets.  L and S take the order of G and TH;
-    the connection members, Ginv to omega_weyl, one order less, since the
-    Christoffels read first derivatives of the metric; the Faraday forms
+    the connection members, omega_lc_frame to omega_weyl, one order less,
+    since they read first derivatives of the metric; the Faraday forms
     are values at either order.  ``weyl_christoffels`` builds second-order
     packs, and ``truncate(1)`` gives the first-order pack, whose
     connection members are values.
@@ -200,30 +193,6 @@ class FramePack:
     @cached_property
     def S(self):
         return self.cholesky.inverse_transpose()
-
-    @cached_property
-    def Ginv(self):
-        S = self._low(self.S)
-        return jet_einsum("ai,bi->ab", S, S)
-
-    @cached_property
-    def gam1(self):
-        Gd = self.G.gradient()  # [a, b, c] = d_c g_ab
-        return 0.5 * (jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1)))
-
-    @cached_property
-    def gam_lc(self):
-        return jet_einsum("kl,lij->kij", self.Ginv, self.gam1)
-
-    @cached_property
-    def gam_weyl(self):
-        E = np.eye(self.n)
-        TH = self._low(self.TH)
-        theta_up = jet_einsum("kl,l->k", self.Ginv, TH)
-        return (self.gam_lc
-                + jet_einsum("i,kj->kij", TH, E)
-                + jet_einsum("j,ki->kij", TH, E)
-                - jet_einsum("ij,k->kij", self._low(self.G), theta_up))
 
     @cached_property
     def omega_lc_frame(self):
@@ -309,10 +278,9 @@ def curvature(gauge, point, pack=None):
     and R(s_i, s_l) s_j = sum_k (A[i, l, j, k] - A[l, i, j, k]) s_k.  Its
     metric part is R' = R - F (x) delta and Ric' = Ric + F, with F the
     frame Faraday form.  So curvature reads S, omega_weyl and the Faraday
-    forms, and builds neither the inverse metric nor a chart Christoffel
-    of the second kind.  ``pack`` lets callers reuse frame data already
-    computed at the point; it must carry the connection's first
-    derivatives (a second-order pack).  At a (P, n) array of points every
+    forms.  ``pack`` lets callers reuse frame data already computed at the
+    point; it must carry the connection's first derivatives (a
+    second-order pack).  At a (P, n) array of points every
     component array carries a leading point axis and the scalar curvature
     is an array.
     """
@@ -392,30 +360,28 @@ def _theta_free(gauge):
 
 
 def connection_residuals(gauge, point):
-    """Pointwise compatibility checks of the connection (all relative).
+    """Pointwise compatibility checks of the frame connection
+    omega = ``omega_weyl`` (all relative), with s_i = sum_a S[a, i] d_a:
 
-    torsion      Gamma^k_{ij} - Gamma^k_{ji}
-    metric       nabla g + 2 theta (x) g
-    trace        sum_b Gamma^b_{ba} - d_a log sqrt(det g) - n theta_a
+    metric   omega[j, k, i] + omega[k, j, i] - 2 theta(s_i) delta_jk,
+             that is nabla g + 2 theta (x) g in the frame
+    torsion  s_i(S[b, l]) - s_l(S[b, i])
+             - sum_m (omega[l, m, i] - omega[i, m, l]) S[b, m],
+             the bracket [s_i, s_l] against D_{s_i} s_l - D_{s_l} s_i
 
     At a (P, n) array of points each entry is an array of per-point
     residuals.
     """
-    pack = weyl_christoffels(gauge, point)
-    n = gauge.n
+    pack = weyl_christoffels(gauge, point).truncate(1)
     nb = pack.G.nb
-    gam = pack.gam_weyl.v
-    Gv, Gg = pack.G.v, pack.G.g
-    th = pack.TH.v
-    torsion = gam - np.swapaxes(gam, -1, -2)
-    nab = (contract("...ijc->...cij", Gg)
-           - contract("...mai,...mj->...aij", gam, Gv)
-           - contract("...maj,...im->...aij", gam, Gv))
-    metric_res = nab + 2.0 * contract("...a,...ij->...aij", th, Gv)
-    half_trace = 0.5 * contract("...ij,...ija->...a", pack.Ginv.v, Gg)
-    trace_res = contract("...bba->...a", gam) - half_trace - n * th
+    om, th, S = pack.omega_weyl.v, pack.theta_frame.v, pack.S
+    delta_th = np.eye(gauge.n)[:, :, None] * th[..., None, None, :]  # [j, k, i]
+    metric_res = om + np.swapaxes(om, -3, -2) - 2.0 * delta_th
+    # [b, i, l]: s_i(S[b, l]) and sum_m omega[l, m, i] S[b, m]
+    deriv = contract("...ai,...bla->...bil", S.v, S.g)
+    rot = contract("...bm,...lmi->...bil", S.v, om)
+    K = deriv - rot
     return {
-        "torsion": relative_residual(torsion, gam, np.ones(1), batch=nb),
-        "metric": relative_residual(metric_res, nab, Gv, batch=nb),
-        "trace": relative_residual(trace_res, half_trace, n * th, np.ones(1), batch=nb),
+        "metric": relative_residual(metric_res, om, th, batch=nb),
+        "torsion": relative_residual(K - np.swapaxes(K, -1, -2), deriv, rot, batch=nb),
     }

@@ -4,19 +4,22 @@
 ``poly_values`` and ``poly_diff`` evaluate and differentiate it
 symbolically, and ``finite_difference_jet`` takes central differences of
 any function.  The package's batched polynomial evaluator and its jet
-calculus are checked against them.  ``metric_curvature`` takes the
-metric-part curvature straight from the Christoffels of a frame pack, the
-route the package's curvature does not take.  ``inverse_route_rotation``
-takes the frame and its spin rotation through the inverse jet of the
-Cholesky factor and the inverse metric, the route the package's frame pack
-does not take.  ``round_gauge`` gives the round sphere and the hyperbolic
-ball, whose curvature is known in closed form.  ``LeibnizJet`` and
-``leibniz_einsum`` keep a jet's value, gradient and Hessian as three
-arrays and combine them term by term, one contraction per Leibniz term:
-the reference for the package's packed jets.  They share only the
-contraction kernel ``contract`` with the package (itself checked against
-``np.einsum``), so the two calculi agree bit for bit wherever they make
-the same floating-point operations.
+calculus are checked against them.  ``chart_christoffels`` builds the
+chart Christoffels of the Levi-Civita and Weyl connections, which the
+package, working in the frame alone, does not hold.  From them
+``metric_curvature`` takes the metric-part curvature, the route the
+package's curvature does not take, and ``chart_connection_residuals``
+checks the chart connection's torsion, metric and trace identities.
+``inverse_route_rotation`` takes the frame and its spin rotation through
+the inverse jet of the Cholesky factor and the chart Christoffels, the
+route the package's frame pack does not take.  ``round_gauge`` gives the
+round sphere and the hyperbolic ball, whose curvature is known in closed
+form.  ``LeibnizJet`` and ``leibniz_einsum`` keep a jet's value, gradient
+and Hessian as three arrays and combine them term by term, one
+contraction per Leibniz term: the reference for the package's packed
+jets.  They share only the contraction kernel ``contract`` with the
+package (itself checked against ``np.einsum``), so the two calculi agree
+bit for bit wherever they make the same floating-point operations.
 """
 
 from functools import lru_cache
@@ -25,7 +28,7 @@ import numpy as np
 
 from weylspin.fields import (ChartField, Jet, Poly, constant_field, contract, jet_cholesky,
                              jet_einsum, jet_lower_inverse, jet_transpose)
-from weylspin.weyl import Gauge, change_gauge
+from weylspin.weyl import Gauge, change_gauge, relative_residual, weyl_christoffels
 
 
 def poly_jet(p, point):
@@ -110,6 +113,47 @@ def finite_difference_jet(fn, point, step=1e-4):
     return Jet(f0, g, h)
 
 
+def chart_christoffels(G, TH, S):
+    """The chart Christoffels [k, i, j], i the direction slot, of the
+    Levi-Civita and the Weyl connection of the metric jet G and theta jet
+    TH, raised with the inverse metric S Sᵀ of the frame jet S; one order
+    below G's.  The Weyl ones add theta_i delta^k_j + theta_j delta^k_i
+    - g_ij theta^k."""
+    low = G.order - 1
+    Sl, TL = S.truncate(low), TH.truncate(low)
+    Ginv = jet_einsum("ai,bi->ab", Sl, Sl)
+    Gd = G.gradient()  # [a, b, c] = d_c g_ab
+    gam1 = 0.5 * (jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1)))
+    lc = jet_einsum("kl,lij->kij", Ginv, gam1)
+    E = np.eye(G.shape[-1])
+    weyl = (lc + jet_einsum("i,kj->kij", TL, E) + jet_einsum("j,ki->kij", TL, E)
+            - jet_einsum("ij,k->kij", G.truncate(low), jet_einsum("kl,l->k", Ginv, TL)))
+    return lc, weyl
+
+
+def chart_connection_residuals(gauge, point):
+    """The chart form of the Weyl connection's identities, relative, from
+    ``chart_christoffels`` with ``np.einsum`` only: torsion
+    Gamma^k_ij - Gamma^k_ji, metric nabla g + 2 theta (x) g, and trace
+    sum_b Gamma^b_ba - d_a log sqrt(det g) - n theta_a."""
+    pack = weyl_christoffels(gauge, point)
+    n, nb = gauge.n, pack.G.nb
+    gam = chart_christoffels(pack.G, pack.TH, pack.S)[1].v
+    Gv, Gg, th = pack.G.v, pack.G.g, pack.TH.v
+    Ginv = np.einsum("...ai,...bi->...ab", pack.S.v, pack.S.v)
+    torsion = gam - np.swapaxes(gam, -1, -2)
+    nab = (np.einsum("...ijc->...cij", Gg) - np.einsum("...mai,...mj->...aij", gam, Gv)
+           - np.einsum("...maj,...im->...aij", gam, Gv))
+    metric_res = nab + 2.0 * np.einsum("...a,...ij->...aij", th, Gv)
+    half_trace = 0.5 * np.einsum("...ij,...ija->...a", Ginv, Gg)
+    trace_res = np.einsum("...bba->...a", gam) - half_trace - n * th
+    return {
+        "torsion": relative_residual(torsion, gam, np.ones(1), batch=nb),
+        "metric": relative_residual(metric_res, nab, Gv, batch=nb),
+        "trace": relative_residual(trace_res, half_trace, n * th, np.ones(1), batch=nb),
+    }
+
+
 def metric_curvature(pack):
     """Frame components of the metric-part curvature R', its Ricci trace
     Ric' and the Faraday form F from the jets of a frame pack, with
@@ -121,7 +165,7 @@ def metric_curvature(pack):
     along.
     """
     E = np.eye(pack.n)
-    gam, th = pack.gam_weyl, pack.TH
+    gam, th = chart_christoffels(pack.G, pack.TH, pack.S)[1], pack.TH
     gv = gam.v - np.einsum("...i,kj->...kij", th.v, E)
     gg = gam.g - np.einsum("...ic,kj->...kijc", th.g, E)
     # R^l_{kij} = d_i G^l_{jk} - d_j G^l_{ik} + G^l_{im} G^m_{jk} - G^l_{jm} G^m_{ik}
@@ -155,16 +199,14 @@ def inverse_route_rotation(pack):
     frame pack, by the inverse route: S is the transposed inverse jet of
     the Cholesky factor, and omega[k, l, j] = g(D_{s_j} s_k, s_l) projects
     the frame derivative (D_a s_k)^b = d_a S[b, k] + Gamma^b_{ac} S[c, k],
-    with the Christoffels raised by the inverse metric S Sᵀ.  The orders
-    follow the pack's: S at the input jets' order, omega one below.
+    with the Levi-Civita Christoffels of ``chart_christoffels`` raised by
+    this S.  The orders follow the pack's: S at the input jets' order,
+    omega one below.
     """
     G = pack.G
     S = jet_transpose(jet_lower_inverse(jet_cholesky(G)), (1, 0))
     low = S.truncate(G.order - 1)
-    Ginv = jet_einsum("ai,bi->ab", low, low)
-    Gd = G.gradient()  # [a, b, c] = d_c g_ab
-    term = jet_transpose(Gd, (0, 2, 1)) + Gd - jet_transpose(Gd, (2, 0, 1))
-    gam = 0.5 * jet_einsum("kl,lij->kij", Ginv, term)
+    gam = chart_christoffels(G, pack.TH, S)[0]
     V = S.gradient() + jet_einsum("bac,ci->bia", gam, S)  # [b, k, a] = (D_a s_k)^b
     return S, jet_einsum("bc,bka,cl,aj->klj", G, V, low, low)
 

@@ -474,6 +474,17 @@ def test_cli_report_file(tmp_path, capsys):
     assert parse_report(out).passed
 
 
+def test_cli_exit_two_when_the_report_cannot_be_written(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code = main(cli_args("check", "clifford-nu-trace", "--format", "machine",
+                         "--report", str(path)))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and "report.json" in captured.err
+    assert parse_report(captured.out).passed
+    assert not path.parent.exists()
+
+
 def test_cli_example_table(capsys):
     code = main(cli_args("example", "killing-half"))
     out = capsys.readouterr().out

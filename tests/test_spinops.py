@@ -32,7 +32,9 @@ from weylspin.spinops import (
     weyl_spinor_derivative,
 )
 from weylspin.spinops import _cov_frame, _derivative_stack
-from weylspin.weyl import Gauge, change_gauge, curvature, weyl_christoffels
+from weylspin.weyl import FramePack, Gauge, change_gauge, curvature, weyl_christoffels
+
+from oracles import chart_christoffels
 
 
 def rand_poly(rng, n, degree=2, nterms=4, scale=0.5):
@@ -107,8 +109,8 @@ def test_point_batches_match_single_point_calls(n):
         assert batched.shape == single.shape
         assert np.abs(batched - single).max() <= 1e-13 * np.abs(single).max()
 
-    jets = ("G", "TH", "L", "S", "Ginv", "gam_lc", "gam_weyl", "omega_lc_frame",
-            "theta_frame", "omega_weyl", "faraday_chart", "faraday_frame")
+    jets = ("G", "TH", "L", "S", "omega_lc_frame", "theta_frame", "omega_weyl",
+            "faraday_chart", "faraday_frame")
     for i, x in enumerate(pts):
         pack1 = weyl_christoffels(gauge, x)
         for name in jets:
@@ -574,20 +576,8 @@ def test_cov_frame_takes_every_term_at_the_derivative_order():
     assert np.abs(H.v - full.v).max() <= 1e-14 * np.abs(full.v).max()
 
 
-def test_derivatives_without_curvature_leave_the_weyl_christoffels_unbuilt():
-    n = 3
-    rng = np.random.default_rng(83)
-    rep = build_representation(n)
-    gauge = random_gauge(84, n)
-    field = rand_spinor_field(rng, n, rep.dim, weight=1)
-    pts = gauge.sample_points(rng, 4)
-    pack = weyl_christoffels(gauge, pts)
-    weyl_spinor_derivative(gauge, rep, field, pts, pack=pack)
-    _derivative_stack(gauge, rep, field, pts, pack=pack)
-    assert "omega_weyl" in vars(pack) and "gam_weyl" not in vars(pack)
-    # Curvature takes the frame route, from omega_weyl.
-    curvature(gauge, pts, pack=pack)
-    assert "gam_weyl" not in vars(pack)
+def test_frame_pack_holds_no_chart_christoffels():
+    assert not any(hasattr(FramePack, name) for name in ("Ginv", "gam1", "gam_lc", "gam_weyl"))
 
 
 def test_hessian_identity_at_a_zero_of_the_family():
@@ -611,6 +601,41 @@ def test_hessian_identity_at_a_zero_of_the_family():
                            * np.eye(n), atol=1e-12)
         with pytest.raises(GateError, match="zeros"):
             hessian_identity_check(g, rep, fam, m + 0.5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_frame_hessian_matches_the_chart_hessian(n):
+    # The flat twistor family moved to a rescaled gauge, where the identity
+    # holds at its zero m, and the same field on a curved random gauge.  The
+    # chart form nabla_a V_b = d_a V_b - Gamma^c_ab V_c + 2w theta_a V_b, with
+    # V = du + 2w theta u and the oracle's Weyl Christoffels, referred to
+    # the frame, is the frame Hessian.  At m, V = 0 and only d_a V_b enters,
+    # so the Hessian is also taken off the zero, with the gate open.
+    from weylspin.clifford import Spinor
+    rng = np.random.default_rng(110 + n)
+    rep = build_representation(n)
+    f = bump(n)
+    m = rng.uniform(-0.5, 0.5, n)
+    for w in ("0", "1/2", "1"):
+        phi1 = Spinor(rep, unit_spinor(rng, rep.dim))
+        phi0 = Spinor(rep, -np.einsum("a,ast,t->s", m, rep.gammas, phi1.comp))
+        field = gauge_transport_spinor(flat_twistor_family(phi0, phi1, weight=w), f)
+        rescaled = change_gauge(Gauge.flat(n), f)
+        assert hessian_identity_check(rescaled, rep, field, m)["residual"] < 1e-10
+        for gauge in (rescaled, random_gauge(120 + n, n)):
+            for x in (m, m + rng.uniform(-0.3, 0.3, n)):
+                out = hessian_identity_check(gauge, rep, field, x, gate_tol=np.inf)
+                pack = weyl_christoffels(gauge, x)
+                psi, w2 = field.jet(x), 2.0 * float(Fraction(w))
+                u = jet_einsum("s,s->", psi.conj(), psi).real()
+                th = pack.TH
+                V = u.g + w2 * th.v * u.v
+                dV = u.h + w2 * (th.g * u.v + np.outer(th.v, u.g))  # [b, a] = d_a V_b
+                gam = chart_christoffels(pack.G, th, pack.S)[1].v
+                Hc = dV.T - np.einsum("cab,c->ab", gam, V) + w2 * np.outer(th.v, V)
+                Hf = np.einsum("ai,ab,bj->ij", pack.S.v, Hc, pack.S.v)
+                assert np.abs(out["hessian"] - Hf).max() <= 1e-12 * np.abs(Hf).max()
+            assert np.abs(pack.omega_weyl.v).max() > 1e-2 and np.abs(V).max() > 1e-2
 
 
 def test_hessian_identity_flags_degenerate_zeros():

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from weylspin import weyl
 from weylspin.fields import (
     Poly,
     jet_einsum,
+    jet_transpose,
     polynomial_field,
 )
 from weylspin.harness import random_gauge
@@ -21,7 +23,8 @@ from weylspin.weyl import (
     weyl_christoffels,
 )
 
-from oracles import finite_difference_jet, inverse_route_rotation, metric_curvature, round_gauge
+from oracles import (chart_connection_residuals, finite_difference_jet, inverse_route_rotation,
+                     metric_curvature, round_gauge)
 
 
 def plane_form_gauge():
@@ -98,13 +101,47 @@ def test_plane_form_curvature_oracle():
 
 def test_connection_residuals_on_random_gauges():
     rng = np.random.default_rng(2)
-    for n, seed in ((2, 5), (3, 6), (4, 7)):
+    for n, seed in ((2, 5), (3, 6), (4, 7), (5, 8), (6, 9)):
         g = random_gauge(seed, n)
         for x in g.sample_points(rng, 4):
             res = connection_residuals(g, x)
+            assert set(res) == {"torsion", "metric"}
             assert res["torsion"] < 1e-12
             assert res["metric"] < 1e-10
-            assert res["trace"] < 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_chart_christoffels_satisfy_the_chart_identities(n):
+    # The oracle's chart connection: torsion-free, nabla g = -2 theta (x) g
+    # and the density trace n theta, at a batch of points.
+    g = random_gauge(90 + n, n)
+    pts = g.sample_points(np.random.default_rng(n), 5)
+    for key, res in chart_connection_residuals(g, pts).items():
+        assert res.shape == (5,) and res.max() <= 1e-9, key
+
+
+def test_a_perturbed_theta_part_fails_the_metric_item(monkeypatch):
+    # omega_weyl's theta part with one entry of T moved: the frame
+    # connection no longer satisfies nabla g = -2 theta (x) g.
+    g = random_gauge(6, 3)
+    pts = g.sample_points(np.random.default_rng(2), 4)
+    T = weyl._theta_tensor(3).copy()
+    T[0, 1, 1, 2] += 0.1
+    monkeypatch.setattr(weyl, "_theta_tensor", lambda n: T)
+    assert connection_residuals(g, pts)["metric"].max() > 1e-3
+
+
+def test_a_spin_rotation_without_its_phi_term_fails_the_torsion_item(monkeypatch):
+    # omega_lc_frame with (1/2 - Phi) replaced by 1/2: no longer the
+    # rotation of the Levi-Civita connection, so the bracket fails.
+    def without_phi(pack):
+        Y = pack.cholesky.frame_gradient()
+        return 0.5 * (Y - jet_transpose(Y, (2, 0, 1)) + jet_transpose(Y, (1, 2, 0)))
+
+    g = random_gauge(6, 3)
+    pts = g.sample_points(np.random.default_rng(2), 4)
+    monkeypatch.setattr(weyl.FramePack, "omega_lc_frame", property(without_phi))
+    assert connection_residuals(g, pts)["torsion"].max() > 1e-3
 
 
 def test_curvature_internal_cross_routes():
@@ -136,15 +173,16 @@ def test_curvature_internal_cross_routes():
 
 
 def test_curvature_takes_one_route():
-    # The frame route reads omega_weyl, S and the Faraday forms only: no
-    # inverse metric and no second-kind Christoffels.
+    # The frame route reads omega_weyl, S and the Faraday forms only, and
+    # what they are built from: not the Cholesky factor's jet L.
     g = random_gauge(19, 3)
     pts = g.sample_points(np.random.default_rng(7), 4)
     for x in (pts[0], pts):
         pack = weyl_christoffels(g, x)
         curvature(g, x, pack=pack)
-        assert "omega_weyl" in vars(pack)
-        assert vars(pack).keys().isdisjoint({"Ginv", "gam_lc", "gam_weyl"})
+        assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "S", "omega_lc_frame",
+                                   "theta_frame", "omega_weyl", "faraday_chart",
+                                   "faraday_frame"}
 
 
 def test_curvature_rejects_a_first_order_pack():
@@ -195,7 +233,7 @@ def test_frame_pack_orthonormalizes_the_metric():
     L = pack.L.v
     assert np.allclose(L @ L.T, G, atol=1e-13)
     assert np.allclose(S.T @ G @ S, np.eye(3), atol=1e-13)
-    assert np.allclose(pack.Ginv.v @ G, np.eye(3), atol=1e-13)
+    assert np.allclose(S @ S.T @ G, np.eye(3), atol=1e-13)
     # frame components of the i-th frame vector are the i-th basis vector
     for i in range(3):
         assert np.allclose(pack.frame_components(S[:, i]),
@@ -206,9 +244,8 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
     g = random_gauge(24, 3)
     pts = g.sample_points(np.random.default_rng(3), 4)
     pack = weyl_christoffels(g, pts)
-    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "Ginv": 1, "gam1": 1, "gam_lc": 1, "gam_weyl": 1,
-              "omega_lc_frame": 1, "theta_frame": 1, "omega_weyl": 1,
-              "faraday_chart": 0, "faraday_frame": 0}
+    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "omega_lc_frame": 1, "theta_frame": 1,
+              "omega_weyl": 1, "faraday_chart": 0, "faraday_frame": 0}
     assert {name: getattr(pack, name).order for name in orders} == orders
     # A first-order pack takes every member one order lower; the Faraday
     # forms stay values.
@@ -220,10 +257,9 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
         pack.truncate(0)
     # The kept orders are the same as from the full jets.
     S, TH = pack.S, pack.TH
-    for got, want in ((pack.Ginv, jet_einsum("ai,bi->ab", S, S)),
-                      (pack.theta_frame, jet_einsum("a,ai->i", TH, S))):
-        for a, b in ((got.v, want.v), (got.g, want.g)):
-            assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+    got, want = pack.theta_frame, jet_einsum("a,ai->i", TH, S)
+    for a, b in ((got.v, want.v), (got.g, want.g)):
+        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_frame_pack_builds_each_member_once_on_first_read():
@@ -235,8 +271,8 @@ def test_frame_pack_builds_each_member_once_on_first_read():
     # frame jet, the Christoffels or the inverse metric.
     assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "omega_lc_frame"}
     assert pack.omega_lc_frame is first
-    for name in ("cholesky", "L", "S", "Ginv", "gam1", "gam_lc", "gam_weyl", "theta_frame",
-                 "omega_weyl", "faraday_chart", "faraday_frame"):
+    for name in ("cholesky", "L", "S", "theta_frame", "omega_weyl", "faraday_chart",
+                 "faraday_frame"):
         assert getattr(pack, name) is getattr(pack, name), name
 
 
