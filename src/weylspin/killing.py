@@ -20,8 +20,7 @@ from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 from .clifford import Spinor, _slot_action, build_representation
 from .fields import (ChartField, constant_field, contract, jet_einsum,
                      polynomial_field)
-from .spinops import (GateError, _check_rep, _first_order, _per_point,
-                      _spin_connection, _weighted)
+from .spinops import GateError, _check_rep, _first_order, _per_point, _spin_connection
 from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
                    weyl_christoffels)
 
@@ -235,10 +234,12 @@ def _gauge_form_plane(name):
                  name=name)
 
 
-_REP_DIAG_FIRST = np.array([[[1j, 0.0], [0.0, -1j]],
-                            [[0.0, 1j], [1j, 0.0]]])
-_REP_SPLIT = np.array([[[0.0, 1j], [1j, 0.0]],
-                       [[0.0, -1.0], [1.0, 0.0]]])
+# The families' two fixed representations, validated once and shared, so
+# their cached products are built once.
+_REP_DIAG_FIRST = build_representation(2, [[[1j, 0.0], [0.0, -1j]],
+                                           [[0.0, 1j], [1j, 0.0]]])
+_REP_SPLIT = build_representation(2, [[[0.0, 1j], [1j, 0.0]],
+                                      [[0.0, -1.0], [1.0, 0.0]]])
 
 
 def example_killing_half(a, sign=1):
@@ -251,7 +252,7 @@ def example_killing_half(a, sign=1):
     sign = int(sign)
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    rep = build_representation(2, _REP_DIAG_FIRST)
+    rep = _REP_DIAG_FIRST
     gauge = _gauge_form_plane("killing-half")
     psi = constant_field(np.array([a, -sign * a], dtype=complex), weight=Fraction(1, 2))
 
@@ -269,7 +270,7 @@ def example_parallel_zero(c_plus, c_minus):
     components decouple and the solutions are exp(+- i x_1^2 / 4) times
     constants.  Returns (gauge, datum, representation).
     """
-    rep = build_representation(2, _REP_SPLIT)
+    rep = _REP_SPLIT
     gauge = _gauge_form_plane("parallel-zero")
     cp, cm = complex(c_plus), complex(c_minus)
 
@@ -354,19 +355,21 @@ def _path_coefficient(gauge, d, x0, v, length):
 
     Along the line the Killing equation reads dc/dt = A(t) c with
     A = sum_i v_i (beta gamma_i - A_i), v_i the frame components of v and
-    A_i the spinor connection.  Each trial degree samples A at its
-    Chebyshev points with one batched frame pack; only connection values
-    are read, so the pack is the first-order one.  The leading axis of the
-    result is the degree.  Raises RuntimeError if the cap leaves A unresolved.
+    A_i the weight-w spin connection, ``_spin_connection`` plus
+    (w + n/4) theta(s_i).  Each trial degree samples A at its Chebyshev
+    points with one batched frame pack; only connection values are read,
+    so the pack is the first-order one.  The leading axis of the result is
+    the degree.  Raises RuntimeError if the cap leaves A unresolved.
     """
     rep = d.rep
+    shift = (float(d.psi.weight) + gauge.n / 4) * np.eye(rep.dim)
 
     def fit_at(deg):
         s, _, fit, _, _ = _cheb_rule(deg)
         pts = x0 + np.multiply.outer(0.5 * length * (s + 1.0), v)
         pack = weyl_christoffels(gauge, pts).truncate(1)
         vf = pack.frame_components(v)
-        A = _weighted(pack, rep, _spin_connection(pack, rep), d.psi.weight).v
+        A = _spin_connection(pack, rep).v + pack.theta_frame.v[:, :, None, None] * shift
         beta = np.asarray(d.beta(pts), dtype=complex)
         coeff = contract("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
         coef = contract("kp,pst->kst", fit, coeff)
@@ -395,7 +398,7 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
     noise), the solution's at more points if needed, with A taken from its
     series there; a path the degree cap cannot resolve (a kinked
     coefficient, a fast oscillation) raises RuntimeError.  The field itself
-    enters only at the two ends.
+    enters only at the two ends, evaluated as one batch.
 
     Returns the endpoint, the transported components, the field's own
     components there, and their relative gap.
@@ -406,7 +409,8 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
     v = np.asarray(direction, dtype=float)
     length = float(length)
     coef = _path_coefficient(gauge, d, x0, v, length)
-    psi0 = np.asarray(d.psi(x0), dtype=complex)
+    end = x0 + length * v
+    psi0, field_val = np.asarray(d.psi(np.stack([x0, end])), dtype=complex)
 
     def fit_at(deg):
         s, vander, fit, integrate, weights = _cheb_rule(deg)
@@ -419,8 +423,6 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
         return fit @ c, end, lambda: 0.0
 
     transported = _resolve(fit_at, len(coef) - 1, "transported field")
-    end = x0 + length * v
-    field_val = np.asarray(d.psi(end), dtype=complex)
     return {
         "endpoint": end,
         "transported": transported,

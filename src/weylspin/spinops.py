@@ -82,22 +82,16 @@ def gauge_transport_spinor(field, f):
 
 
 def _spin_connection(pack, rep):
-    """The spinor part of the frame covariant derivative of a weight-1/2
-    field, one matrix per direction: the jet [i, s, t] of
-    A[i] = (1/4) omega_kli gamma_k gamma_l - (1/2) gamma_i theta.  A
-    weight-w field adds (w - 1/2) theta_i (``_weighted``), so one
-    connection serves every weight."""
-    gg = rep.slot_products(2)
-    A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * gg)
-    return A - jet_einsum("k,iksu->isu", pack.theta_frame, 0.5 * gg)
+    """The spinor part of the frame covariant derivative, read from the
+    frame connection alone: the jet [i, s, t] of
+    A[i] = (1/4) sum_jk omega_weyl[j, k, i] gamma_j gamma_k.
 
-
-def _weighted(pack, rep, conn, weight):
-    """The connection ``conn`` of ``_spin_connection`` for a weight-w field."""
-    if weight == Fraction(1, 2):
-        return conn
-    th = pack.theta_frame.truncate(conn.order)
-    return conn + (float(weight) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim))
+    A weight-w field's connection is A[i] + (w + n/4) theta(s_i): the
+    weight enters as one scalar, so one connection serves every weight.
+    (From omega_weyl = omega_lc + theta's part and gamma_j gamma_i =
+    -gamma_i gamma_j - 2 delta_ij, this is the metric spin connection
+    (1/4) omega_lc gamma gamma - (1/2) gamma_i theta, plus w theta_i.)"""
+    return jet_einsum("jki,jkst->ist", pack.omega_weyl, 0.25 * rep.slot_products(2))
 
 
 def _cov_frame(pack, rep, Q, weight, conn=None):
@@ -105,11 +99,11 @@ def _cov_frame(pack, rep, Q, weight, conn=None):
 
     ``Q`` is a jet with value shape ``lead + (N,)`` where every lead axis
     is a frame slot.  Returns a jet of shape ``(n,) + lead + (N,)`` whose
-    first axis is the derivative direction.  The spinor part uses the spin
-    rotation coefficients plus the weight-dependent gauge terms; each lead
-    slot is corrected with the full connection's frame coefficients.
-    ``conn`` is the connection of ``_spin_connection`` when the caller
-    already holds it.
+    first axis is the derivative direction.  The spinor part is the
+    connection of ``_spin_connection`` plus (weight + n/4) theta(s_i);
+    each lead slot is corrected with the full connection's frame
+    coefficients.  ``conn`` is the connection of ``_spin_connection``
+    when the caller already holds it.
     """
     lead = Q.shape[:-1]
     r = len(lead)
@@ -119,11 +113,12 @@ def _cov_frame(pack, rep, Q, weight, conn=None):
     if conn is None:
         conn = _spin_connection(pack, rep)
     # Every term is taken at the order of the derivative term, one below Q's.
-    order = Q.order - 1
+    order, n = Q.order - 1, pack.n
     P = jet_einsum(f"ai,{LL}sa->i{LL}s", pack.S, Q.gradient())
     Q, omega = Q.truncate(order), pack.omega_weyl.truncate(order)
-    conn = _weighted(pack, rep, conn.truncate(order), weight)
-    P = P + jet_einsum(f"ist,{LL}t->i{LL}s", conn, Q)
+    th = pack.theta_frame.truncate(order).reshape((n, 1, 1))
+    A = conn.truncate(order) + th * ((float(weight) + n / 4) * np.eye(rep.dim))
+    P = P + jet_einsum(f"ist,{LL}t->i{LL}s", A, Q)
     for p in range(r):
         sub_q = LL[:p] + "k" + LL[p + 1:]
         P = P - jet_einsum(f"{LL[p]}ki,{sub_q}s->i{LL}s", omega, Q)

@@ -19,6 +19,7 @@ from .clifford import Density, SlotTensor
 from .fields import (
     ChartField,
     CholeskyDifferential,
+    Jet,
     _half_lower,
     constant_field,
     contract,
@@ -105,15 +106,28 @@ class Gauge:
 
 
 @lru_cache(maxsize=None)
-def _theta_tensor(n):
-    """T[m, j, k, i] = d_mi d_jk + d_mj d_ik - d_ij d_mk (read-only): theta's
-    part of the Weyl connection, omega_weyl - omega_lc_frame =
-    sum_m theta_frame[m] T[m, j, k, i]."""
-    E = np.eye(n)
-    T = (E[:, None, None, :] * E[None, :, :, None] + E[:, :, None, None] * E[None, None]
-         - E[None, :, None, :] * E[:, None, :, None])
-    T.flags.writeable = False
-    return T
+def _omega_gather(n):
+    """The table (index [n³, w], coefficient [n³, w], read-only) that
+    gathers omega_weyl[j, k, i], flattened, from Z = [Y flattened, theta(s)]
+    by the closed form in ``FramePack``'s docstring.  Y_i is symmetric, so
+    each Y entry is read at its index with the last two axes sorted; terms
+    that meet at one index merge and zero terms drop, which leaves at most
+    three per entry."""
+    half, E = 0.5 - _half_lower(n), np.eye(n)
+
+    def y(i, j, k):
+        return (i * n + min(j, k)) * n + max(j, k)
+
+    M = np.zeros((n ** 3, n ** 3 + n))  # [entry, position in Z]
+    for f, (j, k, i) in enumerate(np.ndindex(n, n, n)):
+        for src, c in ((y(i, j, k), half[j, k]), (y(j, k, i), 0.5), (y(k, i, j), -0.5),
+                       (n ** 3 + i, E[j, k]), (n ** 3 + j, E[k, i]), (n ** 3 + k, -E[i, j])):
+            M[f, src] += c
+    # Each row's nonzero positions first, then zero-coefficient padding.
+    idx = np.argsort(M == 0, axis=1, kind="stable")[:, :np.count_nonzero(M, axis=1).max()]
+    coef = np.take_along_axis(M, idx, axis=1)
+    idx.flags.writeable = coef.flags.writeable = False
+    return idx, coef
 
 
 class FramePack:
@@ -127,35 +141,38 @@ class FramePack:
                        and S, X_a = Sᵀ ∂_aG S, F_a = Phi(X_a) and ∂_bX_a
       L, S             Cholesky factor and its inverse transpose; the
                        columns of S are the orthonormal frame vectors
-      omega_lc_frame   metric spin rotation [k, l, j] = g(D_{s_j} s_k, s_l)
       theta_frame      [i] = theta(s_i)
-      omega_weyl       jet [j, k, i]: full-connection frame coefficients
-                       (D_{s_i} s_j = sum_k omega_weyl[j, k, i] s_k),
-                       omega_lc_frame + sum_m theta_frame[m] T[m, j, k, i]
-                       with T = ``_theta_tensor(n)``
+      omega_weyl       [j, k, i]: the connection's frame coefficients,
+                       D_{s_i} s_j = sum_k omega_weyl[j, k, i] s_k
       faraday_chart, faraday_frame  d(theta) as order-0 jets (values)
 
-    The frame and its spin rotation come in closed form from the Cholesky
-    differential: ∂_aS = -S F_aᵀ, ∂_b∂_aS = S (F_a F_b - ∂_bF_a)ᵀ, and,
-    with Y[j, l, k] = sum_a S[a, j] X_a[l, k] the derivative of g along s_j
-    in frame components (``CholeskyDifferential.frame_gradient``),
+    The connection members come in closed form from the Cholesky
+    differential, without the jet of S: with ∂_aS = -S F_aᵀ,
 
-        omega_lc_frame[k, l, j] = (Y[j, l, k] + Y[k, l, j] - Y[l, j, k]) / 2
-                                  - Phi(Y_j)[k, l].
+        theta_frame[i] = sum_a theta_a S[a, i],
+        ∂_b theta_frame[i] = sum_a ∂_btheta_a S[a, i] - sum_m F_b[i, m] theta_frame[m],
 
-    Its gradient is the same combination of ∂_bY_j.  So omega_lc_frame
-    reads ``cholesky`` alone: no inverse metric, no Christoffel and not the
-    jet of S.  Readers: S, omega_weyl and the Faraday forms serve
-    ``curvature`` and the spinor derivative; the Killing transport reads
-    the first-order pack's frame, omega_lc_frame and theta_frame.  The
+    and, with Y[i, j, k] = sum_a S[a, i] X_a[j, k] the derivative of g
+    along s_i in frame components (``CholeskyDifferential.frame_gradient``),
+
+        omega_weyl[j, k, i] = (Y[j, k, i] - Y[k, i, j]) / 2 + Y[i, j, k] / 2
+                              - Phi(Y_i)[j, k]
+                              + theta_i d_jk + theta_j d_ik - d_ij theta_k,
+
+    the metric spin rotation g(D_{s_i} s_j, s_k) plus theta's part.  Its
+    gradient is the same combination of ∂_bY_i and ∂_b theta_frame, so
+    omega_weyl is one gather over the flattened [Y, theta_frame] axis
+    (``_omega_gather``).  Readers: S, omega_weyl and the Faraday forms
+    serve ``curvature`` and the spinor derivative; the Killing transport
+    reads the first-order pack's frame, omega_weyl and theta_frame.  The
     chart Christoffels live in the test oracles only.
 
     Orders follow the input jets.  L and S take the order of G and TH;
-    the connection members, omega_lc_frame to omega_weyl, one order less,
-    since they read first derivatives of the metric; the Faraday forms
-    are values at either order.  ``weyl_christoffels`` builds second-order
-    packs, and ``truncate(1)`` gives the first-order pack, whose
-    connection members are values.
+    the connection members one order less, since they read first
+    derivatives of the metric; the Faraday forms are values at either
+    order.  ``weyl_christoffels`` builds second-order packs, and
+    ``truncate(1)`` gives the first-order pack, whose connection members
+    are values, bit for bit those of the second-order pack.
 
     A pack built at a (P, n) array of points holds batched jets (one
     leading point axis).
@@ -174,10 +191,6 @@ class FramePack:
             raise ValueError("a frame pack needs first derivatives of the metric")
         return FramePack(self.G.truncate(order), self.TH.truncate(order))
 
-    def _low(self, jet):
-        # The connection members' order: one below the input jets'.
-        return jet.truncate(self.G.order - 1)
-
     def frame_components(self, X):
         """Chart vector -> components in the orthonormal frame."""
         return np.swapaxes(self.cholesky.L, -1, -2) @ np.asarray(X, dtype=float)
@@ -195,25 +208,26 @@ class FramePack:
         return self.cholesky.inverse_transpose()
 
     @cached_property
-    def omega_lc_frame(self):
-        # Y_j is symmetric, so Y[j, l, k] / 2 - Phi(Y_j)[k, l] is
-        # ((1/2 - Phi) Y_j)[k, l].
-        Y = self.cholesky.frame_gradient()
-        half = (0.5 - _half_lower(self.n))[:, :, None]
-        return 0.5 * (Y - jet_transpose(Y, (2, 0, 1))) + half * jet_transpose(Y, (1, 2, 0))
-
-    @cached_property
     def theta_frame(self):
-        # Taken at first order in every pack, then truncated: on values
-        # alone this contraction is a matrix-vector product, whose last
-        # bits differ from the value slot of the first-order product.
-        th = jet_einsum("a,ai->i", self.TH.truncate(1), self.S.truncate(1))
-        return self._low(th)
+        # Value and ∂_btheta_a S[a, i] in one product of TH's first-order
+        # slots, the same view in every pack, so a first-order pack's
+        # values are the second-order pack's bit for bit.
+        chol, nb = self.cholesky, self.G.nb
+        d = contract("...az,...ai->...iz", self.TH.truncate(1).d, chol.S)
+        if self.G.order < 2:
+            return Jet._make(d[..., :1], None, nb)
+        d[..., 1:] -= contract("...bim,...m->...ib", chol.F, d[..., 0])
+        return Jet._make(d, self.n, nb)
 
     @cached_property
     def omega_weyl(self):
-        return self.omega_lc_frame + jet_einsum("m,mjki->jki", self.theta_frame,
-                                                _theta_tensor(self.n))
+        n, nb = self.n, self.G.nb
+        Y, th = self.cholesky.frame_gradient(), self.theta_frame
+        lead = Y.d.shape[:nb]
+        Z = np.concatenate([Y.d.reshape(lead + (n ** 3, -1)), th.d], axis=-2)
+        idx, coef = _omega_gather(n)
+        om = (Z[..., idx, :] * coef[:, :, None]).sum(axis=-2)
+        return Jet._make(om.reshape(lead + (n, n, n, -1)), n, nb)
 
     @cached_property
     def faraday_chart(self):

@@ -12,7 +12,11 @@ package's curvature does not take, and ``chart_connection_residuals``
 checks the chart connection's torsion, metric and trace identities.
 ``inverse_route_rotation`` takes the frame and its spin rotation through
 the inverse jet of the Cholesky factor and the chart Christoffels, the
-route the package's frame pack does not take.  ``round_gauge`` gives the
+route the package's frame pack does not take.  ``transpose_route_omega``
+builds the Weyl spin rotation by transposes of the frame derivative of
+the metric plus theta(s) from the frame jet times ``theta_tensor``, the
+route the package's one gather replaces, and ``written_out_connection``
+writes the weight-w spin connection out term by term from it.  ``round_gauge`` gives the
 round sphere and the hyperbolic ball, whose curvature is known in closed
 form.  ``LeibnizJet`` and ``leibniz_einsum`` keep a jet's value, gradient
 and Hessian as three arrays and combine them term by term, one
@@ -209,6 +213,40 @@ def inverse_route_rotation(pack):
     gam = chart_christoffels(G, pack.TH, S)[0]
     V = S.gradient() + jet_einsum("bac,ci->bia", gam, S)  # [b, k, a] = (D_a s_k)^b
     return S, jet_einsum("bc,bka,cl,aj->klj", G, V, low, low)
+
+
+def theta_tensor(n):
+    """T[m, j, k, i] = d_mi d_jk + d_mj d_ik - d_ij d_mk: theta's part of
+    the Weyl connection's frame coefficients is sum_m theta(s_m) T[m, j, k, i]."""
+    E = np.eye(n)
+    return (np.einsum("mi,jk->mjki", E, E) + np.einsum("mj,ik->mjki", E, E)
+            - np.einsum("ij,mk->mjki", E, E))
+
+
+def transpose_route_omega(pack):
+    """The metric spin rotation omega_lc[k, l, j] = g(D_{s_j} s_k, s_l),
+    theta(s) and omega_weyl of a frame pack, one order below the pack's
+    input jets, by transposes: with Y = ``frame_gradient()``,
+    omega_lc = (Y[k, l, j] - Y[l, j, k]) / 2 + (1/2 - Phi)[k, l] Y[j, k, l];
+    theta(s_i) = sum_a theta_a S[a, i] from the frame jet; and
+    omega_weyl = omega_lc + sum_m theta(s_m) T[m, j, k, i]."""
+    n = pack.n
+    Y = pack.cholesky.frame_gradient()
+    half = (0.5 - np.tril(np.ones((n, n)), -1) - 0.5 * np.eye(n))[:, :, None]
+    lc = 0.5 * (Y - jet_transpose(Y, (2, 0, 1))) + half * jet_transpose(Y, (1, 2, 0))
+    th = jet_einsum("a,ai->i", pack.TH, pack.S).truncate(lc.order)
+    return lc, th, lc + jet_einsum("m,mjki->jki", th, theta_tensor(n))
+
+
+def written_out_connection(pack, rep, w):
+    """The spinor connection of a weight-w field, [i, s, t], in one
+    expression from ``transpose_route_omega``: (1/4) omega_lc[k, l, i]
+    gamma_k gamma_l - (1/2) gamma_i theta(s_k) gamma_k + (w - 1/2) theta(s_i)."""
+    lc, th, _ = transpose_route_omega(pack)
+    A = jet_einsum("kli,klst->ist", lc, 0.25 * rep.slot_products(2))
+    return (A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas,
+                                 jet_einsum("k,kst->st", th, rep.gammas))
+            + (float(w) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim)))
 
 
 # -- the term-by-term Leibniz calculus ---------------------------------------

@@ -630,7 +630,7 @@ def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
         monkeypatch.setattr(mod, "contract", counting)
     assert weylspin.run_suite(config).passed
     harness._GROUP_CACHE.clear()
-    assert len(calls) <= 3145, len(calls)
+    assert len(calls) <= 2765, len(calls)
 
 
 def test_a_transport_fits_the_contract_budget(monkeypatch):
@@ -648,7 +648,7 @@ def test_a_transport_fits_the_contract_budget(monkeypatch):
         monkeypatch.setattr(mod, "contract", counting)
     out = weylspin.killing_transport(gauge, datum, x0, v, length=0.8)
     assert out["residual"] < 1e-12
-    assert len(calls) <= 16, len(calls)
+    assert len(calls) <= 10, len(calls)
 
 
 def test_contract_on_broadcast_mixed_and_chained_operands():

@@ -11,7 +11,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import solve_ivp
 
 import weylspin
-from weylspin import killing, weyl
+from weylspin import harness, killing, spinops, weyl
 from weylspin.clifford import Spinor, build_representation
 from weylspin.harness import random_gauge
 from weylspin.killing import (
@@ -31,7 +31,7 @@ from weylspin.spinops import (GateError, dirac, gauge_transport_spinor, polynomi
                               twistor)
 from weylspin.weyl import Gauge, change_gauge, weyl_christoffels
 
-from oracles import round_gauge
+from oracles import round_gauge, written_out_connection
 
 
 def sample(seed, n=2, count=12):
@@ -305,20 +305,12 @@ def step_coefficient(gauge, d, v):
     """The transport coefficient A(x) from a frame pack at the one point x:
     the per-step form of the transport, kept as a reference."""
     rep = d.rep
-    w = float(d.psi.weight)
-    gammas = rep.gammas
 
     def system(x):
         pack = weyl_christoffels(gauge, x)
         vf = pack.frame_components(v)
-        vg = np.einsum("i,ist->st", vf, gammas)
-        th = pack.theta_frame.v
-        theta_cliff = np.einsum("k,kst->st", th, gammas)
-        M = (0.25 * np.einsum("kli,i,klst->st", pack.omega_lc_frame.v, vf,
-                              rep.slot_products(2))
-             - 0.5 * vg @ theta_cliff
-             + (w - 0.5) * float(th @ vf) * np.eye(rep.dim))
-        return -M + complex(d.beta.jet(x).v) * vg
+        M = np.einsum("i,ist->st", vf, written_out_connection(pack, rep, d.psi.weight).v)
+        return -M + complex(d.beta.jet(x).v) * np.einsum("i,ist->st", vf, rep.gammas)
 
     return system
 
@@ -405,11 +397,33 @@ def test_transport_builds_only_the_connection_members(monkeypatch):
     killing_transport(gauge, d, x0, v, length=length)
     assert packs and all(low.G.order == 1 for low in packs[1::2])
     assert all(set(vars(full)) == {"n", "G", "TH"} for full in packs[::2])
+    # The connection comes from the Cholesky differential alone: no jet
+    # of the frame S or of the factor L.
     built = set().union(*map(vars, packs))
-    assert built.isdisjoint({"omega_weyl", "faraday_chart", "faraday_frame"})
-    # The spin rotation comes from the Cholesky differential alone.
-    assert "L" not in built
-    assert "omega_lc_frame" in built
+    assert built == {"n", "G", "TH", "cholesky", "theta_frame", "omega_weyl"}
+
+
+def test_a_weight_term_of_w_minus_half_fails_lichnerowicz_and_the_transport(monkeypatch):
+    # A spin connection whose weight term is (w - 1/2) theta(s_i) instead of
+    # (w + n/4) theta(s_i): the Lichnerowicz formula fails on a seeded draw
+    # and the parallel plane family no longer transports to itself.
+    spin_connection = spinops._spin_connection
+
+    def shifted(pack, rep):
+        th = pack.theta_frame.reshape((pack.n, 1, 1))
+        return spin_connection(pack, rep) + th * ((-0.5 - pack.n / 4) * np.eye(rep.dim))
+
+    for mod in (spinops, killing):
+        monkeypatch.setattr(mod, "_spin_connection", shifted)
+    harness._GROUP_CACHE.clear()
+    config = weylspin.SuiteConfig(dims=(3,), gauges=1, seed=1, checks=("lichnerowicz",))
+    report = weylspin.run_suite(config)
+    harness._GROUP_CACHE.clear()
+    assert not report.passed
+    gauge, d, rep = example_parallel_zero(1.0, 0.25j)
+    out = killing_transport(gauge, d, np.array([-0.3, 0.1]), np.array([0.6, 0.8]),
+                            length=0.8)
+    assert out["residual"] > 1e-6, out["residual"]
 
 
 def test_transport_resolves_an_oscillating_solution():

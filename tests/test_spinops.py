@@ -34,7 +34,7 @@ from weylspin.spinops import (
 from weylspin.spinops import _cov_frame, _derivative_stack
 from weylspin.weyl import FramePack, Gauge, change_gauge, curvature, weyl_christoffels
 
-from oracles import chart_christoffels
+from oracles import chart_christoffels, written_out_connection
 
 
 def rand_poly(rng, n, degree=2, nterms=4, scale=0.5):
@@ -109,8 +109,8 @@ def test_point_batches_match_single_point_calls(n):
         assert batched.shape == single.shape
         assert np.abs(batched - single).max() <= 1e-13 * np.abs(single).max()
 
-    jets = ("G", "TH", "L", "S", "omega_lc_frame", "theta_frame", "omega_weyl",
-            "faraday_chart", "faraday_frame")
+    jets = ("G", "TH", "L", "S", "theta_frame", "omega_weyl", "faraday_chart",
+            "faraday_frame")
     for i, x in enumerate(pts):
         pack1 = weyl_christoffels(gauge, x)
         for name in jets:
@@ -539,19 +539,13 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
 
     # Reference: each derivative gets the full weight-w connection, written
     # out in one expression, (1/4) omega gamma gamma - (1/2) gamma theta
-    # + (w - 1/2) theta.
-    def connection(w):
-        A = jet_einsum("kli,klst->ist", pack.omega_lc_frame, 0.25 * rep.slot_products(2))
-        th = pack.theta_frame.truncate(A.order)
-        return (A - 0.5 * jet_einsum("ist,tu->isu", rep.gammas,
-                                     jet_einsum("k,kst->st", th, rep.gammas))
-                + (float(w) - 0.5) * jet_einsum("i,st->ist", th, np.eye(rep.dim)))
-
-    half = Fraction(1, 2)
-    P = _cov_frame(pack, rep, field.jet(pts), half, conn=connection(weight))
-    H = _cov_frame(pack, rep, P, half, conn=connection(weight)).v
+    # + (w - 1/2) theta.  At weight -n/4 _cov_frame adds no theta term, so
+    # the connection it is passed is the whole spinor part.
+    bare, conn = Fraction(-n, 4), written_out_connection(pack, rep, weight)
+    P = _cov_frame(pack, rep, field.jet(pts), bare, conn=conn)
+    H = _cov_frame(pack, rep, P, bare, conn=conn).v
     dj = jet_einsum("ist,it->s", rep.gammas, P)
-    vd = _cov_frame(pack, rep, dj, half, conn=connection(weight - 1)).v
+    vd = _cov_frame(pack, rep, dj, bare, conn=written_out_connection(pack, rep, weight - 1)).v
     for got, want in ((st.P.v, P.v), (st.P.g, P.g), (st.H, H), (st.dirac.v, dj.v), (st.vd, vd)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -569,11 +563,28 @@ def test_cov_frame_takes_every_term_at_the_derivative_order():
     H = _cov_frame(pack, rep, P, field.weight)
     assert H.order == 0
     # The values are those of the terms at their full orders.
-    conn = spinops._weighted(pack, rep, spinops._spin_connection(pack, rep), field.weight)
+    conn = written_out_connection(pack, rep, field.weight)
     full = (jet_einsum("ai,jsa->ijs", pack.S, P.gradient())
             + jet_einsum("ist,jt->ijs", conn, P)
             - jet_einsum("jki,ks->ijs", pack.omega_weyl, P))
     assert np.abs(H.v - full.v).max() <= 1e-14 * np.abs(full.v).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_spin_connection_matches_the_written_out_connection(n):
+    # A_w[i] = (1/4) omega_weyl[j, k, i] gamma_j gamma_k + (w + n/4) theta(s_i)
+    # is the metric spin connection plus the weight terms, at both orders.
+    rep = build_representation(n)
+    gauge = random_gauge(150 + n, n)
+    full = weyl_christoffels(gauge, gauge.sample_points(np.random.default_rng(n), 4))
+    for pack in (full, full.truncate(1)):
+        conn = spinops._spin_connection(pack, rep)
+        th = pack.theta_frame.reshape((n, 1, 1))
+        for w in (-1, 0, Fraction(1, 2), 1):
+            got = conn + th * ((float(w) + n / 4) * np.eye(rep.dim))
+            want = written_out_connection(pack, rep, w)
+            assert got.order == want.order == pack.G.order - 1
+            assert np.abs(got.d - want.d).max() <= 1e-14 * np.abs(want.d).max(), (n, w)
 
 
 def test_frame_pack_holds_no_chart_christoffels():

@@ -6,8 +6,8 @@ import pytest
 from weylspin import weyl
 from weylspin.fields import (
     Poly,
+    _half_lower,
     jet_einsum,
-    jet_transpose,
     polynomial_field,
 )
 from weylspin.harness import random_gauge
@@ -24,7 +24,7 @@ from weylspin.weyl import (
 )
 
 from oracles import (chart_connection_residuals, finite_difference_jet, inverse_route_rotation,
-                     metric_curvature, round_gauge)
+                     metric_curvature, round_gauge, theta_tensor, transpose_route_omega)
 
 
 def plane_form_gauge():
@@ -121,26 +121,31 @@ def test_chart_christoffels_satisfy_the_chart_identities(n):
 
 
 def test_a_perturbed_theta_part_fails_the_metric_item(monkeypatch):
-    # omega_weyl's theta part with one entry of T moved: the frame
-    # connection no longer satisfies nabla g = -2 theta (x) g.
+    # The gather table with 0.1 theta(s_0) added to omega_weyl[1, 1, 2] in
+    # a padding slot: the frame connection no longer satisfies
+    # nabla g = -2 theta (x) g.
     g = random_gauge(6, 3)
     pts = g.sample_points(np.random.default_rng(2), 4)
-    T = weyl._theta_tensor(3).copy()
-    T[0, 1, 1, 2] += 0.1
-    monkeypatch.setattr(weyl, "_theta_tensor", lambda n: T)
+    idx, coef = (table.copy() for table in weyl._omega_gather(3))
+    entry = np.ravel_multi_index((1, 1, 2), (3, 3, 3))
+    slot = np.flatnonzero(coef[entry] == 0)[0]
+    idx[entry, slot], coef[entry, slot] = 3 ** 3 + 0, 0.1
+    monkeypatch.setattr(weyl, "_omega_gather", lambda n: (idx, coef))
     assert connection_residuals(g, pts)["metric"].max() > 1e-3
 
 
 def test_a_spin_rotation_without_its_phi_term_fails_the_torsion_item(monkeypatch):
-    # omega_lc_frame with (1/2 - Phi) replaced by 1/2: no longer the
-    # rotation of the Levi-Civita connection, so the bracket fails.
-    def without_phi(pack):
-        Y = pack.cholesky.frame_gradient()
-        return 0.5 * (Y - jet_transpose(Y, (2, 0, 1)) + jet_transpose(Y, (1, 2, 0)))
-
-    g = random_gauge(6, 3)
+    # The gather table with (1/2 - Phi) replaced by 1/2, by a column that
+    # adds Phi[j, k] Y[i, j, k] to every entry: no longer the rotation of
+    # the Levi-Civita connection, so the bracket fails.
+    n = 3
+    idx, coef = weyl._omega_gather(n)
+    j, k, i = np.unravel_index(np.arange(n ** 3), (n,) * 3)
+    extra = np.ravel_multi_index((i, j, k), (n,) * 3)
+    table = (np.column_stack([idx, extra]), np.column_stack([coef, _half_lower(n)[j, k]]))
+    g = random_gauge(6, n)
     pts = g.sample_points(np.random.default_rng(2), 4)
-    monkeypatch.setattr(weyl.FramePack, "omega_lc_frame", property(without_phi))
+    monkeypatch.setattr(weyl, "_omega_gather", lambda n: table)
     assert connection_residuals(g, pts)["torsion"].max() > 1e-3
 
 
@@ -180,9 +185,8 @@ def test_curvature_takes_one_route():
     for x in (pts[0], pts):
         pack = weyl_christoffels(g, x)
         curvature(g, x, pack=pack)
-        assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "S", "omega_lc_frame",
-                                   "theta_frame", "omega_weyl", "faraday_chart",
-                                   "faraday_frame"}
+        assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "S", "theta_frame",
+                                   "omega_weyl", "faraday_chart", "faraday_frame"}
 
 
 def test_curvature_rejects_a_first_order_pack():
@@ -244,8 +248,8 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
     g = random_gauge(24, 3)
     pts = g.sample_points(np.random.default_rng(3), 4)
     pack = weyl_christoffels(g, pts)
-    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "omega_lc_frame": 1, "theta_frame": 1,
-              "omega_weyl": 1, "faraday_chart": 0, "faraday_frame": 0}
+    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "theta_frame": 1, "omega_weyl": 1,
+              "faraday_chart": 0, "faraday_frame": 0}
     assert {name: getattr(pack, name).order for name in orders} == orders
     # A first-order pack takes every member one order lower; the Faraday
     # forms stay values.
@@ -255,24 +259,18 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
         name: max(order - 1, 0) for name, order in orders.items()}
     with pytest.raises(ValueError, match="first derivatives"):
         pack.truncate(0)
-    # The kept orders are the same as from the full jets.
-    S, TH = pack.S, pack.TH
-    got, want = pack.theta_frame, jet_einsum("a,ai->i", TH, S)
-    for a, b in ((got.v, want.v), (got.g, want.g)):
-        assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
 
 
 def test_frame_pack_builds_each_member_once_on_first_read():
     g = random_gauge(25, 3)
     pack = weyl_christoffels(g, g.sample_points(np.random.default_rng(5), 3))
     assert set(vars(pack)) == {"n", "G", "TH"}
-    first = pack.omega_lc_frame
-    # The spin rotation reads the Cholesky differential alone: not the
-    # frame jet, the Christoffels or the inverse metric.
-    assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "omega_lc_frame"}
-    assert pack.omega_lc_frame is first
-    for name in ("cholesky", "L", "S", "theta_frame", "omega_weyl", "faraday_chart",
-                 "faraday_frame"):
+    first = pack.omega_weyl
+    # The connection reads the Cholesky differential and theta(s) alone:
+    # not the frame jet, the Christoffels or the inverse metric.
+    assert set(vars(pack)) == {"n", "G", "TH", "cholesky", "theta_frame", "omega_weyl"}
+    assert pack.omega_weyl is first
+    for name in ("cholesky", "L", "S", "theta_frame", "faraday_chart", "faraday_frame"):
         assert getattr(pack, name) is getattr(pack, name), name
 
 
@@ -282,12 +280,40 @@ def test_frame_and_spin_rotation_match_the_inverse_route(n):
     full = weyl_christoffels(g, g.sample_points(np.random.default_rng(n), 6))
     for pack in (full, full.truncate(1)):
         S, omega = inverse_route_rotation(pack)
-        for got, want in ((pack.S, S), (pack.omega_lc_frame, omega)):
+        th = jet_einsum("a,ai->i", pack.TH, S).truncate(omega.order)
+        omega = omega + jet_einsum("m,mjki->jki", th, theta_tensor(n))
+        for got, want in ((pack.S, S), (pack.omega_weyl, omega)):
             assert got.order == want.order
             assert np.abs(got.d - want.d).max() <= 1e-13 * np.abs(want.d).max()
-        # A metric connection: omega is antisymmetric in (k, l) in every slot.
-        w = pack.omega_lc_frame.d
-        assert np.abs(w + np.swapaxes(w, -4, -3)).max() <= 1e-13 * np.abs(w).max()
+        # A Weyl connection: omega[j, k, i] + omega[k, j, i] = 2 theta(s_i)
+        # delta_jk in every slot.
+        w, t = pack.omega_weyl.d, pack.theta_frame.d
+        sym = w + np.swapaxes(w, -4, -3) - 2.0 * np.eye(n)[:, :, None, None] * t[:, None, None]
+        assert np.abs(sym).max() <= 1e-13 * np.abs(w).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_theta_frame_matches_the_frame_jet_contraction(n):
+    # The closed form reads S's value and F_b, not the jet of S.
+    g = random_gauge(130 + n, n)
+    full = weyl_christoffels(g, g.sample_points(np.random.default_rng(n), 6))
+    for pack in (full, full.truncate(1)):
+        got = pack.theta_frame
+        want = jet_einsum("a,ai->i", pack.TH, pack.S).truncate(pack.G.order - 1)
+        assert got.order == want.order == pack.G.order - 1
+        for a, b in ((got.v, want.v), (got.g, want.g)):
+            if b is not None:
+                assert np.abs(a - b).max() <= 1e-15 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_gathered_omega_matches_the_transpose_route(n):
+    g = random_gauge(140 + n, n)
+    full = weyl_christoffels(g, g.sample_points(np.random.default_rng(n), 6))
+    for pack in (full, full.truncate(1)):
+        got, want = pack.omega_weyl, transpose_route_omega(pack)[2]
+        assert got.order == want.order == pack.G.order - 1
+        assert np.abs(got.d - want.d).max() <= 1e-15 * np.abs(want.d).max()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -316,12 +342,13 @@ def test_spin_rotation_of_a_round_metric_is_analytic(n, family):
     dw = ddf - df[:, None, :] * df[:, :, None]  # [p, b, k]
     grad = e[:, None, None, None, None] * np.stack(
         [rotation(dw[:, b]) for b in range(n)], axis=-1)
+    # With theta = 0, omega_weyl is the metric spin rotation.
     full = weyl_christoffels(gauge, x)
     for pack in (full, full.truncate(1)):
-        omega = pack.omega_lc_frame
+        omega = pack.omega_weyl
         assert omega.order == pack.G.order - 1
         assert np.abs(omega.v - value).max() <= 1e-13 * np.abs(value).max()
-    omega = full.omega_lc_frame
+    omega = full.omega_weyl
     assert np.abs(omega.g - grad).max() <= 1e-13 * np.abs(grad).max()
 
 
