@@ -631,29 +631,32 @@ class CholeskyDifferential:
             raise ValueError("matrix is not positive definite at this point") from None
         M = _lower_inverse(L)
         self.L, self.S, self._nb = L, np.swapaxes(M, -1, -2), gram.nb
-        self.X = self.F = self.dX = self._dF = self._FF = None
+        self.X = self.F = self.dX = None
         if gram.order == 0:
             return
         n = L.shape[-1]
-        phi = _half_lower(n)
         X = contract("...ij,...zjk,...lk->...zil", M, _slots_first(gram), M)
-        Xa = self.X = X[..., :n, :, :]
-        F = self.F = Xa * phi
+        # A copy, so the second-partial slots go once dX is built.
+        Xa = self.X = X[..., :n, :, :].copy()
+        F = self.F = Xa * _half_lower(n)
         if gram.order == 2:
-            FX, self._FF = contract("...bij,...sajk->s...abik", F, np.stack([Xa, F], axis=-4))
+            FX = contract("...bij,...ajk->...abik", F, Xa)
             XF = contract("...aij,...bkj->...abik", Xa, F)
             self.dX = _pairs(X, n) - FX - XF
-            self._dF = self.dX * phi  # [a, b, i, j] = ∂_bF_a
 
-    def _jet(self, value, spec, sign, FF):
-        # The jet whose slots are contract(spec, value, D), with D_a = sign F_a
-        # and D_ab = FF_ab + sign ∂_bF_a.
+    def _jet(self, value, spec, sign, order, swap=False):
+        # The jet to ``order`` (at most G's) whose slots are
+        # contract(spec, value, D), with D_a = sign F_a and
+        # D_ab = F_bF_a + sign ∂_bF_a (F_aF_b with ``swap``).
         if self.F is None:
             return Jet._make(value[..., None], None, self._nb)
         D = sign * self.F
-        if FF is not None:
+        if order == 2 and self.dX is not None:
             n = value.shape[-1]
-            W = FF + sign * self._dF
+            FF = contract("...bij,...ajk->...abik", self.F, self.F)
+            if swap:
+                FF = np.swapaxes(FF, -4, -3)
+            W = FF + sign * (self.dX * _half_lower(n))  # ∂_bF_a = Phi(∂_bX_a)
             D = np.concatenate([D, W.reshape(W.shape[:-4] + (n * n, n, n))], axis=-3)
         return _from_slots(value, contract(spec, value, D), self._nb)
 
@@ -671,12 +674,14 @@ class CholeskyDifferential:
 
     def factor(self):
         """The jet of L, lower triangular."""
-        return self._jet(self.L, "...ij,...zjk->...zik", 1.0, self._FF)
+        return self._jet(self.L, "...ij,...zjk->...zik", 1.0, 2)
 
     def inverse_transpose(self):
         """The jet of S = L⁻ᵀ, upper triangular."""
-        FF = None if self._FF is None else np.swapaxes(self._FF, -4, -3)
-        return self._jet(self.S, "...ij,...zkj->...zik", -1.0, FF)
+        return self._inverse_transpose(2)
+
+    def _inverse_transpose(self, order):
+        return self._jet(self.S, "...ij,...zkj->...zik", -1.0, order, swap=True)
 
 
 def jet_cholesky(gram):
@@ -735,13 +740,18 @@ class ChartField:
     of any value shape: tensor slots, a trailing spinor axis, or none for
     a density.  The weight is the scaling exponent of the components under
     a conformal gauge change (None for quantities that do not rescale
-    multiplicatively, such as the gauge 1-form itself).
+    multiplicatively, such as the gauge 1-form itself).  A field joined
+    over several draws' points (the harness's stacked passes) carries a
+    float array of per-point weights instead, one entry per point of the
+    batch it is evaluated at.
     """
 
     __slots__ = ("weight", "fn")
 
     def __init__(self, weight, fn):
-        self.weight = None if weight is None else as_fraction(weight)
+        if weight is not None and not isinstance(weight, np.ndarray):
+            weight = as_fraction(weight)
+        self.weight = weight
         self.fn = fn
 
     def jet(self, point):

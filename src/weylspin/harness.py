@@ -22,20 +22,20 @@ import operator
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field as _field, fields as _fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .clifford import SlotTensor, Spinor, build_representation, tensor_clifford
-from .fields import as_fraction, contract, permute, polynomial_field, zyk
+from .fields import ChartField, Jet, as_fraction, contract, permute, polynomial_field, zyk
 from .killing import (example_killing_half, example_parallel_zero,
                       flat_twistor_family, integrability_report,
                       killing_kernel_determinant)
-from .spinops import (curvature_contraction_checks, first_integrals,
+from .spinops import (_first_order, curvature_contraction_checks, first_integrals,
                       gauge_transport_spinor, hessian_identity_check,
                       nabla_dirac_residual, pair_parallel_residuals,
                       polynomial_spinor, sl_residual, spinorial_curvature,
-                      twistor_laplacian_residuals, weyl_spinor_derivative)
+                      twistor_laplacian_residuals)
 from .weyl import (Gauge, _theta_free, change_gauge, connection_residuals,
                    curvature, faraday, relative_residual, weyl_christoffels)
 
@@ -370,8 +370,10 @@ def parse_report(text):
 # -- sweep drivers --------------------------------------------------------------
 #
 # A sweep maps a configuration to rows (check, n, weight, seed, index,
-# detail, residual).  Each driver walks one seeded grid and hands every draw
-# to a kernel that returns the draw's residuals keyed by check name.
+# detail, residual).  Each driver walks one seeded grid.  The Clifford and
+# geometry drivers hand every draw to a kernel that returns the draw's
+# residuals keyed by check name; the spinor sweeps draw first and then
+# evaluate many draws in one stacked pass (``_StackedSweep``).
 
 
 def _weight_parts(w):
@@ -411,20 +413,144 @@ def _gauge_draw(config, name, n, *parts):
     return seed, gauge, np.random.default_rng(_derive_seed(config.seed, name, n, *parts, 1))
 
 
-def _gauge_sweep(name, kernel, weighted=True):
-    """``config.gauges`` random gauges per dimension, and per weight when
-    the sweep is weighted; ``kernel(config, gauge, rng, rep, w)`` with
-    ``w = None`` on an unweighted sweep."""
+def _gauge_grid(config, name, n):
+    """(w, seed, gauge, rng) of ``config.gauges`` random gauges of
+    dimension n per weight."""
+    for w in config.fractions():
+        for gi in range(config.gauges):
+            yield (w, *_gauge_draw(config, name, n, *_weight_parts(w), gi))
+
+
+def _gauge_sweep(name, kernel):
+    """``config.gauges`` random gauges per dimension, unweighted, one
+    draw at a time; ``kernel(config, gauge, rng, rep)``."""
     def sweep(config):
         for n in config.dims:
             rep = build_representation(n)
-            for w in config.fractions() if weighted else (None,):
-                parts = _weight_parts(w) if weighted else ()
-                for gi in range(config.gauges):
-                    seed, gauge, rng = _gauge_draw(config, name, n, *parts, gi)
-                    for check, res in kernel(config, gauge, rng, rep, w).items():
-                        yield check, n, "-" if w is None else str(w), seed, 0, "", res
+            for gi in range(config.gauges):
+                seed, gauge, rng = _gauge_draw(config, name, n, gi)
+                for check, res in kernel(config, gauge, rng, rep).items():
+                    yield check, n, "-", seed, 0, "", res
     return sweep
+
+
+# -- stacked sweeps: draw, then evaluate ----------------------------------------
+#
+# The draw step does the rng work: each draw's parts (gauge, field and
+# sample points; a gauge-covariance draw has two), its row identity and
+# its reduction.  The evaluate step joins consecutive draws of one
+# dimension and representation along the point axis and runs the kernel
+# once per chunk of at most ``_chunk_points(n)`` points, so one frame
+# pack, one derivative stack and one curvature serve every draw in it.
+# The kernel's per-point arrays are cut back into the draws.
+
+# The largest chunk's tracemalloc peak is 0.44 / 0.99 / 1.24 MiB at
+# n = 2 / 3 / 4, under the 2.28 MiB the Clifford sweeps reach.  At n = 4
+# the cost per point hardly falls past 40 points, while the process's
+# peak resident size grows with the chunk.
+_CHUNK_POINTS = {2: 120, 3: 120, 4: 40}
+_CHUNK_POINTS_ABOVE = 20
+
+_Part = namedtuple("_Part", ["gauge", "field", "pts"])
+# row: (n, weight, seed, index, detail); reduce maps the per-point arrays
+# of the draw's parts to {check: residual}.
+_Draw = namedtuple("_Draw", ["row", "rep", "parts", "reduce"])
+
+
+def _chunk_points(n):
+    return _CHUNK_POINTS.get(n, _CHUNK_POINTS_ABOVE)
+
+
+def _joined(fields, sizes, weight):
+    """One chart field over consecutive point blocks: ``fields[k]`` on
+    the k-th block of ``sizes[k]`` points, each evaluated alone (a field
+    on the disjoint union of the draws' charts), at the lowest order
+    among its blocks' jets."""
+    ends = np.cumsum(sizes)
+
+    def fn(X):
+        d = [f.fn(Jet._make(X.d[e - size:e], X.n, X.nb)).d
+             for f, size, e in zip(fields, sizes, ends)]
+        width = min(a.shape[-1] for a in d)
+        return Jet._make(np.concatenate([a[..., :width] for a in d]), X.n, X.nb)
+
+    return ChartField(weight, fn)
+
+
+def _evaluate_chunk(rep, parts, kernel):
+    """One stacked pass: ``kernel(gauge, rep, field, x)`` on the gauge and
+    field that are each part's own at its points; the field carries
+    per-point weights."""
+    sizes = [len(p.pts) for p in parts]
+    gauge = Gauge(rep.n, _joined([p.gauge.metric for p in parts], sizes, 2),
+                  _joined([p.gauge.theta for p in parts], sizes, None))
+    weights = np.repeat([float(p.field.weight) for p in parts], sizes)
+    field = _joined([p.field for p in parts], sizes, weights)
+    return kernel(gauge, rep, field, np.concatenate([p.pts for p in parts]))
+
+
+class _StackedSweep:
+    """A sweep from its draw step ``draws(config)``, an iterable of
+    ``_Draw``, and the kernel of its evaluate step.  Draws are taken as
+    they come, in batches that fill at most one chunk, so only one
+    chunk's draws are alive at a time."""
+
+    __slots__ = ("draws", "kernel")
+
+    def __init__(self, draws, kernel):
+        self.draws, self.kernel = draws, kernel
+
+    def __call__(self, config):
+        batch, room = [], 0
+        for d in self.draws(config):
+            size = sum(len(p.pts) for p in d.parts)
+            if batch and (d.row[0] != batch[0].row[0] or d.rep is not batch[0].rep
+                          or size > room):
+                yield from self._rows(batch)
+                batch = []
+            if not batch:
+                room = _chunk_points(d.row[0])
+            batch.append(d)
+            room -= size
+        if batch:
+            yield from self._rows(batch)
+
+    def _rows(self, batch):
+        rep, parts = batch[0].rep, [p for d in batch for p in d.parts]
+        sizes = [len(p.pts) for p in parts]
+        ends = np.cumsum(sizes)
+        starts, cap, out = ends - sizes, _chunk_points(rep.n), {}
+        # A batch is one chunk, unless one draw alone is larger.
+        for lo in range(0, ends[-1], cap):
+            chunk = [p._replace(pts=p.pts[max(lo - s, 0):lo + cap - s])
+                     for p, s, e in zip(parts, starts, ends) if s < lo + cap and e > lo]
+            for key, arr in _evaluate_chunk(rep, chunk, self.kernel).items():
+                out.setdefault(key, []).append(arr)
+        out = {key: np.concatenate(arrs) for key, arrs in out.items()}
+        results = iter([{key: arr[s:e] for key, arr in out.items()}
+                        for s, e in zip(starts, ends)])
+        for d in batch:
+            for check, res in d.reduce([next(results) for _ in d.parts]).items():
+                yield (check, *d.row, res)
+
+
+def _worst_per_check(results):
+    """A one-part draw's row per check: its largest per-point residual."""
+    (res,) = results
+    return {check: float(np.max(r)) for check, r in res.items()}
+
+
+def _spinor_draw(config, row, rep, gauge, rng, w, reduce=_worst_per_check):
+    """A random spinor field of weight w on the gauge, and sample points."""
+    field = _random_spinor_field(rng, gauge.n, rep.dim, w)
+    pts = gauge.sample_points(rng, config.points)
+    return _Draw(row, rep, [_Part(gauge, field, pts)], reduce)
+
+
+def _spinor_grid(config, name, n, rep):
+    """A random spinor field on each gauge of the weighted grid at n."""
+    for w, seed, gauge, rng in _gauge_grid(config, name, n):
+        yield _spinor_draw(config, (n, str(w), seed, 0, ""), rep, gauge, rng, w)
 
 
 def _twistor_slice(config, rng, n, w, di, family):
@@ -461,21 +587,22 @@ def _twistor_setup(config, name, n, w, di, rep):
     return seed, gauge, field, pts, detail
 
 
+def _twistor_draws(config, name, n, rep, reduce=_worst_per_check):
+    """``config.gauges`` twistor-type draws of dimension n per weight."""
+    for w in config.fractions():
+        for di in range(config.gauges):
+            seed, gauge, field, pts, detail = _twistor_setup(config, name, n, w, di, rep)
+            yield _Draw((n, str(w), seed, di, detail), rep, [_Part(gauge, field, pts)], reduce)
+
+
 def _twistor_sweep(name, kernel, min_n=2):
-    """``config.gauges`` twistor-type draws per dimension >= min_n and
-    weight; ``kernel(gauge, rep, field, pts)``."""
-    def sweep(config):
+    """The twistor grid over every dimension >= min_n, stacked;
+    ``kernel(gauge, rep, field, pts)``."""
+    def draws(config):
         for n in config.dims:
-            if n < min_n:
-                continue
-            rep = build_representation(n)
-            for w in config.fractions():
-                for di in range(config.gauges):
-                    seed, gauge, field, pts, detail = _twistor_setup(
-                        config, name, n, w, di, rep)
-                    for check, res in kernel(gauge, rep, field, pts).items():
-                        yield check, n, str(w), seed, di, detail, res
-    return sweep
+            if n >= min_n:
+                yield from _twistor_draws(config, name, n, build_representation(n))
+    return _StackedSweep(draws, kernel)
 
 
 # -- kernels: Clifford layer ------------------------------------------------------
@@ -540,7 +667,7 @@ def _two_form_exchange(rng, rep, psi):
 # -- kernels: curvature and gauge behaviour -----------------------------------------
 
 
-def _curvature_algebra(config, gauge, rng, rep, w):
+def _curvature_algebra(config, gauge, rng, rep):
     pts = gauge.sample_points(rng, config.points)
     b = curvature(gauge, pts)
     E = np.eye(gauge.n)
@@ -559,14 +686,16 @@ def _curvature_algebra(config, gauge, rng, rep, w):
             "first-bianchi": _worst(*np.moveaxis([zr + zf, zr, zf, rp], -1, 1))}
 
 
-def _curvature_spinor(config, gauge, rng, rep, w):
-    field = _random_spinor_field(rng, gauge.n, rep.dim, w)
-    pts = gauge.sample_points(rng, config.points)
-    res = curvature_contraction_checks(gauge, rep, field, pts)
-    return {k: float(np.max(v)) for k, v in res.items()}
+def _curvature_spinor_draws(config):
+    for n in config.dims:
+        yield from _spinor_grid(config, "curvature-spinor", n, build_representation(n))
 
 
-def _weight_shift(config, gauge, rng, rep, w):
+def _curvature_spinor(gauge, rep, field, pts):
+    return curvature_contraction_checks(gauge, rep, field, pts)
+
+
+def _weight_shift(config, gauge, rng, rep):
     f1 = _random_spinor_field(rng, gauge.n, rep.dim, 1)
     f0 = f1.with_weight(0)
     pts = gauge.sample_points(rng, config.points)
@@ -577,35 +706,50 @@ def _weight_shift(config, gauge, rng, rep, w):
     return {"spinor-curvature-weight-shift": _worst(rs1 - rs0 - fpsi, rs1, rs0, fpsi)}
 
 
-def _lichnerowicz(config, gauge, rng, rep, w):
-    field = _random_spinor_field(rng, gauge.n, rep.dim, w)
-    pts = gauge.sample_points(rng, config.points)
-    return {"lichnerowicz": float(np.max(sl_residual(gauge, rep, field, pts)))}
+def _lichnerowicz_draws(config):
+    """The weighted grid, plus one draw per cell on the closed slice theta = 0."""
+    name = "lichnerowicz"
+    for n in config.dims:
+        rep = build_representation(n)
+        yield from _spinor_grid(config, name, n, rep)
+        for w in config.fractions():
+            seed, base, rng = _gauge_draw(config, name, n, *_weight_parts(w), 10 ** 6)
+            yield _spinor_draw(config, (n, str(w), seed, 1, "theta-zero"), rep,
+                               _theta_free(base), rng, w)
+
+
+def _lichnerowicz(gauge, rep, field, pts):
+    return {"lichnerowicz": sl_residual(gauge, rep, field, pts)}
+
+
+def _gauge_covariance_draws(config):
+    """Each draw's field in its gauge and in a conformally rescaled gauge:
+    two parts at the same points."""
+    name = "gauge-covariance"
+    for n in config.dims:
+        rep = build_representation(n)
+        for w, seed, gauge, rng in _gauge_grid(config, name, n):
+            f = _random_conformal_factor(rng, n, min(config.degree, 3))
+            field = _random_spinor_field(rng, n, rep.dim, w)
+            pts = gauge.sample_points(rng, config.points)
+            parts = [_Part(gauge, field, pts),
+                     _Part(change_gauge(gauge, f), gauge_transport_spinor(field, f), pts)]
+            yield _Draw((n, str(w), seed, 0, ""), rep, parts,
+                        partial(_gauge_covariance, rep, float(w), f(pts)))
 
 
 def _derivative_and_scalar(gauge, rep, field, pts):
-    # One frame pack alive at a time keeps the batched working set small.
-    pack = weyl_christoffels(gauge, pts)
-    return (weyl_spinor_derivative(gauge, rep, field, pts, pack=pack).comp,
-            curvature(gauge, pts, pack=pack).scalar.value)
+    pack, _, psi, P = _first_order(gauge, rep, field, pts)
+    return {"psi": psi.v, "P": P.v, "R": curvature(gauge, pts, pack=pack).scalar.value}
 
 
-def _gauge_covariance(config, gauge, rng, rep, w):
-    wf = float(w)
-    f = _random_conformal_factor(rng, gauge.n, min(config.degree, 3))
-    gauge2 = change_gauge(gauge, f)
-    field = _random_spinor_field(rng, gauge.n, rep.dim, w)
-    field2 = gauge_transport_spinor(field, f)
-    pts = gauge.sample_points(rng, config.points)
-    fv = f(pts)
-    p1, r1 = _derivative_and_scalar(gauge, rep, field, pts)
-    p2, r2 = _derivative_and_scalar(gauge2, rep, field2, pts)
+def _gauge_covariance(rep, wf, fv, results):
+    (v1, p1, r1), (v2, p2, r2) = ((r["psi"], r["P"], r["R"]) for r in results)
     fac = np.exp((1.0 - wf) * fv)
     p2s = p2 * fac[:, None, None]
     d1 = contract("ist,pit->ps", rep.gammas, p1)
     d2 = contract("ist,pit->ps", rep.gammas, p2)
     d2s = d2 * fac[:, None]
-    v1, v2 = field(pts), field2(pts)
     c1 = contract("ps,ps->p", np.conj(v1), d1).real
     c2 = contract("ps,ps->p", np.conj(v2), d2).real
     c2s = c2 * np.exp((1.0 - 2.0 * wf) * fv)
@@ -616,7 +760,7 @@ def _gauge_covariance(config, gauge, rng, rep, w):
                                     _worst(r2 * np.exp(2.0 * fv) - r1, r1, np.ones(1)))}
 
 
-def _weyl_compatibility(config, gauge, rng, rep, w):
+def _weyl_compatibility(config, gauge, rng, rep):
     far = faraday(gauge)
     pts = gauge.sample_points(rng, config.points)
     res = connection_residuals(gauge, pts)
@@ -632,57 +776,46 @@ def _weyl_compatibility(config, gauge, rng, rep, w):
 
 def _twistor_eigen(gauge, rep, field, pts):
     res = twistor_laplacian_residuals(gauge, rep, field, pts)
-    return {"twistor-laplacian": float(np.max(res["laplacian"])),
-            "twistor-dirac-square": float(np.max(res["dirac-square"]))}
+    return {"twistor-laplacian": res["laplacian"], "twistor-dirac-square": res["dirac-square"]}
 
 
 def _dirac_gradient(gauge, rep, field, pts):
-    res = nabla_dirac_residual(gauge, rep, field, pts)
-    return {"twistor-dirac-gradient": float(np.max(res))}
+    return {"twistor-dirac-gradient": nabla_dirac_residual(gauge, rep, field, pts)}
 
 
 def _pair_parallel(gauge, rep, field, pts):
-    res = pair_parallel_residuals(gauge, rep, field, pts)
-    return {"twistor-pair-parallel": float(max(np.max(res["top"]), np.max(res["bottom"])))}
+    return pair_parallel_residuals(gauge, rep, field, pts)
 
 
 def _first_integrals(gauge, rep, field, pts):
     res = first_integrals(gauge, rep, field, pts)
-    return {"twistor-first-integrals": float(max(np.max(res["dC"]), np.max(res["dQ"])))}
+    return {"twistor-first-integrals": np.maximum(res["dC"], res["dQ"])}
 
 
-_LICHNEROWICZ_GRID = _gauge_sweep("lichnerowicz", _lichnerowicz)
-_PAIR_PARALLEL_GRID = _twistor_sweep("twistor-pair-parallel", _pair_parallel, min_n=3)
-_FIRST_INTEGRALS_GRID = _twistor_sweep("twistor-first-integrals", _first_integrals)
+def _pair_parallel_row(results):
+    (res,) = results
+    return {"twistor-pair-parallel": float(max(np.max(res["top"]), np.max(res["bottom"])))}
 
 
-def _lichnerowicz_sweep(config):
-    """The weighted grid, plus one draw per cell on the closed slice theta = 0."""
-    yield from _LICHNEROWICZ_GRID(config)
-    for n in config.dims:
-        rep = build_representation(n)
-        for w in config.fractions():
-            seed, base, rng = _gauge_draw(config, "lichnerowicz", n,
-                                          *_weight_parts(w), 10 ** 6)
-            (res,) = _lichnerowicz(config, _theta_free(base), rng, rep, w).values()
-            yield "lichnerowicz", n, str(w), seed, 1, "theta-zero", res
+def _non_twistor_row(results):
+    # A generic field: its top-row defect must not vanish.
+    (res,) = results
+    return {"twistor-pair-parallel": _nonzero_defect(float(np.max(res["top"])))}
 
 
-def _pair_parallel_sweep(config):
+def _pair_parallel_draws(config):
     """The twistor grid, plus generic fields whose top-row defect must not vanish."""
     key = "twistor-pair-parallel"
-    yield from _PAIR_PARALLEL_GRID(config)
     w0 = config.fractions()[0]
     for n in config.dims:
         if n < 3:
             continue
         rep = build_representation(n)
+        yield from _twistor_draws(config, key, n, rep, _pair_parallel_row)
         for di in range(min(2, config.gauges)):
             seed, gauge, rng = _gauge_draw(config, key, n, 10 ** 6, di)
-            field = _random_spinor_field(rng, n, rep.dim, w0)
-            pts = gauge.sample_points(rng, config.points)
-            top = float(np.max(pair_parallel_residuals(gauge, rep, field, pts)["top"]))
-            yield key, n, str(w0), seed, 1000 + di, "non-twistor", _nonzero_defect(top)
+            yield _spinor_draw(config, (n, str(w0), seed, 1000 + di, "non-twistor"),
+                               rep, gauge, rng, w0, _non_twistor_row)
 
 
 def _plane_coefficient(rng):
@@ -699,14 +832,16 @@ def _killing_half_draws(config, name, *parts):
         yield si, sign, seed, gauge, datum, gauge.sample_points(rng, config.points)
 
 
-def _first_integrals_sweep(config):
+def _first_integrals_draws(config):
     """The twistor grid, plus the plane Killing family: its nonvanishing
-    Faraday form and weight 1/2 cover the other gate branch."""
+    Faraday form and weight 1/2 cover the other gate branch.  The family
+    has its own representation, so its draws form their own group."""
     key = "twistor-first-integrals"
-    yield from _FIRST_INTEGRALS_GRID(config)
+    for n in config.dims:
+        yield from _twistor_draws(config, key, n, build_representation(n))
     for si, sign, seed, gauge, datum, pts in _killing_half_draws(config, key, 2):
-        (res,) = _first_integrals(gauge, datum.rep, datum.psi, pts).values()
-        yield key, 2, "1/2", seed, 2000 + si, f"killing-half({'+' if sign > 0 else '-'})", res
+        row = (2, "1/2", seed, 2000 + si, f"killing-half({'+' if sign > 0 else '-'})")
+        yield _Draw(row, datum.rep, [_Part(gauge, datum.psi, pts)], _worst_per_check)
 
 
 def _zero_hessian_sweep(config):
@@ -772,8 +907,8 @@ def _example_parallel_sweep(config):
 CheckDef = namedtuple("CheckDef", ["sweep", "statement", "tolerance"])
 
 # Sweeps that feed several checks.
-_CURVATURE_ALGEBRA = _gauge_sweep("curvature-algebra", _curvature_algebra, weighted=False)
-_CURVATURE_SPINOR = _gauge_sweep("curvature-spinor", _curvature_spinor)
+_CURVATURE_ALGEBRA = _gauge_sweep("curvature-algebra", _curvature_algebra)
+_CURVATURE_SPINOR = _StackedSweep(_curvature_spinor_draws, _curvature_spinor)
 _TWISTOR_EIGEN = _twistor_sweep("twistor-eigen", _twistor_eigen)
 
 CHECKS = {
@@ -816,7 +951,7 @@ CHECKS = {
         "action of the metric-part curvature plus the weighted Faraday term.",
         1e-9),
     "spinor-curvature-weight-shift": CheckDef(
-        _gauge_sweep("spinor-curvature-weight-shift", _weight_shift, weighted=False),
+        _gauge_sweep("spinor-curvature-weight-shift", _weight_shift),
         "The spinor curvature of a weight-1 field minus that of the same "
         "components at weight 0 is the Faraday form times the field.",
         1e-12),
@@ -831,7 +966,7 @@ CHECKS = {
         "scalar curvature plus (2n - 4) times the Faraday action.",
         1e-9),
     "lichnerowicz": CheckDef(
-        _lichnerowicz_sweep,
+        _StackedSweep(_lichnerowicz_draws, _lichnerowicz),
         "The Dirac square equals the Laplacian plus a quarter of the scalar "
         "curvature plus the weight-dependent Faraday action.",
         1e-8),
@@ -850,12 +985,12 @@ CHECKS = {
         "is an algebraic curvature action on the field.",
         1e-8),
     "twistor-first-integrals": CheckDef(
-        _first_integrals_sweep,
+        _StackedSweep(_first_integrals_draws, _first_integrals),
         "The two conserved densities of a twistor-type field are parallel "
         "when the weight is 1/2 or the Faraday action vanishes.",
         1e-8),
     "twistor-pair-parallel": CheckDef(
-        _pair_parallel_sweep,
+        _StackedSweep(_pair_parallel_draws, _pair_parallel),
         "The pair (field, Dirac image) is parallel for the coupled "
         "connection exactly on twistor-type fields (n >= 3).",
         1e-8),
@@ -876,13 +1011,13 @@ CHECKS = {
         "its representation splits with gamma_1 gamma_2 = diag(i, -i).",
         1e-12),
     "gauge-covariance": CheckDef(
-        _gauge_sweep("gauge-covariance", _gauge_covariance),
+        _StackedSweep(_gauge_covariance_draws, _derivative_and_scalar),
         "Derivative, Dirac image, pairing density, and scalar curvature "
         "computed in a conformally rescaled gauge match after removing the "
         "weight factors.",
         1e-9),
     "weyl-compatibility": CheckDef(
-        _gauge_sweep("weyl-compatibility", _weyl_compatibility, weighted=False),
+        _gauge_sweep("weyl-compatibility", _weyl_compatibility),
         "The connection is torsion-free, the metric derivative is "
         "-2 theta (x) g, and the Faraday form is closed.",
         1e-9),

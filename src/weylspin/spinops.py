@@ -12,12 +12,11 @@ when it fails, rather than reporting a meaningless residual.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 import numpy as np
 
 from .clifford import Density, Spinor, _slot_action
-from .fields import ChartField, contract, jet_einsum, polynomial_field
+from .fields import ChartField, Jet, contract, jet_einsum, polynomial_field
 from .weyl import _theta_free, curvature, relative_residual, weyl_christoffels
 
 __all__ = [
@@ -51,15 +50,19 @@ class GateError(RuntimeError):
 def polynomial_spinor(re_polys, im_polys=None, weight=0, support=None):
     """Field whose components are polynomials (plus i times polynomials),
     given as ``polynomial_field`` takes them: Poly arrays, or coefficient
-    arrays over ``support``."""
-    re_f = polynomial_field(re_polys, support=support)
-    im_f = None if im_polys is None else polynomial_field(im_polys, support=support)
+    arrays over ``support``.  Both parts are one field over one monomial
+    table, whose real and imaginary halves fill the complex jet."""
+    if im_polys is None:
+        re_f = polynomial_field(re_polys, support=support)
+        return ChartField(weight, lambda X: re_f.fn(X) * (1.0 + 0j))
+    parts = polynomial_field(np.stack([re_polys, im_polys]), support=support)
 
     def fn(X):
-        j = re_f.fn(X) * (1.0 + 0j)
-        if im_f is not None:
-            j = j + im_f.fn(X) * 1j
-        return j
+        j = parts.fn(X)
+        re, im = np.moveaxis(j.d, X.nb, 0)
+        d = np.empty(re.shape, dtype=complex)
+        d.real, d.imag = re, im
+        return Jet._make(d, j.n, j.nb)
 
     return ChartField(weight, fn)
 
@@ -94,6 +97,11 @@ def _spin_connection(pack, rep):
     return jet_einsum("jki,jkst->ist", pack.omega_weyl, 0.25 * rep.slot_products(2))
 
 
+def _weights(w):
+    """A weight as a float, or per-point weights as the float array they are."""
+    return w if isinstance(w, np.ndarray) else float(w)
+
+
 def _cov_frame(pack, rep, Q, weight, conn=None):
     """Frame covariant derivative of spinor-valued components.
 
@@ -102,8 +110,10 @@ def _cov_frame(pack, rep, Q, weight, conn=None):
     first axis is the derivative direction.  The spinor part is the
     connection of ``_spin_connection`` plus (weight + n/4) theta(s_i);
     each lead slot is corrected with the full connection's frame
-    coefficients.  ``conn`` is the connection of ``_spin_connection``
-    when the caller already holds it.
+    coefficients.  ``weight`` is one weight, or an array of per-point
+    weights on a batched pack (draws joined along the point axis).
+    ``conn`` is the connection of ``_spin_connection`` when the caller
+    already holds it.
     """
     lead = Q.shape[:-1]
     r = len(lead)
@@ -116,8 +126,14 @@ def _cov_frame(pack, rep, Q, weight, conn=None):
     order, n = Q.order - 1, pack.n
     P = jet_einsum(f"ai,{LL}sa->i{LL}s", pack.S, Q.gradient())
     Q, omega = Q.truncate(order), pack.omega_weyl.truncate(order)
-    th = pack.theta_frame.truncate(order).reshape((n, 1, 1))
-    A = conn.truncate(order) + th * ((float(weight) + n / 4) * np.eye(rep.dim))
+    # A[i] = conn[i] + (w + n/4) theta(s_i) on the diagonal, point by
+    # point: the weight is constant on each draw, so every derivative slot
+    # of theta(s) takes the same factor.
+    conn = conn.truncate(order)
+    A, diag = conn.d.copy(), np.arange(rep.dim)
+    A[..., diag, diag, :] += (pack.theta_frame.truncate(order).d
+                              * _per_point(_weights(weight) + n / 4, 2))[..., None, :]
+    A = Jet._make(A, conn.n, conn.nb)
     P = P + jet_einsum(f"ist,{LL}t->i{LL}s", A, Q)
     for p in range(r):
         sub_q = LL[:p] + "k" + LL[p + 1:]
@@ -175,7 +191,9 @@ def _derivative_stack(gauge, rep, field, x, pack=None):
 # The operators below, up to first_integrals, take one chart point or a
 # (P, n) array of points.  At a batch, component arrays carry a leading
 # point axis, residuals are arrays of per-point residuals, and a gate
-# fails if it fails at any point.
+# fails if it fails at any point.  At a batch the field's weight may be a
+# float array of per-point weights: the harness's stacked passes join
+# several draws along the point axis and call these same operators once.
 
 
 def spin_lc_derivative(gauge, rep, field, x):
@@ -220,13 +238,13 @@ def sl_residual(gauge, rep, field, x):
     Faraday terms."""
     st = _derivative_stack(gauge, rep, field, x)
     nb = st.pack.G.nb
-    n, w = gauge.n, float(field.weight)
+    n, w = gauge.n, _weights(field.weight)
     bund = curvature(gauge, x, pack=st.pack)
     psi = st.psi.v
     d2 = contract("ist,...it->...s", rep.gammas, st.vd)
     lap = -contract("...iis->...s", st.H)
     rterm = 0.25 * _per_point(bund.scalar.value) * psi
-    fterm = 0.25 * (n - 2 + 2 * w) * _slot_action(bund.faraday.comp, rep, psi)
+    fterm = _per_point(0.25 * (n - 2 + 2 * w)) * _slot_action(bund.faraday.comp, rep, psi)
     # The field norm joins the scale: on a flat structure in a rescaled
     # gauge every term vanishes analytically and the quotient would
     # otherwise compare rounding noise to rounding noise.
@@ -245,7 +263,7 @@ def curvature_contraction_checks(gauge, rep, field, x):
     """
     st = _derivative_stack(gauge, rep, field, x)
     nb = st.pack.G.nb
-    n, w = gauge.n, float(field.weight)
+    n, w = gauge.n, _weights(field.weight)
     bund = curvature(gauge, x, pack=st.pack)
     psi = st.psi.v
     F, rp = bund.faraday.comp, bund.rprime.comp
@@ -253,7 +271,7 @@ def curvature_contraction_checks(gauge, rep, field, x):
 
     rs = st.H - np.swapaxes(st.H, -3, -2)
     quarter = 0.25 * _slot_action(rp, rep, psi, slots=(3, 4))
-    wf = w * contract("...ij,...s->...ijs", F, psi)
+    wf = _per_point(w, 3) * contract("...ij,...s->...ijs", F, psi)
     r_action = relative_residual(rs - quarter - wf, rs, quarter, wf, batch=nb)
 
     lhs3 = _slot_action(rp, rep, psi, slots=(2, 3, 4))
@@ -308,7 +326,7 @@ def twistor_laplacian_residuals(gauge, rep, field, x, gate_tol=1e-8):
     """
     st = _derivative_stack(gauge, rep, field, x)
     nb = st.pack.G.nb
-    n, w = gauge.n, float(field.weight)
+    n, w = gauge.n, _weights(field.weight)
     psi = st.psi.v
     _twistor_gate(rep, n, st.P, st.dirac.v, psi, gate_tol, "the eigen identity", nb)
     bund = curvature(gauge, x, pack=st.pack)
@@ -317,14 +335,15 @@ def twistor_laplacian_residuals(gauge, rep, field, x, gate_tol=1e-8):
     r_lap = relative_residual(lap - d2 / n, lap, d2 / n, psi, batch=nb)
     coef = n / (4.0 * (n - 1))
     rterm = coef * _per_point(bund.scalar.value) * psi
-    fterm = coef * (n - 2 + 2 * w) * _slot_action(bund.faraday.comp, rep, psi)
+    fterm = _per_point(coef * (n - 2 + 2 * w)) * _slot_action(bund.faraday.comp, rep, psi)
     r_d2 = relative_residual(d2 - rterm - fterm, d2, rterm, fterm, psi, batch=nb)
     return {"laplacian": r_lap, "dirac-square": r_d2}
 
 
 def _dirac_gradient_rhs(gauge, rep, bund, psi, w):
     """Algebraic expression for the derivative of the Dirac image of a
-    twistor-type field; entry [i, s].  ``psi`` is bare components."""
+    twistor-type field; entry [i, s].  ``psi`` is bare components and
+    ``w`` a float or per-point floats."""
     n = gauge.n
     ricp1 = _slot_action(bund.ric_prime.comp, rep, psi, slots=(2,))
     f1 = _slot_action(bund.faraday.comp, rep, psi, slots=(2,))
@@ -335,7 +354,7 @@ def _dirac_gradient_rhs(gauge, rep, bund, psi, w):
     return (n / (n - 2.0)) * (
         -0.5 * ricp1
         + (R / (4.0 * (n - 1))) * gam_psi
-        + (w - 0.5) * (f1 + (1.0 / (2.0 * (n - 1))) * gam_fhat)
+        + _per_point(w - 0.5, 2) * (f1 + (1.0 / (2.0 * (n - 1))) * gam_fhat)
     )
 
 
@@ -343,7 +362,7 @@ def _dirac_gradient_defect(gauge, rep, st, x, weight):
     """Relative residual of the derivative of the Dirac image against
     ``_dirac_gradient_rhs``, from a derivative stack."""
     bund = curvature(gauge, x, pack=st.pack)
-    rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, float(weight))
+    rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, _weights(weight))
     return relative_residual(st.vd - rhs, st.vd, rhs, st.dirac.v, st.psi.v,
                              batch=st.pack.G.nb)
 
@@ -409,15 +428,18 @@ def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
     w = field.weight
     dj = jet_einsum("ist,it->s", rep.gammas, P)
     _twistor_gate(rep, gauge.n, P, dj.v, psi.v, gate_tol, "the conserved densities", nb)
-    if w != Fraction(1, 2):
+    # The Faraday gate applies at the points whose weight is not 1/2.
+    gated = _weights(w) != 0.5
+    if np.any(gated):
         fhat = _slot_action(pack.faraday_frame.v, rep, psi.v)
-        gate = float(np.max(relative_residual(fhat, psi.v, batch=nb)))
+        rel = relative_residual(fhat, psi.v, batch=nb)
+        gate = float(np.max(np.where(gated, rel, 0.0)))
         if gate > gate_tol:
             raise GateError("the conserved densities need weight 1/2 or a vanishing "
                             f"Faraday action; relative action {gate:.3e} exceeds "
                             f"gate {gate_tol:.1e}")
-    wc = float(2 * w - 1)
-    wq = float(4 * w - 2)
+    wc = _per_point(_weights(2 * w - 1))
+    wq = _per_point(_weights(4 * w - 2))
     th = pack.TH.v
     # The magnitudes each density is built from join its scale: C can
     # vanish analytically (the plane Killing families), and its residual

@@ -167,8 +167,10 @@ class FramePack:
     reads the first-order pack's frame, omega_weyl and theta_frame.  The
     chart Christoffels live in the test oracles only.
 
-    Orders follow the input jets.  L and S take the order of G and TH;
-    the connection members one order less, since they read first
+    Orders follow the input jets.  L takes the order of G and TH; S is
+    built to first order at most, since no reader takes its second
+    derivatives (``cholesky.inverse_transpose()`` gives the full jet);
+    the connection members one order less than G, since they read first
     derivatives of the metric; the Faraday forms are values at either
     order.  ``weyl_christoffels`` builds second-order packs, and
     ``truncate(1)`` gives the first-order pack, whose connection members
@@ -205,7 +207,7 @@ class FramePack:
 
     @cached_property
     def S(self):
-        return self.cholesky.inverse_transpose()
+        return self.cholesky._inverse_transpose(1)
 
     @cached_property
     def theta_frame(self):
@@ -226,7 +228,11 @@ class FramePack:
         lead = Y.d.shape[:nb]
         Z = np.concatenate([Y.d.reshape(lead + (n ** 3, -1)), th.d], axis=-2)
         idx, coef = _omega_gather(n)
-        om = (Z[..., idx, :] * coef[:, :, None]).sum(axis=-2)
+        # One table term at a time, in the order a sum over the term axis
+        # takes them: the same bits, at a cost linear in the point count.
+        om = Z[..., idx[:, 0], :] * coef[:, 0, None]
+        for t in range(1, idx.shape[1]):
+            om += Z[..., idx[:, t], :] * coef[:, t, None]
         return Jet._make(om.reshape(lead + (n, n, n, -1)), n, nb)
 
     @cached_property

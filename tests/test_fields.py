@@ -630,7 +630,7 @@ def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
         monkeypatch.setattr(mod, "contract", counting)
     assert weylspin.run_suite(config).passed
     harness._GROUP_CACHE.clear()
-    assert len(calls) <= 2765, len(calls)
+    assert len(calls) <= 1351, len(calls)
 
 
 def test_a_transport_fits_the_contract_budget(monkeypatch):

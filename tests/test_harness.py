@@ -3,6 +3,7 @@
 import hashlib
 import json
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -352,26 +353,98 @@ def test_record_identities_are_pinned():
 
 
 def test_shared_sweeps_run_once_across_single_check_runs(monkeypatch):
-    counts = {"curvature_contraction_checks": 0, "twistor_laplacian_residuals": 0}
-    for name in counts:
+    # The spinor sweeps evaluate in stacked passes: one call per chunk of
+    # joined draws.  Here every dimension's draws fill one chunk.
+    sizes = {"curvature_contraction_checks": [], "twistor_laplacian_residuals": []}
+    for name in sizes:
         def counted(*args, _name=name, _fn=getattr(hz, name), **kwargs):
-            counts[_name] += 1
+            sizes[_name].append(len(args[3]))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(hz, name, counted)
     cfg = tiny_config(dims=(2, 3))
     hz._GROUP_CACHE.clear()
     for key in CHECKS:
         run_suite(cfg, checks=[key])
-    # One call per draw: dims x weights x gauges.
-    draws = len(cfg.dims) * len(cfg.weights) * cfg.gauges
-    want = {"curvature_contraction_checks": draws, "twistor_laplacian_residuals": draws}
-    assert counts == want
+    # One pass per dimension, over all of its draws: weights x gauges x points.
+    points = len(cfg.weights) * cfg.gauges * cfg.points
+    assert all(points <= hz._chunk_points(n) for n in cfg.dims)
+    want = {name: [points] * len(cfg.dims) for name in sizes}
+    assert sizes == want
     # Tolerances and the check selection are not sweep inputs: runs that
     # differ from cfg only there are served from the cache.
     run_suite(tiny_config(dims=(2, 3), tolerances={"twistor-laplacian": 1e-6}))
     run_suite(tiny_config(dims=(2, 3), checks=("spinor-curvature-action",
                                                 "twistor-dirac-square")))
-    assert counts == want
+    assert sizes == want
+
+
+STACKED = [k for k, cd in CHECKS.items() if isinstance(cd.sweep, hz._StackedSweep)]
+WIDE = SuiteConfig(gauges=2, dims=(2, 3, 4), weights=("-1", "0", "1/2", "1"))
+
+
+def test_the_stacked_sweeps_are_the_spinor_sweeps():
+    assert set(STACKED) == {
+        "lichnerowicz", "spinor-curvature-action", "curvature-partial-contraction",
+        "curvature-full-contraction", "gauge-covariance", "twistor-laplacian",
+        "twistor-dirac-square", "twistor-dirac-gradient", "twistor-first-integrals",
+        "twistor-pair-parallel"}
+
+
+# WIDE fills whole chunks with whole draws; LONG has draws larger than a
+# chunk at n = 4, which are cut across chunks.
+LONG = SuiteConfig(gauges=1, dims=(3, 4), weights=("0", "1/2"), points=50)
+
+
+@pytest.mark.parametrize("config", [WIDE, LONG], ids=["wide", "long"])
+@pytest.mark.parametrize("key", list({CHECKS[k].sweep: k for k in reversed(STACKED)}.values()))
+def test_stacked_passes_match_the_per_draw_operators(key, config, monkeypatch):
+    sweep = CHECKS[key].sweep
+    chunks = []
+    evaluate = hz._evaluate_chunk
+
+    def counted(rep, parts, kernel):
+        chunks.append((rep.n, len(parts), sum(len(p.pts) for p in parts)))
+        return evaluate(rep, parts, kernel)
+
+    monkeypatch.setattr(hz, "_evaluate_chunk", counted)
+    stacked = {row[:-1]: row[-1] for row in sweep(config)}
+    # Each draw alone: the public operator on the draw's gauge, field and
+    # points, reduced as the stacked pass reduces it.
+    single = {}
+    for d in sweep.draws(config):
+        res = [sweep.kernel(p.gauge, d.rep, p.field, p.pts) for p in d.parts]
+        for check, r in d.reduce(res).items():
+            single[(check, *d.row)] = r
+    assert list(stacked) == list(single)
+    # Draws share chunks, and no chunk passes its cap.
+    assert max(parts for _, parts, _ in chunks) > 1
+    assert all(size <= hz._chunk_points(n) for n, _, size in chunks)
+    for ident, r in single.items():
+        assert abs(stacked[ident] - r) <= 1e-3 * CHECKS[ident[0]].tolerance, ident
+
+
+def test_stacked_chunks_stay_inside_the_working_set(monkeypatch):
+    peaks = {}
+    evaluate = hz._evaluate_chunk
+
+    def traced(rep, parts, kernel):
+        tracemalloc.start()
+        try:
+            return evaluate(rep, parts, kernel)
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            key = (rep.n, sum(len(p.pts) for p in parts))
+            peaks[key] = max(peaks.get(key, 0), peak)
+
+    monkeypatch.setattr(hz, "_evaluate_chunk", traced)
+    fresh_run(SuiteConfig(), checks=STACKED)
+    hz._GROUP_CACHE.clear()
+    # Every dimension reaches its full chunk, and no chunk passes 2.3 MiB.
+    assert {n for n, _ in peaks} == {2, 3, 4}
+    assert all((n, hz._chunk_points(n)) in peaks for n in (2, 3, 4))
+    assert all(size <= hz._chunk_points(n) for n, size in peaks)
+    assert max(peaks.values()) <= 2.3 * 2 ** 20, peaks
 
 
 def test_tolerance_overrides():

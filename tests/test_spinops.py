@@ -587,6 +587,49 @@ def test_spin_connection_matches_the_written_out_connection(n):
             assert np.abs(got.d - want.d).max() <= 1e-14 * np.abs(want.d).max(), (n, w)
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cov_frame_takes_per_point_weights(n):
+    # Draws joined along the point axis carry one weight per point; each
+    # point's derivative is the one a scalar weight gives there.
+    rng = np.random.default_rng(160 + n)
+    rep = build_representation(n)
+    gauge = random_gauge(170 + n, n)
+    weights = (-1, 0, Fraction(1, 2), 1)
+    pts = gauge.sample_points(rng, 2 * len(weights))
+    per_point = np.array([float(weights[p % len(weights)]) for p in range(len(pts))])
+    pack = weyl_christoffels(gauge, pts)
+    psi = rand_spinor_field(rng, n, rep.dim).jet(pts)
+    P = _cov_frame(pack, rep, psi, per_point)
+    H = _cov_frame(pack, rep, P, per_point)
+    for w in weights:
+        at = per_point == float(w)
+        P1 = _cov_frame(pack, rep, psi, w)
+        H1 = _cov_frame(pack, rep, P1, w)
+        for got, want in ((P.d[at], P1.d[at]), (H.d[at], H1.d[at])):
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (n, w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_polynomial_spinor_keeps_the_bits_of_its_two_halves(n):
+    # One monomial table and one product for both halves, filled into
+    # the real and imaginary parts: the bits of re (1 + 0j) + im 1j.
+    rng = np.random.default_rng(180 + n)
+    exps = tuple(e for e in np.ndindex(*(3,) * n) if sum(e) <= 2)
+    dim = 2 ** (n // 2)
+    re, im = rng.uniform(-1.0, 1.0, (2, dim, len(exps)))
+    polys = [np.array([Poly(list(zip(row, exps)), n) for row in part], dtype=object)
+             for part in (re, im)]
+    for args, kw in (((re, im), {"support": exps}), (polys, {})):
+        field = polynomial_spinor(*args, **kw)
+        halves = [polynomial_field(a, **kw) for a in args]
+        for x in (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, (20, n))):
+            want = halves[0].jet(x).d * (1.0 + 0j) + halves[1].jet(x).d * 1j
+            got = field.jet(x).d
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    only_re = polynomial_spinor(re, support=exps).jet(x).d
+    assert only_re.tobytes() == (polynomial_field(re, support=exps).jet(x).d * (1.0 + 0j)).tobytes()
+
+
 def test_frame_pack_holds_no_chart_christoffels():
     assert not any(hasattr(FramePack, name) for name in ("Ginv", "gam1", "gam_lc", "gam_weyl"))
 

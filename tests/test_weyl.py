@@ -248,15 +248,19 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
     g = random_gauge(24, 3)
     pts = g.sample_points(np.random.default_rng(3), 4)
     pack = weyl_christoffels(g, pts)
-    orders = {"G": 2, "TH": 2, "L": 2, "S": 2, "theta_frame": 1, "omega_weyl": 1,
+    orders = {"G": 2, "TH": 2, "L": 2, "theta_frame": 1, "omega_weyl": 1,
               "faraday_chart": 0, "faraday_frame": 0}
     assert {name: getattr(pack, name).order for name in orders} == orders
+    # No reader takes S's second derivatives: the pack builds S to first
+    # order, and the differential still gives its full jet.
+    assert pack.S.order == 1 and pack.cholesky.inverse_transpose().order == 2
     # A first-order pack takes every member one order lower; the Faraday
     # forms stay values.
     low = pack.truncate(1)
     assert low.G.order == 1 and pack.truncate(2) is pack
     assert {name: getattr(low, name).order for name in orders} == {
         name: max(order - 1, 0) for name, order in orders.items()}
+    assert low.S.order == 1 and low.cholesky.inverse_transpose().order == 1
     with pytest.raises(ValueError, match="first derivatives"):
         pack.truncate(0)
 
@@ -282,7 +286,8 @@ def test_frame_and_spin_rotation_match_the_inverse_route(n):
         S, omega = inverse_route_rotation(pack)
         th = jet_einsum("a,ai->i", pack.TH, S).truncate(omega.order)
         omega = omega + jet_einsum("m,mjki->jki", th, theta_tensor(n))
-        for got, want in ((pack.S, S), (pack.omega_weyl, omega)):
+        for got, want in ((pack.cholesky.inverse_transpose(), S), (pack.S, S.truncate(1)),
+                          (pack.omega_weyl, omega)):
             assert got.order == want.order
             assert np.abs(got.d - want.d).max() <= 1e-13 * np.abs(want.d).max()
         # A Weyl connection: omega[j, k, i] + omega[k, j, i] = 2 theta(s_i)
@@ -356,7 +361,7 @@ def test_spin_rotation_of_a_round_metric_is_analytic(n, family):
 def test_frame_derivatives_match_finite_differences(n):
     g = random_gauge(40 + n, n)
     x = g.sample_points(np.random.default_rng(n), 1)[0]
-    S = weyl_christoffels(g, x).S
+    S = weyl_christoffels(g, x).cholesky.inverse_transpose()
     fd = finite_difference_jet(lambda y: np.linalg.inv(np.linalg.cholesky(g.metric(y))).T,
                                x, 1e-5)
     assert np.abs(S.v - fd.v).max() <= 1e-15
