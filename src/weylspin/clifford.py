@@ -126,7 +126,8 @@ class Spinor:
 
     The trailing axis is the spinor axis; any leading axes are frame
     slots.  The weight is the scaling exponent of the components under a
-    conformal gauge change of the underlying chart data.
+    conformal gauge change of the underlying chart data: an exact
+    rational, or per-point floats for a field joined over several draws.
     """
 
     __slots__ = ("rep", "comp", "weight")
@@ -136,19 +137,19 @@ class Spinor:
         self.comp = np.asarray(comp, dtype=complex)
         if self.comp.shape[-1] != rep.dim:
             raise ValueError(f"spinor axis {self.comp.shape[-1]} does not match rep dim {rep.dim}")
-        self.weight = as_fraction(weight)
+        self.weight = weight if isinstance(weight, np.ndarray) else as_fraction(weight)
 
     @property
     def arity(self):
         return self.comp.ndim - 1
 
     def __add__(self, other):
-        if other.weight != self.weight:
+        if not np.array_equal(other.weight, self.weight):
             raise ValueError("cannot add spinors of different weights")
         return Spinor(self.rep, self.comp + other.comp, self.weight)
 
     def __sub__(self, other):
-        if other.weight != self.weight:
+        if not np.array_equal(other.weight, self.weight):
             raise ValueError("cannot subtract spinors of different weights")
         return Spinor(self.rep, self.comp - other.comp, self.weight)
 

@@ -370,20 +370,15 @@ def parse_report(text):
 # -- sweep drivers --------------------------------------------------------------
 #
 # A sweep maps a configuration to rows (check, n, weight, seed, index,
-# detail, residual).  Each driver walks one seeded grid.  The Clifford and
-# geometry drivers hand every draw to a kernel that returns the draw's
-# residuals keyed by check name; the spinor sweeps draw first and then
-# evaluate many draws in one stacked pass (``_StackedSweep``).
+# detail, residual).  Each sweep walks one seeded grid.  The Clifford
+# sweeps draw one batch of spinors per dimension; every random-gauge sweep
+# but the zero-Hessian one, whose identity holds at one point, draws first
+# and then evaluates many draws in one stacked pass (``_StackedSweep``).
 
 
 def _weight_parts(w):
     f = Fraction(w)
     return f.numerator, f.denominator
-
-
-def _worst(diff, *terms):
-    """Largest per-point relative residual; the arrays lead with the point axis."""
-    return float(np.max(relative_residual(diff, *terms, batch=1)))
 
 
 def _nonzero_defect(value, floor=_NONZERO_FLOOR):
@@ -421,28 +416,17 @@ def _gauge_grid(config, name, n):
             yield (w, *_gauge_draw(config, name, n, *_weight_parts(w), gi))
 
 
-def _gauge_sweep(name, kernel):
-    """``config.gauges`` random gauges per dimension, unweighted, one
-    draw at a time; ``kernel(config, gauge, rng, rep)``."""
-    def sweep(config):
-        for n in config.dims:
-            rep = build_representation(n)
-            for gi in range(config.gauges):
-                seed, gauge, rng = _gauge_draw(config, name, n, gi)
-                for check, res in kernel(config, gauge, rng, rep).items():
-                    yield check, n, "-", seed, 0, "", res
-    return sweep
-
-
 # -- stacked sweeps: draw, then evaluate ----------------------------------------
 #
-# The draw step does the rng work: each draw's parts (gauge, field and
+# Every identity is pointwise, so a draw is a block of points.  The draw
+# step does the rng work: each draw's parts (gauge, field or None, and
 # sample points; a gauge-covariance draw has two), its row identity and
 # its reduction.  The evaluate step joins consecutive draws of one
 # dimension and representation along the point axis and runs the kernel
 # once per chunk of at most ``_chunk_points(n)`` points, so one frame
-# pack, one derivative stack and one curvature serve every draw in it.
-# The kernel's per-point arrays are cut back into the draws.
+# pack serves every draw in it.  The kernel's per-point arrays are cut
+# back into the draws.  A chunk's size is capped, not its draw count,
+# so the working set stays bounded however large the configuration.
 
 # The largest chunk's tracemalloc peak is 0.44 / 0.99 / 1.24 MiB at
 # n = 2 / 3 / 4, under the 2.28 MiB the Clifford sweeps reach.  At n = 4
@@ -480,12 +464,14 @@ def _joined(fields, sizes, weight):
 def _evaluate_chunk(rep, parts, kernel):
     """One stacked pass: ``kernel(gauge, rep, field, x)`` on the gauge and
     field that are each part's own at its points; the field carries
-    per-point weights."""
+    per-point weights, and is None when the parts carry none."""
     sizes = [len(p.pts) for p in parts]
     gauge = Gauge(rep.n, _joined([p.gauge.metric for p in parts], sizes, 2),
                   _joined([p.gauge.theta for p in parts], sizes, None))
-    weights = np.repeat([float(p.field.weight) for p in parts], sizes)
-    field = _joined([p.field for p in parts], sizes, weights)
+    field = None
+    if parts[0].field is not None:
+        weights = np.repeat([float(p.field.weight) for p in parts], sizes)
+        field = _joined([p.field for p in parts], sizes, weights)
     return kernel(gauge, rep, field, np.concatenate([p.pts for p in parts]))
 
 
@@ -541,10 +527,23 @@ def _worst_per_check(results):
 
 
 def _spinor_draw(config, row, rep, gauge, rng, w, reduce=_worst_per_check):
-    """A random spinor field of weight w on the gauge, and sample points."""
-    field = _random_spinor_field(rng, gauge.n, rep.dim, w)
+    """A random spinor field of weight w on the gauge (no field when w is
+    None), and sample points."""
+    field = None if w is None else _random_spinor_field(rng, gauge.n, rep.dim, w)
     pts = gauge.sample_points(rng, config.points)
     return _Draw(row, rep, [_Part(gauge, field, pts)], reduce)
+
+
+def _gauge_sweep(name, kernel, w=None):
+    """``config.gauges`` random gauges per dimension, unweighted, stacked;
+    each draw carries a field of weight w, or none."""
+    def draws(config):
+        for n in config.dims:
+            rep = build_representation(n)
+            for gi in range(config.gauges):
+                seed, gauge, rng = _gauge_draw(config, name, n, gi)
+                yield _spinor_draw(config, (n, "-", seed, 0, ""), rep, gauge, rng, w)
+    return _StackedSweep(draws, kernel)
 
 
 def _spinor_grid(config, name, n, rep):
@@ -667,8 +666,7 @@ def _two_form_exchange(rng, rep, psi):
 # -- kernels: curvature and gauge behaviour -----------------------------------------
 
 
-def _curvature_algebra(config, gauge, rng, rep):
-    pts = gauge.sample_points(rng, config.points)
+def _curvature_algebra(gauge, rep, field, pts):
     b = curvature(gauge, pts)
     E = np.eye(gauge.n)
     # The point axis moves last, where the slot calculus carries it.
@@ -681,9 +679,10 @@ def _curvature_algebra(config, gauge, rng, rep):
             - contract("ilp,kj->ijklp", F, E))
     fc = contract("ijp,kl->ijklp", F, E)
     zr, zf = zyk(rp), zyk(fc)
-    return {"curvature-pair-symmetry":
-            _worst(*np.moveaxis([rp - swapped - corr, rp, swapped, corr], -1, 1)),
-            "first-bianchi": _worst(*np.moveaxis([zr + zf, zr, zf, rp], -1, 1))}
+    return {"curvature-pair-symmetry": relative_residual(
+                *np.moveaxis([rp - swapped - corr, rp, swapped, corr], -1, 1), batch=1),
+            "first-bianchi": relative_residual(
+                *np.moveaxis([zr + zf, zr, zf, rp], -1, 1), batch=1)}
 
 
 def _curvature_spinor_draws(config):
@@ -695,15 +694,13 @@ def _curvature_spinor(gauge, rep, field, pts):
     return curvature_contraction_checks(gauge, rep, field, pts)
 
 
-def _weight_shift(config, gauge, rng, rep):
-    f1 = _random_spinor_field(rng, gauge.n, rep.dim, 1)
-    f0 = f1.with_weight(0)
-    pts = gauge.sample_points(rng, config.points)
+def _weight_shift(gauge, rep, field, pts):
     pack = weyl_christoffels(gauge, pts)
-    rs1 = spinorial_curvature(gauge, rep, f1, pts, pack=pack).comp
-    rs0 = spinorial_curvature(gauge, rep, f0, pts, pack=pack).comp
-    fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, f1(pts))
-    return {"spinor-curvature-weight-shift": _worst(rs1 - rs0 - fpsi, rs1, rs0, fpsi)}
+    rs1 = spinorial_curvature(gauge, rep, field, pts, pack=pack).comp
+    rs0 = spinorial_curvature(gauge, rep, field.with_weight(0), pts, pack=pack).comp
+    fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, field(pts))
+    return {"spinor-curvature-weight-shift":
+            relative_residual(rs1 - rs0 - fpsi, rs1, rs0, fpsi, batch=1)}
 
 
 def _lichnerowicz_draws(config):
@@ -754,21 +751,20 @@ def _gauge_covariance(rep, wf, fv, results):
     c2 = contract("ps,ps->p", np.conj(v2), d2).real
     c2s = c2 * np.exp((1.0 - 2.0 * wf) * fv)
     guard = np.linalg.norm(v1, axis=-1) * np.linalg.norm(d1, axis=-1)
-    return {"gauge-covariance": max(_worst(p2s - p1, p1, p2s),
-                                    _worst(d2s - d1, d1, d2s),
-                                    _worst(c2s - c1, c1, c2s, guard),
-                                    _worst(r2 * np.exp(2.0 * fv) - r1, r1, np.ones(1)))}
+    return {"gauge-covariance": float(np.max([
+        relative_residual(p2s - p1, p1, p2s, batch=1),
+        relative_residual(d2s - d1, d1, d2s, batch=1),
+        relative_residual(c2s - c1, c1, c2s, guard, batch=1),
+        relative_residual(r2 * np.exp(2.0 * fv) - r1, r1, np.ones(1), batch=1)]))}
 
 
-def _weyl_compatibility(config, gauge, rng, rep):
-    far = faraday(gauge)
-    pts = gauge.sample_points(rng, config.points)
-    res = connection_residuals(gauge, pts)
-    fj = far.jet(pts)
+def _weyl_compatibility(gauge, rep, field, pts):
+    fj = faraday(gauge).jet(pts)
     cyc = (fj.g + np.transpose(fj.g, (0, 2, 3, 1))
            + np.transpose(fj.g, (0, 3, 1, 2)))
-    return {"weyl-compatibility": max(max(float(np.max(r)) for r in res.values()),
-                                      _worst(cyc, fj.g, fj.v))}
+    res = connection_residuals(gauge, pts)
+    return {"weyl-compatibility": np.maximum.reduce(
+        [*res.values(), relative_residual(cyc, fj.g, fj.v, batch=1)])}
 
 
 # -- kernels and sweeps: twistor-type fields ------------------------------------------
@@ -951,7 +947,7 @@ CHECKS = {
         "action of the metric-part curvature plus the weighted Faraday term.",
         1e-9),
     "spinor-curvature-weight-shift": CheckDef(
-        _gauge_sweep("spinor-curvature-weight-shift", _weight_shift),
+        _gauge_sweep("spinor-curvature-weight-shift", _weight_shift, w=1),
         "The spinor curvature of a weight-1 field minus that of the same "
         "components at weight 0 is the Faraday form times the field.",
         1e-12),

@@ -20,7 +20,7 @@ from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 from .clifford import Spinor, _slot_action, build_representation
 from .fields import (ChartField, constant_field, contract, jet_einsum,
                      polynomial_field)
-from .spinops import GateError, _check_rep, _first_order, _per_point, _spin_connection
+from .spinops import GateError, _check_rep, _first_order, _per_point, _weighted_connection
 from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
                    weyl_christoffels)
 
@@ -355,21 +355,20 @@ def _path_coefficient(gauge, d, x0, v, length):
 
     Along the line the Killing equation reads dc/dt = A(t) c with
     A = sum_i v_i (beta gamma_i - A_i), v_i the frame components of v and
-    A_i the weight-w spin connection, ``_spin_connection`` plus
-    (w + n/4) theta(s_i).  Each trial degree samples A at its Chebyshev
-    points with one batched frame pack; only connection values are read,
-    so the pack is the first-order one.  The leading axis of the result is
-    the degree.  Raises RuntimeError if the cap leaves A unresolved.
+    A_i the weight-w spin connection (``_weighted_connection``).  Each
+    trial degree samples A at its Chebyshev points with one batched frame
+    pack; only connection values are read, so the pack is the first-order
+    one.  The leading axis of the result is the degree.  Raises
+    RuntimeError if the cap leaves A unresolved.
     """
     rep = d.rep
-    shift = (float(d.psi.weight) + gauge.n / 4) * np.eye(rep.dim)
 
     def fit_at(deg):
         s, _, fit, _, _ = _cheb_rule(deg)
         pts = x0 + np.multiply.outer(0.5 * length * (s + 1.0), v)
         pack = weyl_christoffels(gauge, pts).truncate(1)
         vf = pack.frame_components(v)
-        A = _spin_connection(pack, rep).v + pack.theta_frame.v[:, :, None, None] * shift
+        A = _weighted_connection(pack, rep, d.psi.weight, 0).v
         beta = np.asarray(d.beta(pts), dtype=complex)
         coeff = contract("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
         coef = contract("kp,pst->kst", fit, coeff)

@@ -102,38 +102,41 @@ def _weights(w):
     return w if isinstance(w, np.ndarray) else float(w)
 
 
+def _weighted_connection(pack, rep, weight, order, conn=None):
+    """The weight-w spin connection A_w[i] = A[i] + (w + n/4) theta(s_i),
+    A the connection of ``_spin_connection`` (``conn`` when the caller
+    already holds it), as a jet of the given order.  ``weight`` is one
+    weight, or an array of per-point weights on a batched pack (draws
+    joined along the point axis); it is constant on each draw, so every
+    derivative slot of theta(s) takes the same factor."""
+    conn = (_spin_connection(pack, rep) if conn is None else conn).truncate(order)
+    A, N = conn.d.copy(), rep.dim
+    # The (s, s) entries as a strided view: basic slicing, no fancy index.
+    diag = A.reshape(A.shape[:-3] + (N * N, A.shape[-1]))[..., ::N + 1, :]
+    diag += (pack.theta_frame.truncate(order).d
+             * _per_point(_weights(weight) + pack.n / 4, 2))[..., None, :]
+    return Jet._make(A, conn.n, conn.nb)
+
+
 def _cov_frame(pack, rep, Q, weight, conn=None):
     """Frame covariant derivative of spinor-valued components.
 
     ``Q`` is a jet with value shape ``lead + (N,)`` where every lead axis
     is a frame slot.  Returns a jet of shape ``(n,) + lead + (N,)`` whose
-    first axis is the derivative direction.  The spinor part is the
-    connection of ``_spin_connection`` plus (weight + n/4) theta(s_i);
-    each lead slot is corrected with the full connection's frame
-    coefficients.  ``weight`` is one weight, or an array of per-point
-    weights on a batched pack (draws joined along the point axis).
-    ``conn`` is the connection of ``_spin_connection`` when the caller
-    already holds it.
+    first axis is the derivative direction.  The spinor part is
+    ``_weighted_connection`` (``weight`` and ``conn`` as there); each lead
+    slot is corrected with the full connection's frame coefficients.
     """
     lead = Q.shape[:-1]
     r = len(lead)
     if r > len(_SLOT_LETTERS):
         raise ValueError(f"at most {len(_SLOT_LETTERS)} slot axes supported")
     LL = _SLOT_LETTERS[:r]
-    if conn is None:
-        conn = _spin_connection(pack, rep)
     # Every term is taken at the order of the derivative term, one below Q's.
-    order, n = Q.order - 1, pack.n
+    order = Q.order - 1
     P = jet_einsum(f"ai,{LL}sa->i{LL}s", pack.S, Q.gradient())
     Q, omega = Q.truncate(order), pack.omega_weyl.truncate(order)
-    # A[i] = conn[i] + (w + n/4) theta(s_i) on the diagonal, point by
-    # point: the weight is constant on each draw, so every derivative slot
-    # of theta(s) takes the same factor.
-    conn = conn.truncate(order)
-    A, diag = conn.d.copy(), np.arange(rep.dim)
-    A[..., diag, diag, :] += (pack.theta_frame.truncate(order).d
-                              * _per_point(_weights(weight) + n / 4, 2))[..., None, :]
-    A = Jet._make(A, conn.n, conn.nb)
+    A = _weighted_connection(pack, rep, weight, order, conn)
     P = P + jet_einsum(f"ist,{LL}t->i{LL}s", A, Q)
     for p in range(r):
         sub_q = LL[:p] + "k" + LL[p + 1:]
@@ -391,7 +394,7 @@ def ew_connection_apply(gauge, rep, field, x, X=None):
     pack = weyl_christoffels(gauge, x)
     bund = curvature(gauge, x, pack=pack)
     psi = field.jet(x).v
-    comp = -_dirac_gradient_rhs(gauge, rep, bund, psi, float(field.weight))
+    comp = -_dirac_gradient_rhs(gauge, rep, bund, psi, _weights(field.weight))
     if X is not None:
         comp = contract("...i,...is->...s", pack.frame_components(X), comp)
     return Spinor(rep, comp, field.weight - 2)

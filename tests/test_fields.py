@@ -220,10 +220,8 @@ def test_power_table_matches_the_direct_powers_on_every_suite_support(monkeypatc
         return layout(n, support)
 
     monkeypatch.setattr(fields, "_layout", recording)
-    harness._GROUP_CACHE.clear()
     report = weylspin.run_suite(weylspin.SuiteConfig(gauges=1, dims=(2, 3, 4, 6)))
     monkeypatch.undo()
-    harness._GROUP_CACHE.clear()
     assert report.passed
     assert {n for n, _ in supports} == {2, 3, 4, 6}
     rng = np.random.default_rng(16)
@@ -593,11 +591,9 @@ def test_contract_matches_einsum_on_every_call_of_a_draw_and_a_transport(monkeyp
 
     for mod in _CONTRACT_MODULES:
         monkeypatch.setattr(mod, "contract", recording)
-    harness._GROUP_CACHE.clear()
     for phase in (2, 3, 4):
         report = weylspin.run_suite(weylspin.SuiteConfig(gauges=1, seed=1, dims=(phase,)))
         assert all(r.passed for r in report.records)
-    harness._GROUP_CACHE.clear()
     families = {"killing-half": example_killing_half(0.9 + 0.2j, -1),
                 "parallel-zero": example_parallel_zero(1.1, 0.4j)}
     for phase, (gauge, datum, _) in families.items():
@@ -617,7 +613,6 @@ def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
     # One unrecorded draw first fills the shared representations'
     # slot_products, so the count does not depend on which tests ran before.
     config = weylspin.SuiteConfig(gauges=1, seed=1)
-    harness._GROUP_CACHE.clear()
     weylspin.run_suite(config)
     harness._GROUP_CACHE.clear()
     calls = []
@@ -629,7 +624,6 @@ def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
     for mod in _CONTRACT_MODULES:
         monkeypatch.setattr(mod, "contract", counting)
     assert weylspin.run_suite(config).passed
-    harness._GROUP_CACHE.clear()
     assert len(calls) <= 1351, len(calls)
 
 
@@ -699,9 +693,7 @@ def test_one_default_suite_fits_the_plan_caches():
     # An evicted plan would be planned again on every call.
     fields._contraction_plan.cache_clear()
     fields._contraction_form.cache_clear()
-    harness._GROUP_CACHE.clear()
     assert weylspin.run_suite(weylspin.SuiteConfig()).passed
-    harness._GROUP_CACHE.clear()
     for cache in (fields._contraction_plan, fields._contraction_form):
         info = cache.cache_info()
         assert info.currsize < info.maxsize

@@ -1,5 +1,6 @@
 """Suite configuration, reporting, determinism, selection, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -33,11 +34,6 @@ TINY = dict(dims=(2,), weights=("1/2",), gauges=2, points=3, trials=40,
 
 def tiny_config(**overrides):
     return SuiteConfig(**{**TINY, **overrides})
-
-
-def fresh_run(*args, **kwargs):
-    hz._GROUP_CACHE.clear()
-    return run_suite(*args, **kwargs)
 
 
 # -- configuration ------------------------------------------------------------
@@ -295,7 +291,7 @@ def test_check_record_pass_boundary():
 
 
 def test_report_emission_and_round_trip():
-    report = fresh_run(tiny_config(), checks=["clifford-nu-trace",
+    report = run_suite(tiny_config(), checks=["clifford-nu-trace",
                                               "example-2d-parallel"])
     assert report.passed
     good = sum(1 for r in report.records if r.passed)
@@ -317,7 +313,7 @@ def test_report_emission_and_round_trip():
 
 
 def test_records_are_sorted_and_stable():
-    report = fresh_run(tiny_config(), checks=["clifford", "example-2d"])
+    report = run_suite(tiny_config(), checks=["clifford", "example-2d"])
 
     def order(r):
         w = (0, Fraction(0)) if r.weight == "-" else (1, Fraction(r.weight))
@@ -328,8 +324,9 @@ def test_records_are_sorted_and_stable():
 
 def test_suite_is_deterministic_byte_for_byte():
     cfg = tiny_config()
-    r1 = fresh_run(cfg)
-    r2 = fresh_run(cfg)
+    r1 = run_suite(cfg)
+    hz._GROUP_CACHE.clear()
+    r2 = run_suite(cfg)
     assert emit_report(r1, "machine") == emit_report(r2, "machine")
     assert r1.records  # the tiny sweep still exercises every check family
 
@@ -337,15 +334,16 @@ def test_suite_is_deterministic_byte_for_byte():
 def test_single_checks_reproduce_the_full_run():
     # n = 3 lets the checks that need n >= 3 emit rows.
     cfg = tiny_config(dims=(2, 3))
-    full = fresh_run(cfg)
+    full = run_suite(cfg)
     for key in CHECKS:
-        solo = fresh_run(cfg, checks=[key])
+        hz._GROUP_CACHE.clear()
+        solo = run_suite(cfg, checks=[key])
         assert solo.records, key
         assert solo.records == [r for r in full.records if r.check == key], key
 
 
 def test_record_identities_are_pinned():
-    report = fresh_run(tiny_config(dims=(2, 3)))
+    report = run_suite(tiny_config(dims=(2, 3)))
     assert report.passed, emit_report(report, "table")
     ids = [[r.check, r.n, r.weight, r.seed, r.index, r.detail] for r in report.records]
     assert len(ids) == 92
@@ -362,7 +360,6 @@ def test_shared_sweeps_run_once_across_single_check_runs(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(hz, name, counted)
     cfg = tiny_config(dims=(2, 3))
-    hz._GROUP_CACHE.clear()
     for key in CHECKS:
         run_suite(cfg, checks=[key])
     # One pass per dimension, over all of its draws: weights x gauges x points.
@@ -382,22 +379,27 @@ STACKED = [k for k, cd in CHECKS.items() if isinstance(cd.sweep, hz._StackedSwee
 WIDE = SuiteConfig(gauges=2, dims=(2, 3, 4), weights=("-1", "0", "1/2", "1"))
 
 
-def test_the_stacked_sweeps_are_the_spinor_sweeps():
-    assert set(STACKED) == {
-        "lichnerowicz", "spinor-curvature-action", "curvature-partial-contraction",
-        "curvature-full-contraction", "gauge-covariance", "twistor-laplacian",
-        "twistor-dirac-square", "twistor-dirac-gradient", "twistor-first-integrals",
-        "twistor-pair-parallel"}
+def test_every_random_gauge_sweep_but_the_zero_hessian_is_stacked():
+    # The Clifford sweeps draw spinors alone, the plane examples are closed
+    # forms, and the zero-Hessian identity holds at one point.
+    clifford = {k for k in CHECKS if k.startswith("clifford-")}
+    assert len(clifford) == 5
+    assert set(STACKED) == set(CHECKS) - clifford - {
+        "twistor-zero-hessian", "example-2d-killing", "example-2d-parallel"}
 
 
 # WIDE fills whole chunks with whole draws; LONG has draws larger than a
-# chunk at n = 4, which are cut across chunks.
+# chunk at n = 4, which are cut across chunks.  The unweighted sweeps draw
+# ``gauges`` draws per n, so they take LONG with two.
 LONG = SuiteConfig(gauges=1, dims=(3, 4), weights=("0", "1/2"), points=50)
+UNWEIGHTED = {"curvature-pair-symmetry", "spinor-curvature-weight-shift", "weyl-compatibility"}
 
 
 @pytest.mark.parametrize("config", [WIDE, LONG], ids=["wide", "long"])
 @pytest.mark.parametrize("key", list({CHECKS[k].sweep: k for k in reversed(STACKED)}.values()))
 def test_stacked_passes_match_the_per_draw_operators(key, config, monkeypatch):
+    if key in UNWEIGHTED:
+        config = dataclasses.replace(config, gauges=2)
     sweep = CHECKS[key].sweep
     chunks = []
     evaluate = hz._evaluate_chunk
@@ -438,8 +440,7 @@ def test_stacked_chunks_stay_inside_the_working_set(monkeypatch):
             peaks[key] = max(peaks.get(key, 0), peak)
 
     monkeypatch.setattr(hz, "_evaluate_chunk", traced)
-    fresh_run(SuiteConfig(), checks=STACKED)
-    hz._GROUP_CACHE.clear()
+    run_suite(SuiteConfig(), checks=STACKED)
     # Every dimension reaches its full chunk, and no chunk passes 2.3 MiB.
     assert {n for n, _ in peaks} == {2, 3, 4}
     assert all((n, hz._chunk_points(n)) in peaks for n in (2, 3, 4))
@@ -449,7 +450,7 @@ def test_stacked_chunks_stay_inside_the_working_set(monkeypatch):
 
 def test_tolerance_overrides():
     cfg = tiny_config(tolerances={"clifford-anticommutation": 1e-30})
-    report = fresh_run(cfg, checks=["clifford-anticommutation"])
+    report = run_suite(cfg, checks=["clifford-anticommutation"])
     assert not report.passed
     assert all(r.tolerance == 1e-30 for r in report.records)
     with pytest.raises(ValueError, match="unknown check"):
@@ -458,7 +459,7 @@ def test_tolerance_overrides():
 
 def test_config_checks_field_restricts_the_run():
     cfg = tiny_config(checks=("example-2d-parallel",))
-    report = fresh_run(cfg)
+    report = run_suite(cfg)
     assert report.records
     assert {r.check for r in report.records} == {"example-2d-parallel"}
     assert report.config["checks"] == ["example-2d-parallel"]
@@ -610,7 +611,7 @@ def test_drawn_sweeps_build_no_poly(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(fields.Poly, "__init__", counting)
-    report = fresh_run(tiny_config(dims=(2, 3), trials=5))
+    report = run_suite(tiny_config(dims=(2, 3), trials=5))
     assert {r.check for r in report.records} == set(CHECKS)
     assert built == []
     fields.Poly([], 2)  # the count is live
@@ -646,5 +647,5 @@ def test_every_polynomial_field_goes_through_the_module_level_name(monkeypatch):
     monkeypatch.setattr(fields, "_layout", counting_layout)
     _rebind_in_package(monkeypatch, make, counting_make)
     assert hz.polynomial_field is counting_make
-    fresh_run(tiny_config(dims=(2, 3), trials=5))
+    run_suite(tiny_config(dims=(2, 3), trials=5))
     assert compiled and len(routed) == len(compiled)

@@ -11,7 +11,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import solve_ivp
 
 import weylspin
-from weylspin import harness, killing, spinops, weyl
+from weylspin import killing, spinops, weyl
 from weylspin.clifford import Spinor, build_representation
 from weylspin.harness import random_gauge
 from weylspin.killing import (
@@ -406,19 +406,18 @@ def test_transport_builds_only_the_connection_members(monkeypatch):
 def test_a_weight_term_of_w_minus_half_fails_lichnerowicz_and_the_transport(monkeypatch):
     # A spin connection whose weight term is (w - 1/2) theta(s_i) instead of
     # (w + n/4) theta(s_i): the Lichnerowicz formula fails on a seeded draw
-    # and the parallel plane family no longer transports to itself.
-    spin_connection = spinops._spin_connection
+    # and the parallel plane family no longer transports to itself.  The
+    # weight rule has one home, which both sides read.
+    weighted_connection = spinops._weighted_connection
 
-    def shifted(pack, rep):
-        th = pack.theta_frame.reshape((pack.n, 1, 1))
-        return spin_connection(pack, rep) + th * ((-0.5 - pack.n / 4) * np.eye(rep.dim))
+    def shifted(pack, rep, weight, *args):
+        return weighted_connection(pack, rep, spinops._weights(weight) - 0.5 - pack.n / 4,
+                                   *args)
 
     for mod in (spinops, killing):
-        monkeypatch.setattr(mod, "_spin_connection", shifted)
-    harness._GROUP_CACHE.clear()
+        monkeypatch.setattr(mod, "_weighted_connection", shifted)
     config = weylspin.SuiteConfig(dims=(3,), gauges=1, seed=1, checks=("lichnerowicz",))
     report = weylspin.run_suite(config)
-    harness._GROUP_CACHE.clear()
     assert not report.passed
     gauge, d, rep = example_parallel_zero(1.0, 0.25j)
     out = killing_transport(gauge, d, np.array([-0.3, 0.1]), np.array([0.6, 0.8]),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import weylspin.harness as hz
 from weylspin import spinops
 from weylspin.clifford import build_representation
 from weylspin.fields import ChartField, Poly, constant_field, jet_einsum, polynomial_field
@@ -578,10 +579,8 @@ def test_spin_connection_matches_the_written_out_connection(n):
     gauge = random_gauge(150 + n, n)
     full = weyl_christoffels(gauge, gauge.sample_points(np.random.default_rng(n), 4))
     for pack in (full, full.truncate(1)):
-        conn = spinops._spin_connection(pack, rep)
-        th = pack.theta_frame.reshape((n, 1, 1))
         for w in (-1, 0, Fraction(1, 2), 1):
-            got = conn + th * ((float(w) + n / 4) * np.eye(rep.dim))
+            got = spinops._weighted_connection(pack, rep, w, pack.G.order - 1)
             want = written_out_connection(pack, rep, w)
             assert got.order == want.order == pack.G.order - 1
             assert np.abs(got.d - want.d).max() <= 1e-14 * np.abs(want.d).max(), (n, w)
@@ -607,6 +606,30 @@ def test_cov_frame_takes_per_point_weights(n):
         H1 = _cov_frame(pack, rep, P1, w)
         for got, want in ((P.d[at], P1.d[at]), (H.d[at], H1.d[at])):
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (n, w)
+
+
+@pytest.mark.parametrize("op", [spinorial_curvature, dirac, twistor, spinor_laplacian,
+                                weyl_spinor_derivative, spin_lc_derivative,
+                                ew_connection_apply])
+def test_spinor_operators_take_a_field_joined_over_two_draws(op):
+    # A stacked pass joins draws along the point axis, so the field carries
+    # per-point weights; each draw's block is the operator on that draw.
+    n = 3
+    rng = np.random.default_rng(190)
+    rep = build_representation(n)
+    parts = []
+    for k, w in enumerate((Fraction(1, 2), 1)):
+        gauge = random_gauge(191 + k, n)
+        parts.append(hz._Part(gauge, rand_spinor_field(rng, n, rep.dim, w),
+                              gauge.sample_points(rng, 4)))
+    joined = hz._evaluate_chunk(rep, parts, op)
+    lo = 0
+    for p in parts:
+        one = op(p.gauge, rep, p.field, p.pts)
+        block = slice(lo, lo + len(p.pts))
+        lo = block.stop
+        assert np.abs(joined.comp[block] - one.comp).max() <= 1e-15 * np.abs(one.comp).max()
+        assert np.all(joined.weight[block] == float(one.weight))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
