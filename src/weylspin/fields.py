@@ -807,10 +807,13 @@ def _layout(n, support):
 
 def _monomial_values(x, powers, gather):
     """The monomials of a layout at the points x (last axis: coordinates):
-    products of entries of one table of every coordinate's ``powers``,
-    each entry a ``pow`` result."""
-    table = (x[..., :, None] ** powers).reshape(x.shape[:-1] + (-1,))
-    return np.prod(table[..., gather], axis=-1)
+    products of entries of one table of every coordinate's ``powers``
+    0, 1, ..., filled by repeated multiplication, t_0 = 1 and
+    t_k = t_{k-1} x, so x^2 is the correctly rounded x x."""
+    table = np.ones(x.shape + (len(powers),))
+    for k in range(1, len(powers)):
+        np.multiply(table[..., k - 1], x, out=table[..., k])
+    return np.prod(table.reshape(x.shape[:-1] + (-1,))[..., gather], axis=-1)
 
 
 def _poly_coefficients(polys):
@@ -846,7 +849,8 @@ def polynomial_field(polys, weight=0, support=None):
     components are linear in one monomial basis, so a packed jet at P
     points is one (P, M) monomial table times one coefficient matrix,
     filled from a layout cached per support.  The monomials are products
-    of entries of a table of each coordinate's powers.
+    of entries of a table of each coordinate's powers, each power the
+    previous one times the coordinate.
     """
     if support is None:
         n, support, coeffs = _poly_coefficients(np.asarray(polys, dtype=object))

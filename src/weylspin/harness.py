@@ -31,11 +31,11 @@ from .fields import ChartField, Jet, as_fraction, contract, permute, polynomial_
 from .killing import (example_killing_half, example_parallel_zero,
                       flat_twistor_family, integrability_report,
                       killing_kernel_determinant)
-from .spinops import (_first_order, curvature_contraction_checks, first_integrals,
+from .spinops import (_cov_frame, _first_order, _spin_connection,
+                      curvature_contraction_checks, first_integrals,
                       gauge_transport_spinor, hessian_identity_check,
                       nabla_dirac_residual, pair_parallel_residuals,
-                      polynomial_spinor, sl_residual, spinorial_curvature,
-                      twistor_laplacian_residuals)
+                      polynomial_spinor, sl_residual, twistor_laplacian_residuals)
 from .weyl import (Gauge, _theta_free, change_gauge, connection_residuals,
                    curvature, faraday, relative_residual, weyl_christoffels)
 
@@ -428,11 +428,13 @@ def _gauge_grid(config, name, n):
 # back into the draws.  A chunk's size is capped, not its draw count,
 # so the working set stays bounded however large the configuration.
 
-# The largest chunk's tracemalloc peak is 0.44 / 0.99 / 1.24 MiB at
-# n = 2 / 3 / 4, under the 2.28 MiB the Clifford sweeps reach.  At n = 4
-# the cost per point hardly falls past 40 points, while the process's
-# peak resident size grows with the chunk.
-_CHUNK_POINTS = {2: 120, 3: 120, 4: 40}
+# The caps keep every chunk's tracemalloc peak under the 2.28 MiB the
+# Clifford sweeps reach: the largest chunk peaks at 0.37 / 1.08 / 1.75 MiB
+# at n = 2 / 3 / 4.  A chunk pays a fixed cost of about 1 ms at n = 2 to 4
+# (the intercept of kernel time against points, from 10 to 120 points),
+# against 35-40 us a point at n = 4, so larger chunks pay it less often;
+# the process's peak resident size grows with them.
+_CHUNK_POINTS = {2: 120, 3: 120, 4: 60}
 _CHUNK_POINTS_ABOVE = 20
 
 _Part = namedtuple("_Part", ["gauge", "field", "pts"])
@@ -695,10 +697,18 @@ def _curvature_spinor(gauge, rep, field, pts):
 
 
 def _weight_shift(gauge, rep, field, pts):
+    # One pack, spin connection and field jet serve both weights: the
+    # curvature actions at weights 1 and 0 (``spinorial_curvature``) differ
+    # only in the weight each _cov_frame takes.
     pack = weyl_christoffels(gauge, pts)
-    rs1 = spinorial_curvature(gauge, rep, field, pts, pack=pack).comp
-    rs0 = spinorial_curvature(gauge, rep, field.with_weight(0), pts, pack=pack).comp
-    fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, field(pts))
+    conn, psi = _spin_connection(pack, rep), field.jet(pts)
+
+    def action(w):
+        H = _cov_frame(pack, rep, _cov_frame(pack, rep, psi, w, conn=conn), w, conn=conn).v
+        return H - np.swapaxes(H, -3, -2)
+
+    rs1, rs0 = action(field.weight), action(0)
+    fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, psi.v)
     return {"spinor-curvature-weight-shift":
             relative_residual(rs1 - rs0 - fpsi, rs1, rs0, fpsi, batch=1)}
 

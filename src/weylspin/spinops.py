@@ -167,7 +167,7 @@ def _first_order(gauge, rep, field, x, pack=None):
     return _First(pack, conn, psi, _cov_frame(pack, rep, psi, field.weight, conn=conn))
 
 
-_Stack = namedtuple("_Stack", ["pack", "psi", "P", "H", "dirac", "vd"])
+_Stack = namedtuple("_Stack", ["pack", "psi", "P", "H", "dirac"])
 
 
 def _per_point(a, axes=1):
@@ -180,15 +180,27 @@ def _scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
+def _second_order(first, rep, weight):
+    """The derivative stack from the first-order stage: the second
+    derivative H [i, j, s] and the Dirac image, a jet."""
+    pack, conn, psi, P = first
+    H = _cov_frame(pack, rep, P, weight, conn=conn).v
+    return _Stack(pack, psi, P, H, jet_einsum("ist,it->s", rep.gammas, P))
+
+
 def _derivative_stack(gauge, rep, field, x, pack=None):
-    """Everything the second-order identities need, in one pass over the
-    first-order stage."""
-    pack, conn, psi, P = _first_order(gauge, rep, field, x, pack)
-    w = field.weight
-    H = _cov_frame(pack, rep, P, w, conn=conn).v        # [i, j, s] = second derivative
-    dj = jet_einsum("ist,it->s", rep.gammas, P)
-    vd = _cov_frame(pack, rep, dj, w - 1, conn=conn).v  # [i, s]
-    return _Stack(pack, psi, P, H, dj, vd)
+    """What the curvature identities read: the field, its first and
+    second covariant derivatives and its Dirac image, in one pass over
+    the first-order stage.  The spin connection is released on return."""
+    return _second_order(_first_order(gauge, rep, field, x, pack), rep, field.weight)
+
+
+def _dirac_stack(gauge, rep, field, x):
+    """The derivative stack, and vd [i, s]: the covariant derivative of
+    the Dirac image, taken on the same spin connection."""
+    first = _first_order(gauge, rep, field, x)
+    st = _second_order(first, rep, field.weight)
+    return st, _cov_frame(st.pack, rep, st.dirac, field.weight - 1, conn=first.conn).v
 
 
 # The operators below, up to first_integrals, take one chart point or a
@@ -239,12 +251,12 @@ def sl_residual(gauge, rep, field, x):
     """Relative residual of the Lichnerowicz-type formula: the square of
     the Dirac operator against the Laplacian plus scalar-curvature and
     Faraday terms."""
-    st = _derivative_stack(gauge, rep, field, x)
+    st, vd = _dirac_stack(gauge, rep, field, x)
     nb = st.pack.G.nb
     n, w = gauge.n, _weights(field.weight)
     bund = curvature(gauge, x, pack=st.pack)
     psi = st.psi.v
-    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
+    d2 = contract("ist,...it->...s", rep.gammas, vd)
     lap = -contract("...iis->...s", st.H)
     rterm = 0.25 * _per_point(bund.scalar.value) * psi
     fterm = _per_point(0.25 * (n - 2 + 2 * w)) * _slot_action(bund.faraday.comp, rep, psi)
@@ -327,13 +339,13 @@ def twistor_laplacian_residuals(gauge, rep, field, x, gate_tol=1e-8):
     ``dirac-square``: the Dirac square against its curvature expression.
     Gated on the field being twistor-type.
     """
-    st = _derivative_stack(gauge, rep, field, x)
+    st, vd = _dirac_stack(gauge, rep, field, x)
     nb = st.pack.G.nb
     n, w = gauge.n, _weights(field.weight)
     psi = st.psi.v
     _twistor_gate(rep, n, st.P, st.dirac.v, psi, gate_tol, "the eigen identity", nb)
     bund = curvature(gauge, x, pack=st.pack)
-    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
+    d2 = contract("ist,...it->...s", rep.gammas, vd)
     lap = -contract("...iis->...s", st.H)
     r_lap = relative_residual(lap - d2 / n, lap, d2 / n, psi, batch=nb)
     coef = n / (4.0 * (n - 1))
@@ -361,12 +373,12 @@ def _dirac_gradient_rhs(gauge, rep, bund, psi, w):
     )
 
 
-def _dirac_gradient_defect(gauge, rep, st, x, weight):
-    """Relative residual of the derivative of the Dirac image against
-    ``_dirac_gradient_rhs``, from a derivative stack."""
+def _dirac_gradient_defect(gauge, rep, st, vd, x, weight):
+    """Relative residual of the derivative ``vd`` of the Dirac image
+    against ``_dirac_gradient_rhs``, from ``_dirac_stack``."""
     bund = curvature(gauge, x, pack=st.pack)
     rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, _weights(weight))
-    return relative_residual(st.vd - rhs, st.vd, rhs, st.dirac.v, st.psi.v,
+    return relative_residual(vd - rhs, vd, rhs, st.dirac.v, st.psi.v,
                              batch=st.pack.G.nb)
 
 
@@ -375,10 +387,10 @@ def nabla_dirac_residual(gauge, rep, field, x, gate_tol=1e-8):
     against its algebraic curvature expression (n >= 3, twistor-type)."""
     if gauge.n < 3:
         raise ValueError("the Dirac gradient identity needs n >= 3")
-    st = _derivative_stack(gauge, rep, field, x)
+    st, vd = _dirac_stack(gauge, rep, field, x)
     _twistor_gate(rep, gauge.n, st.P, st.dirac.v, st.psi.v, gate_tol,
                   "the Dirac gradient identity", st.pack.G.nb)
-    return _dirac_gradient_defect(gauge, rep, st, x, field.weight)
+    return _dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)
 
 
 def ew_connection_apply(gauge, rep, field, x, X=None):
@@ -411,9 +423,9 @@ def pair_parallel_residuals(gauge, rep, field, x):
     """
     if gauge.n < 3:
         raise ValueError("the pair system needs n >= 3")
-    st = _derivative_stack(gauge, rep, field, x)
+    st, vd = _dirac_stack(gauge, rep, field, x)
     top = _twistor_defect(rep, gauge.n, st.P, st.dirac.v, st.psi.v, st.pack.G.nb)
-    return {"top": top, "bottom": _dirac_gradient_defect(gauge, rep, st, x, field.weight)}
+    return {"top": top, "bottom": _dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)}
 
 
 def first_integrals(gauge, rep, field, x, gate_tol=1e-8):

@@ -310,7 +310,6 @@ def curvature(gauge, point, pack=None):
     if om.order < 1:
         raise ValueError("curvature needs the connection's first derivatives: "
                          "pass a second-order frame pack")
-    E = np.eye(gauge.n)
     A = (contract("...ai,...jkla->...iljk", pack.S.v, om.g)
          + contract("...jml,...mki->...iljk", om.v, om.v)
          - contract("...lmi,...jkm->...iljk", om.v, om.v))
@@ -320,9 +319,14 @@ def curvature(gauge, point, pack=None):
     scal = np.trace(ric, axis1=-2, axis2=-1)
     if not pack.G.nb:
         scal = float(scal)
+    # R' = R - F (x) delta: F leaves the (k, k) diagonal of a copy of R,
+    # taken as a strided view (basic slicing, no outer product).
+    n = gauge.n
+    rprime = r_frame.copy()
+    rprime.reshape(rprime.shape[:-2] + (n * n,))[..., ::n + 1] -= Ff[..., None]
     return CurvatureBundle(
         rfull=SlotTensor(r_frame, -2),
-        rprime=SlotTensor(r_frame - contract("...ab,cd->...abcd", Ff, E), -2),
+        rprime=SlotTensor(rprime, -2),
         faraday=SlotTensor(Ff, -2),
         faraday_chart=pack.faraday_chart.v,
         ric=SlotTensor(ric, -2),

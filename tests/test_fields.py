@@ -3,6 +3,7 @@ calculus, and the package exports."""
 
 import importlib
 import inspect
+import math
 import pkgutil
 import re
 import sys
@@ -208,10 +209,12 @@ def test_polynomial_field_over_a_support_matches_the_poly_route():
         polynomial_field(coeffs[..., :3], support=support)
 
 
-def test_power_table_matches_the_direct_powers_on_every_suite_support(monkeypatch):
+def test_power_table_is_the_repeated_product_on_every_suite_support(monkeypatch):
     # The monomials are products of gathered entries of one table of each
-    # coordinate's powers; every entry must be the pow result the direct
-    # expression x ** e computes, at every support a suite draws.
+    # coordinate's powers, t_0 = 1 and t_k = t_{k-1} x.  At every support a
+    # suite draws, every table entry is that scalar recurrence bit for bit;
+    # a monomial of total degree d <= 2 is its correctly rounded exact
+    # value, and one of higher degree lies within d 2^-53 of it, relative.
     supports = set()
     layout = fields._layout
 
@@ -225,12 +228,31 @@ def test_power_table_matches_the_direct_powers_on_every_suite_support(monkeypatc
     assert report.passed
     assert {n for n, _ in supports} == {2, 3, 4, 6}
     rng = np.random.default_rng(16)
+    degrees = set()
     for n, support in sorted(supports):
         powers, gather = fields._layout(n, support)[:2]
         exps = gather - np.arange(n) * len(powers)
+        # Gathering each entry alone returns the table itself.
+        entries = np.arange(n * len(powers))[:, None]
         for x in (rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, (20, n))):
-            direct = np.prod(x[..., None, :] ** exps, axis=-1)
-            assert np.array_equal(fields._monomial_values(x, powers, gather), direct)
+            mono = fields._monomial_values(x, powers, gather).reshape(-1, len(gather))
+            table = fields._monomial_values(x, powers, entries).reshape(-1, n, len(powers))
+            for p, xp in enumerate(x.reshape(-1, n)):
+                for a, xa in enumerate(xp.tolist()):
+                    t = [1.0]
+                    for _ in powers[1:]:
+                        t.append(t[-1] * xa)
+                    assert table[p, a].tolist() == t, (n, p, a)
+                for m, e in enumerate(exps):
+                    d = int(e.sum())
+                    degrees.add(d)
+                    exact = math.prod(Fraction(v) ** int(k) for v, k in zip(xp.tolist(), e))
+                    got = mono[p, m]
+                    if d <= 2:
+                        assert got == float(exact), (n, tuple(e), p)
+                    else:
+                        assert abs(Fraction(got) - exact) <= d * abs(exact) / 2 ** 53, (n, tuple(e))
+    assert {0, 1, 2, 3} <= degrees
 
 
 def test_field_call_returns_the_values_of_its_jet():
@@ -624,7 +646,7 @@ def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
     for mod in _CONTRACT_MODULES:
         monkeypatch.setattr(mod, "contract", counting)
     assert weylspin.run_suite(config).passed
-    assert len(calls) <= 1351, len(calls)
+    assert len(calls) <= 1139, len(calls)
 
 
 def test_a_transport_fits_the_contract_budget(monkeypatch):

@@ -1,6 +1,5 @@
 """Suite configuration, reporting, determinism, selection, and the CLI."""
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -389,17 +388,13 @@ def test_every_random_gauge_sweep_but_the_zero_hessian_is_stacked():
 
 
 # WIDE fills whole chunks with whole draws; LONG has draws larger than a
-# chunk at n = 4, which are cut across chunks.  The unweighted sweeps draw
-# ``gauges`` draws per n, so they take LONG with two.
-LONG = SuiteConfig(gauges=1, dims=(3, 4), weights=("0", "1/2"), points=50)
-UNWEIGHTED = {"curvature-pair-symmetry", "spinor-curvature-weight-shift", "weyl-compatibility"}
+# chunk at n = 4, which are cut across chunks.
+LONG = SuiteConfig(gauges=1, dims=(3, 4), weights=("0", "1/2"), points=hz._chunk_points(4) + 10)
 
 
 @pytest.mark.parametrize("config", [WIDE, LONG], ids=["wide", "long"])
 @pytest.mark.parametrize("key", list({CHECKS[k].sweep: k for k in reversed(STACKED)}.values()))
 def test_stacked_passes_match_the_per_draw_operators(key, config, monkeypatch):
-    if key in UNWEIGHTED:
-        config = dataclasses.replace(config, gauges=2)
     sweep = CHECKS[key].sweep
     chunks = []
     evaluate = hz._evaluate_chunk
@@ -418,11 +413,46 @@ def test_stacked_passes_match_the_per_draw_operators(key, config, monkeypatch):
         for check, r in d.reduce(res).items():
             single[(check, *d.row)] = r
     assert list(stacked) == list(single)
-    # Draws share chunks, and no chunk passes its cap.
-    assert max(parts for _, parts, _ in chunks) > 1
+    # No chunk passes its cap.  On WIDE, draws share chunks; on LONG, at
+    # least one draw holds more points than its chunk.  (A draw past the
+    # n = 4 cap of 60 points leaves no room at n = 3 for two in a chunk
+    # of 120.)
     assert all(size <= hz._chunk_points(n) for n, _, size in chunks)
+    if config is LONG:
+        assert any(sum(len(p.pts) for p in d.parts) > hz._chunk_points(d.row[0])
+                   for d in sweep.draws(config))
+    else:
+        assert max(parts for _, parts, _ in chunks) > 1
     for ident, r in single.items():
         assert abs(stacked[ident] - r) <= 1e-3 * CHECKS[ident[0]].tolerance, ident
+
+
+def test_the_weight_shift_builds_one_connection_and_one_field_jet_per_chunk(monkeypatch):
+    # Both weights share the chunk's pack, spin connection and field jet.
+    built, jets, chunks = [], [], []
+    spin_connection, joined, evaluate = hz._spin_connection, hz._joined, hz._evaluate_chunk
+
+    def counted_connection(*args):
+        built.append(args)
+        return spin_connection(*args)
+
+    def counted_joined(parts, sizes, weight):
+        field = joined(parts, sizes, weight)
+        if not isinstance(weight, np.ndarray):
+            return field
+        return fields.ChartField(field.weight, lambda X: jets.append(X) or field.fn(X))
+
+    def counted_chunk(*args):
+        chunks.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(hz, "_spin_connection", counted_connection)
+    monkeypatch.setattr(hz, "_joined", counted_joined)
+    monkeypatch.setattr(hz, "_evaluate_chunk", counted_chunk)
+    report = run_suite(SuiteConfig(gauges=1, seed=1), checks=["spinor-curvature-weight-shift"])
+    assert report.passed
+    assert len(chunks) == 3
+    assert len(built) == len(jets) == len(chunks)
 
 
 def test_stacked_chunks_stay_inside_the_working_set(monkeypatch):

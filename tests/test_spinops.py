@@ -32,7 +32,7 @@ from weylspin.spinops import (
     twistor_laplacian_residuals,
     weyl_spinor_derivative,
 )
-from weylspin.spinops import _cov_frame, _derivative_stack
+from weylspin.spinops import _cov_frame, _derivative_stack, _dirac_stack
 from weylspin.weyl import FramePack, Gauge, change_gauge, curvature, weyl_christoffels
 
 from oracles import chart_christoffels, written_out_connection
@@ -104,6 +104,7 @@ def test_point_batches_match_single_point_calls(n):
     pack = weyl_christoffels(gauge, pts)
     bund = curvature(gauge, pts, pack=pack)
     st = _derivative_stack(gauge, rep, field, pts, pack=pack)
+    vd = _dirac_stack(gauge, rep, field, pts)[1]
 
     def close(batched, single):
         single = np.asarray(single)
@@ -129,7 +130,7 @@ def test_point_batches_match_single_point_calls(n):
             for arr_b, arr_s in zip((b.v, b.g), (s.v, s.g)):
                 close(arr_b[i], arr_s)
         close(st.H[i], st1.H)
-        close(st.vd[i], st1.vd)
+        close(vd[i], _dirac_stack(gauge, rep, field, x)[1])
     # Batched residuals are the per-point residuals.
     res = sl_residual(gauge, rep, field, pts)
     assert res.shape == (5,)
@@ -219,6 +220,7 @@ FIRST_ORDER_ENTRY_POINTS = {
     "first_integrals": first_integrals,
     "hessian_identity_check": hessian_identity_check,
     "_derivative_stack": _derivative_stack,
+    "_dirac_stack": _dirac_stack,
     "killing_residual": _killing_op(killing_residual),
     "integrability_residual": _killing_op(integrability_residual),
     "ew_connection_apply": ew_connection_apply,
@@ -536,6 +538,9 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
                         lambda *a, **k: built.append(a) or spin_connection(*a, **k))
     st = _derivative_stack(gauge, rep, field, pts, pack=pack)
     assert len(built) == 1
+    # The Dirac image's derivative vd is taken on the same connection.
+    with_vd, vd_got = _dirac_stack(gauge, rep, field, pts)
+    assert len(built) == 2
     monkeypatch.undo()
 
     # Reference: each derivative gets the full weight-w connection, written
@@ -547,8 +552,28 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
     H = _cov_frame(pack, rep, P, bare, conn=conn).v
     dj = jet_einsum("ist,it->s", rep.gammas, P)
     vd = _cov_frame(pack, rep, dj, bare, conn=written_out_connection(pack, rep, weight - 1)).v
-    for got, want in ((st.P.v, P.v), (st.P.g, P.g), (st.H, H), (st.dirac.v, dj.v), (st.vd, vd)):
+    for got, want in ((st.P.v, P.v), (st.P.g, P.g), (st.H, H), (st.dirac.v, dj.v),
+                      (with_vd.H, H), (with_vd.dirac.v, dj.v), (vd_got, vd)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("op, calls", [(spinorial_curvature, 2), (spinor_laplacian, 2),
+                                       (curvature_contraction_checks, 2), (sl_residual, 3)])
+def test_only_the_dirac_gradient_readers_take_a_third_derivative(op, calls, monkeypatch):
+    # P and H take one _cov_frame each; the derivative of the Dirac image
+    # is the third, built only for the identities that read it.
+    n = 3
+    rng = np.random.default_rng(83)
+    rep = build_representation(n)
+    gauge = random_gauge(84, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=Fraction(1, 2))
+    pts = gauge.sample_points(rng, 4)
+    counted = []
+    cov_frame = spinops._cov_frame
+    monkeypatch.setattr(spinops, "_cov_frame",
+                        lambda *a, **k: counted.append(a) or cov_frame(*a, **k))
+    op(gauge, rep, field, pts)
+    assert len(counted) == calls
 
 
 def test_cov_frame_takes_every_term_at_the_derivative_order():

@@ -177,6 +177,19 @@ def test_curvature_internal_cross_routes():
             assert all(np.max(v) < 1e-9 for v in res.values()), res
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_metric_part_curvature_is_the_written_out_difference(n):
+    # R' = R - F (x) delta, bit for bit, at one point and at a batch.
+    g = random_gauge(40 + n, n)
+    pts = g.sample_points(np.random.default_rng(n), 3)
+    for x in (pts[0], pts):
+        b = curvature(g, x)
+        rfull, F = b.rfull.comp, b.faraday.comp
+        want = rfull - F[..., None, None] * np.eye(n)
+        assert np.array_equal(b.rprime.comp, want)
+        assert not np.array_equal(b.rprime.comp, rfull)
+
+
 def test_curvature_takes_one_route():
     # The frame route reads omega_weyl, S and the Faraday forms only, and
     # what they are built from: not the Cholesky factor's jet L.
