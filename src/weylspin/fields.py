@@ -445,16 +445,31 @@ def _contraction_plan(spec, shapes):
                  for pa, ga, pb, gb, left, res in steps), perm
 
 
+def _matmul(a, b):
+    """``a @ b``, where a real factor times a complex one is one real
+    product on the complex factor's (re, im) float pairs: numpy would
+    copy the real factor to complex and multiply in complex."""
+    kinds = a.dtype.char + b.dtype.char
+    if kinds == "dD":
+        return (a @ np.ascontiguousarray(b).view(float)).view(complex)
+    if kinds == "Dd":
+        # a b = (bᵀ aᵀ)ᵀ, with aᵀ's float pairs on its last axis.
+        at = np.ascontiguousarray(np.swapaxes(a, -1, -2)).view(float)
+        return np.swapaxes((np.swapaxes(b, -1, -2) @ at).view(complex), -1, -2)
+    return a @ b
+
+
 def contract(spec, *ops):
     """``np.einsum(spec, *ops)`` through batched matrix products.
 
     ``spec`` names its output and may use "..."; operands are ndarrays.
     The transposes, reshapes and one ``@`` per operand pair that evaluate
     it are planned once per spec and operand shapes (``_contraction_plan``,
-    a bounded cache).  Specs that are not a chain of products (a single
-    operand, a trace or diagonal, a label summed out of one operand alone,
-    a size-1 axis broadcast against a longer one) go to ``np.einsum``,
-    the kernel's one fallback.
+    a bounded cache).  A real factor meets a complex one as a real product
+    (``_matmul``), never as a complex copy of the real factor.  Specs that
+    are not a chain of products (a single operand, a trace or diagonal, a
+    label summed out of one operand alone, a size-1 axis broadcast against
+    a longer one) go to ``np.einsum``, the kernel's one fallback.
     """
     plan = _contraction_plan(spec, tuple([op.shape for op in ops]))
     if plan is None:
@@ -470,7 +485,7 @@ def contract(spec, *ops):
             b = b.transpose(pb)
         if sb is not None:
             b = b.reshape(sb)
-        acc = acc @ b if acc_left else b @ acc
+        acc = _matmul(acc, b) if acc_left else _matmul(b, acc)
         if rs is not None:
             acc = acc.reshape(rs)
     return acc if perm is None else acc.transpose(perm)

@@ -86,8 +86,8 @@ def _monomials(n, degree):
 
 
 def _random_coefficients(rng, exps, rows, scale):
-    """``rows`` coefficient rows over the support ``exps``, one uniform draw each."""
-    return np.array([rng.uniform(-scale, scale, size=len(exps)) for _ in range(rows)])
+    """``rows`` coefficient rows over the support ``exps``, drawn row by row."""
+    return rng.uniform(-scale, scale, size=(rows, len(exps)))
 
 
 def _random_conformal_factor(rng, n, degree):
@@ -115,10 +115,10 @@ def _random_gauge_coefficients(seed, n, degree, margin):
     rng = np.random.default_rng(seed)
     exps = _monomials(n, degree)
     scale = (1.0 - margin) / (2.0 * n * len(exps))
+    # One row per entry i <= j, drawn in row-major order.
+    i, j = np.triu_indices(n)
     metric = np.empty((n, n, len(exps)))
-    for i in range(n):
-        for j in range(i, n):
-            metric[i, j] = metric[j, i] = rng.uniform(-scale, scale, size=len(exps))
+    metric[i, j] = metric[j, i] = _random_coefficients(rng, exps, len(i), scale)
     theta = _random_coefficients(rng, exps, n, 1.0 / len(exps))
     return exps, metric, theta
 
@@ -423,10 +423,12 @@ def _gauge_grid(config, name, n):
 # sample points; a gauge-covariance draw has two), its row identity and
 # its reduction.  The evaluate step joins consecutive draws of one
 # dimension and representation along the point axis and runs the kernel
-# once per chunk of at most ``_chunk_points(n)`` points, so one frame
-# pack serves every draw in it.  The kernel's per-point arrays are cut
-# back into the draws.  A chunk's size is capped, not its draw count,
-# so the working set stays bounded however large the configuration.
+# once per chunk of ``_chunk_points(n)`` points (the last of a group may
+# hold fewer), so one frame pack serves every draw in it; a draw that
+# does not fit the room left goes on in the next chunk.  The kernel's
+# per-point arrays are cut back into the draws.  A chunk's size is
+# capped, not its draw count, so the working set stays bounded however
+# large the configuration.
 
 # The caps keep every chunk's tracemalloc peak under the 2.28 MiB the
 # Clifford sweeps reach: the largest chunk peaks at 0.37 / 1.08 / 1.75 MiB
@@ -480,8 +482,9 @@ def _evaluate_chunk(rep, parts, kernel):
 class _StackedSweep:
     """A sweep from its draw step ``draws(config)``, an iterable of
     ``_Draw``, and the kernel of its evaluate step.  Draws are taken as
-    they come, in batches that fill at most one chunk, so only one
-    chunk's draws are alive at a time."""
+    they come; each chunk is filled to the cap, cutting a draw across
+    chunks where it does not fit, and only the draws with points in the
+    current chunk or not yet evaluated are alive."""
 
     __slots__ = ("draws", "kernel")
 
@@ -489,37 +492,40 @@ class _StackedSweep:
         self.draws, self.kernel = draws, kernel
 
     def __call__(self, config):
-        batch, room = [], 0
-        for d in self.draws(config):
-            size = sum(len(p.pts) for p in d.parts)
-            if batch and (d.row[0] != batch[0].row[0] or d.rep is not batch[0].rep
-                          or size > room):
-                yield from self._rows(batch)
-                batch = []
-            if not batch:
-                room = _chunk_points(d.row[0])
-            batch.append(d)
-            room -= size
-        if batch:
-            yield from self._rows(batch)
+        for _, group in itertools.groupby(self.draws(config), lambda d: (d.row[0], id(d.rep))):
+            yield from self._rows(group)
 
-    def _rows(self, batch):
-        rep, parts = batch[0].rep, [p for d in batch for p in d.parts]
-        sizes = [len(p.pts) for p in parts]
-        ends = np.cumsum(sizes)
-        starts, cap, out = ends - sizes, _chunk_points(rep.n), {}
-        # A batch is one chunk, unless one draw alone is larger.
-        for lo in range(0, ends[-1], cap):
-            chunk = [p._replace(pts=p.pts[max(lo - s, 0):lo + cap - s])
-                     for p, s, e in zip(parts, starts, ends) if s < lo + cap and e > lo]
-            for key, arr in _evaluate_chunk(rep, chunk, self.kernel).items():
-                out.setdefault(key, []).append(arr)
-        out = {key: np.concatenate(arrs) for key, arrs in out.items()}
-        results = iter([{key: arr[s:e] for key, arr in out.items()}
-                        for s, e in zip(starts, ends)])
-        for d in batch:
-            for check, res in d.reduce([next(results) for _ in d.parts]).items():
-                yield (check, *d.row, res)
+    def _rows(self, draws):
+        """The rows of consecutive draws of one dimension and representation."""
+        # live: each draw not yet reduced, with one {key: pieces} per part;
+        # queue: (part, its pieces, its draw) for the points not yet evaluated.
+        live, queue = [], []
+        for d in itertools.chain(draws, [None]):
+            if d is not None:
+                rep, cap, outs = d.rep, _chunk_points(d.row[0]), [{} for _ in d.parts]
+                live.append((d, outs))
+                queue += [(p, out, d) for p, out in zip(d.parts, outs)]
+            while queue and (d is None or sum(len(p.pts) for p, _, _ in queue) >= cap):
+                chunk, room = [], cap
+                while room and queue:
+                    p, out, owner = queue.pop(0)
+                    if len(p.pts) > room:
+                        queue.insert(0, (p._replace(pts=p.pts[room:]), out, owner))
+                        p = p._replace(pts=p.pts[:room])
+                    chunk.append((p, out))
+                    room -= len(p.pts)
+                res = _evaluate_chunk(rep, [p for p, _ in chunk], self.kernel)
+                end = 0
+                for p, out in chunk:
+                    end += len(p.pts)
+                    for key, arr in res.items():
+                        out.setdefault(key, []).append(arr[end - len(p.pts):end])
+                # Draws end in order: every draw before the queue's first is done.
+                while live and (not queue or queue[0][2] is not live[0][0]):
+                    done, pieces = live.pop(0)
+                    results = [{key: np.concatenate(a) for key, a in out.items()} for out in pieces]
+                    for check, r in done.reduce(results).items():
+                        yield (check, *done.row, r)
 
 
 def _worst_per_check(results):

@@ -113,16 +113,17 @@ def _omega_gather(n):
     each Y entry is read at its index with the last two axes sorted; terms
     that meet at one index merge and zero terms drop, which leaves at most
     three per entry."""
-    half, E = 0.5 - _half_lower(n), np.eye(n)
+    half, E, m = 0.5 - _half_lower(n), np.eye(n), n ** 3
+    j, k, i = np.indices((n, n, n)).reshape(3, m)
 
-    def y(i, j, k):
-        return (i * n + min(j, k)) * n + max(j, k)
+    def y(a, b, c):
+        return (a * n + np.minimum(b, c)) * n + np.maximum(b, c)
 
-    M = np.zeros((n ** 3, n ** 3 + n))  # [entry, position in Z]
-    for f, (j, k, i) in enumerate(np.ndindex(n, n, n)):
-        for src, c in ((y(i, j, k), half[j, k]), (y(j, k, i), 0.5), (y(k, i, j), -0.5),
-                       (n ** 3 + i, E[j, k]), (n ** 3 + j, E[k, i]), (n ** 3 + k, -E[i, j])):
-            M[f, src] += c
+    # Six terms per entry, [entry, term], added in that order.
+    src = np.stack([y(i, j, k), y(j, k, i), y(k, i, j), m + i, m + j, m + k], axis=1)
+    c = np.stack([half[j, k], np.full(m, 0.5), np.full(m, -0.5), E[j, k], E[k, i], -E[i, j]], axis=1)
+    M = np.zeros((m, m + n))  # [entry, position in Z]
+    np.add.at(M, (np.arange(m)[:, None], src), c)
     # Each row's nonzero positions first, then zero-coefficient padding.
     idx = np.argsort(M == 0, axis=1, kind="stable")[:, :np.count_nonzero(M, axis=1).max()]
     coef = np.take_along_axis(M, idx, axis=1)
@@ -230,9 +231,9 @@ class FramePack:
         idx, coef = _omega_gather(n)
         # One table term at a time, in the order a sum over the term axis
         # takes them: the same bits, at a cost linear in the point count.
-        om = Z[..., idx[:, 0], :] * coef[:, 0, None]
+        om = np.take(Z, idx[:, 0], axis=-2) * coef[:, 0, None]
         for t in range(1, idx.shape[1]):
-            om += Z[..., idx[:, t], :] * coef[:, t, None]
+            om += np.take(Z, idx[:, t], axis=-2) * coef[:, t, None]
         return Jet._make(om.reshape(lead + (n, n, n, -1)), n, nb)
 
     @cached_property

@@ -15,7 +15,8 @@ the inverse jet of the Cholesky factor and the chart Christoffels, the
 route the package's frame pack does not take.  ``transpose_route_omega``
 builds the Weyl spin rotation by transposes of the frame derivative of
 the metric plus theta(s) from the frame jet times ``theta_tensor``, the
-route the package's one gather replaces, and ``written_out_connection``
+route the package's one gather replaces; ``written_out_omega_gather``
+builds that gather's table entry by entry, and ``written_out_connection``
 writes the weight-w spin connection out term by term from it.  ``round_gauge`` gives the
 round sphere and the hyperbolic ball, whose curvature is known in closed
 form.  ``LeibnizJet`` and ``leibniz_einsum`` keep a jet's value, gradient
@@ -236,6 +237,25 @@ def transpose_route_omega(pack):
     lc = 0.5 * (Y - jet_transpose(Y, (2, 0, 1))) + half * jet_transpose(Y, (1, 2, 0))
     th = jet_einsum("a,ai->i", pack.TH, pack.S).truncate(lc.order)
     return lc, th, lc + jet_einsum("m,mjki->jki", th, theta_tensor(n))
+
+
+def written_out_omega_gather(n):
+    """The gather table of ``weyl._omega_gather``, written out term by
+    term: for each entry omega_weyl[j, k, i], its six terms over Z = [Y
+    flattened, theta(s)] added one at a time, then each row's nonzero
+    positions first and zero-coefficient padding after."""
+    half, E = 0.5 - np.tril(np.ones((n, n)), -1) - 0.5 * np.eye(n), np.eye(n)
+
+    def y(i, j, k):
+        return (i * n + min(j, k)) * n + max(j, k)
+
+    M = np.zeros((n ** 3, n ** 3 + n))
+    for f, (j, k, i) in enumerate(np.ndindex(n, n, n)):
+        for src, c in ((y(i, j, k), half[j, k]), (y(j, k, i), 0.5), (y(k, i, j), -0.5),
+                       (n ** 3 + i, E[j, k]), (n ** 3 + j, E[k, i]), (n ** 3 + k, -E[i, j])):
+            M[f, src] += c
+    idx = np.argsort(M == 0, axis=1, kind="stable")[:, :np.count_nonzero(M, axis=1).max()]
+    return idx, np.take_along_axis(M, idx, axis=1)
 
 
 def written_out_connection(pack, rep, w):

@@ -387,8 +387,8 @@ def test_every_random_gauge_sweep_but_the_zero_hessian_is_stacked():
         "twistor-zero-hessian", "example-2d-killing", "example-2d-parallel"}
 
 
-# WIDE fills whole chunks with whole draws; LONG has draws larger than a
-# chunk at n = 4, which are cut across chunks.
+# On WIDE, draws share chunks, and a draw cut where a chunk fills goes on
+# in the next; LONG has draws larger than a chunk at n = 4.
 LONG = SuiteConfig(gauges=1, dims=(3, 4), weights=("0", "1/2"), points=hz._chunk_points(4) + 10)
 
 
@@ -453,6 +453,22 @@ def test_the_weight_shift_builds_one_connection_and_one_field_jet_per_chunk(monk
     assert report.passed
     assert len(chunks) == 3
     assert len(built) == len(jets) == len(chunks)
+
+
+def test_chunks_fill_to_the_cap_across_draws(monkeypatch):
+    # gauge-covariance draws two 20-point parts a weight: 120 points at
+    # n = 4 fill two 60-point chunks, with a draw cut across them.
+    chunks = []
+    evaluate = hz._evaluate_chunk
+
+    def counted(rep, parts, kernel):
+        chunks.append(sum(len(p.pts) for p in parts))
+        return evaluate(rep, parts, kernel)
+
+    monkeypatch.setattr(hz, "_evaluate_chunk", counted)
+    report = run_suite(SuiteConfig(gauges=1, seed=1, dims=(4,)), checks=["gauge-covariance"])
+    assert report.passed
+    assert chunks == [hz._chunk_points(4)] * 2
 
 
 def test_stacked_chunks_stay_inside_the_working_set(monkeypatch):

@@ -24,7 +24,8 @@ from weylspin.weyl import (
 )
 
 from oracles import (chart_connection_residuals, finite_difference_jet, inverse_route_rotation,
-                     metric_curvature, round_gauge, theta_tensor, transpose_route_omega)
+                     metric_curvature, round_gauge, theta_tensor, transpose_route_omega,
+                     written_out_omega_gather)
 
 
 def plane_form_gauge():
@@ -118,6 +119,14 @@ def test_chart_christoffels_satisfy_the_chart_identities(n):
     pts = g.sample_points(np.random.default_rng(n), 5)
     for key, res in chart_connection_residuals(g, pts).items():
         assert res.shape == (5,) and res.max() <= 1e-9, key
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_gather_table_is_the_written_out_loop_byte_for_byte(n):
+    got, want = weyl._omega_gather.__wrapped__(n), written_out_omega_gather(n)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def test_a_perturbed_theta_part_fails_the_metric_item(monkeypatch):
