@@ -20,7 +20,7 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import asdict, dataclass, field as _field, fields as _fields
+from dataclasses import dataclass, field as _field, fields as _fields
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -69,13 +69,38 @@ def _fold_sign(p):
     return p if p >= 0 else (1 << 63) - p
 
 
+def _words(p, out):
+    """Append the little-endian 32-bit words of a non-negative integer,
+    0 as one zero word: how SeedSequence reads an integer of its entropy."""
+    out.append(p & 0xFFFFFFFF)
+    p >>= 32
+    while p:
+        out.append(p & 0xFFFFFFFF)
+        p >>= 32
+
+
+@lru_cache(maxsize=None)
+def _name_words(name):
+    """The words of a name's tag: its UTF-8 bytes, big-endian, mod 2**63."""
+    words = []
+    _words(int.from_bytes(name.encode("utf-8"), "big") % (2 ** 63), words)
+    return tuple(words)
+
+
 def _derive_seed(base, name, *parts):
     """A 32-bit seed from the suite seed, a check/sweep name, and integer
-    indices.  Pure integer arithmetic, stable across platforms."""
-    tag = int.from_bytes(name.encode("utf-8"), "big") % (2 ** 63)
-    ss = np.random.SeedSequence(entropy=[_fold_sign(base), tag,
-                                         *[_fold_sign(p) for p in parts]])
-    return int(ss.generate_state(1)[0])
+    indices.  Pure integer arithmetic, stable across platforms.
+
+    The entropy is the list [base, name tag, *parts], each part folded
+    non-negative; it is handed over as its packed uint32 words, the pool
+    SeedSequence would build from the list itself."""
+    words = []
+    _words(_fold_sign(base), words)
+    words.extend(_name_words(name))
+    for p in parts:
+        _words(_fold_sign(p), words)
+    ss = np.random.SeedSequence(entropy=np.array(words, dtype=np.uint32))
+    return ss.generate_state(1).item()
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +134,14 @@ def _unit_spinor(rng, dim):
     return v / np.linalg.norm(v)
 
 
+@lru_cache(maxsize=None)
+def _triu(n):
+    """``np.triu_indices(n)``, built once per n and read-only."""
+    i, j = np.triu_indices(n)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _random_gauge_coefficients(seed, n, degree, margin):
     """The draw of ``random_gauge``: the support, the metric perturbation
     (symmetric, without delta) and the theta coefficients over it."""
@@ -116,7 +149,7 @@ def _random_gauge_coefficients(seed, n, degree, margin):
     exps = _monomials(n, degree)
     scale = (1.0 - margin) / (2.0 * n * len(exps))
     # One row per entry i <= j, drawn in row-major order.
-    i, j = np.triu_indices(n)
+    i, j = _triu(n)
     metric = np.empty((n, n, len(exps)))
     metric[i, j] = metric[j, i] = _random_coefficients(rng, exps, len(i), scale)
     theta = _random_coefficients(rng, exps, n, 1.0 / len(exps))
@@ -225,7 +258,7 @@ class SuiteConfig:
 
     def fractions(self):
         """The configured weights as exact Fractions."""
-        return tuple(Fraction(w) for w in self.weights)
+        return _fractions(self.weights)
 
     def to_dict(self):
         return {
@@ -251,6 +284,11 @@ class SuiteConfig:
                 raise ValueError(f"unknown config field {k!r} "
                                  f"(known fields: {', '.join(sorted(known))})")
         return cls(**d)
+
+
+@lru_cache(maxsize=64)
+def _fractions(weights):
+    return tuple(Fraction(w) for w in weights)
 
 
 def load_config(path):
@@ -290,9 +328,13 @@ class CheckRecord:
         return self.residual <= self.tolerance
 
     def to_dict(self):
-        return {**asdict(self), "passed": self.passed}
+        return {"check": self.check, "statement": self.statement, "n": self.n,
+                "weight": self.weight, "seed": self.seed, "index": self.index,
+                "detail": self.detail, "residual": self.residual,
+                "tolerance": self.tolerance, "passed": self.passed}
 
 
+@lru_cache(maxsize=256)
 def _weight_order(w):
     if w == "-":
         return (0, Fraction(0))

@@ -180,11 +180,12 @@ def _scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _second_order(first, rep, weight):
+def _second_order(first, rep, weight, hessian=True):
     """The derivative stack from the first-order stage: the second
-    derivative H [i, j, s] and the Dirac image, a jet."""
+    derivative H [i, j, s] (None without ``hessian``) and the Dirac
+    image, a jet."""
     pack, conn, psi, P = first
-    H = _cov_frame(pack, rep, P, weight, conn=conn).v
+    H = _cov_frame(pack, rep, P, weight, conn=conn).v if hessian else None
     return _Stack(pack, psi, P, H, jet_einsum("ist,it->s", rep.gammas, P))
 
 
@@ -195,11 +196,13 @@ def _derivative_stack(gauge, rep, field, x, pack=None):
     return _second_order(_first_order(gauge, rep, field, x, pack), rep, field.weight)
 
 
-def _dirac_stack(gauge, rep, field, x):
+def _dirac_stack(gauge, rep, field, x, hessian=True):
     """The derivative stack, and vd [i, s]: the covariant derivative of
-    the Dirac image, taken on the same spin connection."""
+    the Dirac image, taken on the same spin connection.  The Dirac
+    gradient identities read P, the Dirac image and vd only; they pass
+    ``hessian=False`` and get a stack whose H is None."""
     first = _first_order(gauge, rep, field, x)
-    st = _second_order(first, rep, field.weight)
+    st = _second_order(first, rep, field.weight, hessian)
     return st, _cov_frame(st.pack, rep, st.dirac, field.weight - 1, conn=first.conn).v
 
 
@@ -387,7 +390,7 @@ def nabla_dirac_residual(gauge, rep, field, x, gate_tol=1e-8):
     against its algebraic curvature expression (n >= 3, twistor-type)."""
     if gauge.n < 3:
         raise ValueError("the Dirac gradient identity needs n >= 3")
-    st, vd = _dirac_stack(gauge, rep, field, x)
+    st, vd = _dirac_stack(gauge, rep, field, x, hessian=False)
     _twistor_gate(rep, gauge.n, st.P, st.dirac.v, st.psi.v, gate_tol,
                   "the Dirac gradient identity", st.pack.G.nb)
     return _dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)
@@ -423,7 +426,7 @@ def pair_parallel_residuals(gauge, rep, field, x):
     """
     if gauge.n < 3:
         raise ValueError("the pair system needs n >= 3")
-    st, vd = _dirac_stack(gauge, rep, field, x)
+    st, vd = _dirac_stack(gauge, rep, field, x, hessian=False)
     top = _twistor_defect(rep, gauge.n, st.P, st.dirac.v, st.psi.v, st.pack.G.nb)
     return {"top": top, "bottom": _dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)}
 

@@ -654,7 +654,7 @@ def test_a_suite_draw_fits_the_contract_budget(monkeypatch):
     for mod in _CONTRACT_MODULES:
         monkeypatch.setattr(mod, "contract", counting)
     assert weylspin.run_suite(config).passed
-    assert len(calls) <= 1119, len(calls)
+    assert len(calls) <= 1104, len(calls)
 
 
 def test_a_transport_fits_the_contract_budget(monkeypatch):

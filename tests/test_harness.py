@@ -1,7 +1,10 @@
 """Suite configuration, reporting, determinism, selection, and the CLI."""
 
+import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -151,6 +154,49 @@ def test_random_gauge_is_deterministic():
     assert random_gauge(5, 3).name == "random-5"
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_the_cached_triu_indices_are_read_only(n):
+    i, j = hz._triu(n)
+    assert hz._triu(n)[0] is i
+    assert all(np.array_equal(a, b) for a, b in zip((i, j), np.triu_indices(n)))
+    assert not i.flags.writeable and not j.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        i[0] = 1
+
+
+def test_derived_seeds_are_those_of_the_entropy_list():
+    # _derive_seed hands SeedSequence the packed uint32 words of
+    # [base, name tag, *parts]; the seed is the one the list itself gives.
+    # Zero parts, negative (folded) parts, tags on both sides of 2**32 and
+    # up to six parts.
+    names = ["", "a", "abcd", "abcde", "gauge-covariance", "twistor-pair-parallel",
+             "clifford-reorder", "weyl-compatibility", "ünïcode"]
+    rng = np.random.default_rng(2027)
+
+    def part():
+        kind = rng.integers(5)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return int(rng.integers(1, 100))
+        if kind == 2:
+            return -int(rng.integers(1, 2 ** 40))
+        if kind == 3:
+            return int(rng.integers(2 ** 32 - 2, 2 ** 32 + 2))
+        return int(rng.integers(2 ** 32, 2 ** 63))
+
+    tags = set()
+    for _ in range(10_000):
+        name = names[rng.integers(len(names))]
+        base, parts = part(), [part() for _ in range(rng.integers(7))]
+        tag = int.from_bytes(name.encode("utf-8"), "big") % (2 ** 63)
+        tags.add(tag >= 2 ** 32)
+        entropy = [hz._fold_sign(base), tag, *[hz._fold_sign(p) for p in parts]]
+        want = np.random.SeedSequence(entropy=entropy).generate_state(1)
+        assert hz._derive_seed(base, name, *parts) == int(want[0]), (base, name, parts)
+    assert tags == {False, True}
+
+
 PINNED_DRAWS = [
     (0, 2, "b6e2bf25eb7f28e3"),
     (7, 3, "7af055614b663366"),
@@ -289,6 +335,12 @@ def test_check_record_pass_boundary():
     assert d["passed"] is True and d["residual"] == 1e-9
 
 
+def test_record_dicts_are_the_dataclass_dicts():
+    for r in run_suite(SuiteConfig(gauges=1, seed=1)).records:
+        want = {**dataclasses.asdict(r), "passed": r.passed}
+        assert r.to_dict() == want and list(r.to_dict()) == list(want)
+
+
 def test_report_emission_and_round_trip():
     report = run_suite(tiny_config(), checks=["clifford-nu-trace",
                                               "example-2d-parallel"])
@@ -328,6 +380,28 @@ def test_suite_is_deterministic_byte_for_byte():
     r2 = run_suite(cfg)
     assert emit_report(r1, "machine") == emit_report(r2, "machine")
     assert r1.records  # the tiny sweep still exercises every check family
+
+
+def test_the_machine_report_does_not_depend_on_what_ran_before():
+    # Per-dimension constants, parsed weights and name words are shared
+    # across draws and configs; none may carry state from one run into
+    # the next.  The same report in a fresh process, again after the
+    # sweep cache is emptied, and right after a config with other weights.
+    cfg = SuiteConfig(gauges=1, seed=1)
+    first = emit_report(run_suite(cfg), "machine")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hz.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from weylspin.harness import SuiteConfig, emit_report, run_suite; "
+            "sys.stdout.write(emit_report(run_suite(SuiteConfig(gauges=1, seed=1)), 'machine'))")
+    fresh = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    assert fresh.stdout == first
+    hz._GROUP_CACHE.clear()
+    assert emit_report(run_suite(cfg), "machine") == first
+    assert run_suite(SuiteConfig(gauges=1, seed=1, weights=("-1", "3/2"))).passed
+    hz._GROUP_CACHE.clear()
+    assert emit_report(run_suite(cfg), "machine") == first
 
 
 def test_single_checks_reproduce_the_full_run():

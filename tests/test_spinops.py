@@ -557,23 +557,61 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("op, calls", [(spinorial_curvature, 2), (spinor_laplacian, 2),
-                                       (curvature_contraction_checks, 2), (sl_residual, 3)])
-def test_only_the_dirac_gradient_readers_take_a_third_derivative(op, calls, monkeypatch):
-    # P and H take one _cov_frame each; the derivative of the Dirac image
-    # is the third, built only for the identities that read it.
+def _from_the_stack_with_h(op, gauge, rep, field, x):
+    """The residuals of a Dirac gradient identity read from the full
+    stack, H included; the identity's own stack, without H, must give
+    the same bytes."""
+    st, vd = _dirac_stack(gauge, rep, field, x)
+    assert st.H is not None
+    bottom = spinops._dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)
+    if op is nabla_dirac_residual:
+        return bottom
+    top = spinops._twistor_defect(rep, gauge.n, st.P, st.dirac.v, st.psi.v, st.pack.G.nb)
+    return {"top": top, "bottom": bottom}
+
+
+@pytest.mark.parametrize("op, calls, data", [
+    *[pytest.param(op, calls, "random", id=f"{op.__name__}-{calls}")
+      for op, calls in ((spinorial_curvature, 2), (spinor_laplacian, 2),
+                        (curvature_contraction_checks, 2), (sl_residual, 3))],
+    *[pytest.param(op, calls, data, id=f"{op.__name__}-{calls}-{data}")
+      for data in ("flat", "conformal")
+      for op, calls in ((sl_residual, 3), (twistor_laplacian_residuals, 3),
+                        (nabla_dirac_residual, 2), (pair_parallel_residuals, 2))]])
+def test_only_the_dirac_gradient_readers_take_a_third_derivative(op, calls, data, monkeypatch):
+    # P takes one _cov_frame each.  H, read by the curvature and Laplacian
+    # identities, is the second; the derivative of the Dirac image is the
+    # third, built only for the identities that read it.  The Dirac
+    # gradient identities read P and that derivative, never H: two calls.
+    # The twistor-type data is the flat twistor family, on the flat gauge
+    # or moved to a rescaled one.
     n = 3
     rng = np.random.default_rng(83)
     rep = build_representation(n)
-    gauge = random_gauge(84, n)
-    field = rand_spinor_field(rng, n, rep.dim, weight=Fraction(1, 2))
-    pts = gauge.sample_points(rng, 4)
+    if data == "random":
+        gauge = random_gauge(84, n)
+        field = rand_spinor_field(rng, n, rep.dim, weight=Fraction(1, 2))
+    else:
+        gauge, field = Gauge.flat(n), family(rng, rep, weight=1)
+        if data == "conformal":
+            f = bump(n)
+            gauge, field = change_gauge(gauge, f), gauge_transport_spinor(field, f)
+    pts = gauge.sample_points(rng, 6)
     counted = []
     cov_frame = spinops._cov_frame
     monkeypatch.setattr(spinops, "_cov_frame",
                         lambda *a, **k: counted.append(a) or cov_frame(*a, **k))
-    op(gauge, rep, field, pts)
+    got = op(gauge, rep, field, pts)
     assert len(counted) == calls
+    monkeypatch.undo()
+    if op in (nabla_dirac_residual, pair_parallel_residuals):
+        # Bit for bit the residuals of the stack with H.
+        want = _from_the_stack_with_h(op, gauge, rep, field, pts)
+        got, want = (got, want) if isinstance(got, dict) else ({"": got}, {"": want})
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype and got[key].shape == (6,)
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 def test_cov_frame_takes_every_term_at_the_derivative_order():
