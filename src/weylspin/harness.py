@@ -183,6 +183,11 @@ def _canonical_weight(w):
     return str(as_fraction(w))
 
 
+def _names(v):
+    """A sequence of names or weights; a string is one entry, not its characters."""
+    return (v,) if isinstance(v, str) else v
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Sweep sizes, seed, and selection for the verification suite.
@@ -209,70 +214,64 @@ class SuiteConfig:
         def fail(name, msg):
             raise ValueError(f"config field '{name}': {msg}")
 
-        try:
-            dims = tuple(operator.index(d) for d in self.dims)
-        except TypeError:
-            fail("dims", f"expected a sequence of integers, got {self.dims!r}")
+        def parse(name, convert, value, msg):
+            # A value the conversion cannot take fails as its field's error.
+            try:
+                return convert(value)
+            except (TypeError, ValueError):
+                fail(name, msg)
+
+        dims = parse("dims", lambda v: tuple(operator.index(d) for d in v), self.dims,
+                     f"expected a sequence of integers, got {self.dims!r}")
         if not dims or any(d < 2 for d in dims):
             fail("dims", "needs at least one dimension, each >= 2")
         if len(set(dims)) < len(dims):
             fail("dims", f"repeated entries in {dims!r}")
-        object.__setattr__(self, "dims", dims)
-        try:
-            weights = tuple(_canonical_weight(w) for w in self.weights)
-        except (TypeError, ValueError):
-            fail("weights", f"expected exact rationals, got {self.weights!r}")
+        weights = parse("weights", lambda v: tuple(_canonical_weight(w) for w in _names(v)),
+                        self.weights, f"expected exact rationals, got {self.weights!r}")
         if not weights:
             fail("weights", "needs at least one weight")
         if len(set(weights)) < len(weights):
             fail("weights", f"repeated entries in {weights!r}")
-        object.__setattr__(self, "weights", weights)
-        for name in ("gauges", "points", "trials", "degree"):
+        for name, low in (("gauges", 1), ("points", 1), ("trials", 1), ("degree", 1), ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                fail(name, f"expected a positive integer, got {v!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            fail("seed", f"expected a non-negative integer, got {self.seed!r}")
-        if not 0.0 < float(self.margin) < 1.0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < low:
+                fail(name, f"expected an integer >= {low}, got {v!r}")
+        margin = parse("margin", float, self.margin, f"expected a number, got {self.margin!r}")
+        if not 0.0 < margin < 1.0:
             fail("margin", f"expected a value in (0, 1), got {self.margin!r}")
-        object.__setattr__(self, "margin", float(self.margin))
         tols = {}
-        for k, v in dict(self.tolerances).items():
+        given = parse("tolerances", dict, self.tolerances,
+                      f"expected an object of check tolerances, got {self.tolerances!r}")
+        for k, v in given.items():
             if str(k) not in CHECKS:
                 fail("tolerances", f"tolerance override for unknown check {k!r}")
-            try:
-                v = float(v)
-            except (TypeError, ValueError):
-                fail("tolerances", f"tolerance for {k!r} is not a number: {v!r}")
+            v = parse("tolerances", float, v, f"tolerance for {k!r} is not a number: {v!r}")
             if not 0.0 < v < math.inf:
                 fail("tolerances", f"tolerance for {k!r} must be positive and finite")
             tols[str(k)] = v
-        object.__setattr__(self, "tolerances", tols)
-        if self.checks is not None:
-            sel = tuple(str(c) for c in self.checks)
+        checks = self.checks
+        if checks is not None:
+            checks = parse("checks", lambda v: tuple(str(c) for c in _names(v)), checks,
+                           f"expected a sequence of check names, got {checks!r}")
             try:
-                resolve_checks(sel)
+                resolve_checks(checks)
             except ValueError as e:
                 fail("checks", str(e))
-            object.__setattr__(self, "checks", sel)
+        for name, value in (("dims", dims), ("weights", weights), ("margin", margin),
+                            ("tolerances", tols), ("checks", checks)):
+            object.__setattr__(self, name, value)
 
     def fractions(self):
         """The configured weights as exact Fractions."""
         return _fractions(self.weights)
 
     def to_dict(self):
-        return {
-            "dims": list(self.dims),
-            "weights": list(self.weights),
-            "gauges": self.gauges,
-            "points": self.points,
-            "trials": self.trials,
-            "seed": self.seed,
-            "degree": self.degree,
-            "margin": self.margin,
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "checks": None if self.checks is None else list(self.checks),
-        }
+        """The fields in order, sequences as lists and tolerances sorted."""
+        d = {f.name: getattr(self, f.name) for f in _fields(self)}
+        return {**d, "dims": list(self.dims), "weights": list(self.weights),
+                "tolerances": dict(sorted(self.tolerances.items())),
+                "checks": None if self.checks is None else list(self.checks)}
 
     @classmethod
     def from_dict(cls, d):
@@ -414,8 +413,8 @@ def parse_report(text):
 # A sweep maps a configuration to rows (check, n, weight, seed, index,
 # detail, residual).  Each sweep walks one seeded grid.  The Clifford
 # sweeps draw one batch of spinors per dimension; every random-gauge sweep
-# but the zero-Hessian one, whose identity holds at one point, draws first
-# and then evaluates many draws in one stacked pass (``_StackedSweep``).
+# draws first and then evaluates many draws in one stacked pass
+# (``_StackedSweep``).
 
 
 def _weight_parts(w):
@@ -740,10 +739,6 @@ def _curvature_spinor_draws(config):
         yield from _spinor_grid(config, "curvature-spinor", n, build_representation(n))
 
 
-def _curvature_spinor(gauge, rep, field, pts):
-    return curvature_contraction_checks(gauge, rep, field, pts)
-
-
 def _weight_shift(gauge, rep, field, pts):
     # One pack, spin connection and field jet serve both weights: the
     # curvature actions at weights 1 and 0 (``spinorial_curvature``) differ
@@ -837,10 +832,6 @@ def _dirac_gradient(gauge, rep, field, pts):
     return {"twistor-dirac-gradient": nabla_dirac_residual(gauge, rep, field, pts)}
 
 
-def _pair_parallel(gauge, rep, field, pts):
-    return pair_parallel_residuals(gauge, rep, field, pts)
-
-
 def _first_integrals(gauge, rep, field, pts):
     res = first_integrals(gauge, rep, field, pts)
     return {"twistor-first-integrals": np.maximum(res["dC"], res["dQ"])}
@@ -898,8 +889,9 @@ def _first_integrals_draws(config):
         yield _Draw(row, datum.rep, [_Part(gauge, datum.psi, pts)], _worst_per_check)
 
 
-def _zero_hessian_sweep(config):
-    """Twistor-type fields with a zero at a seeded point m, one weight per draw."""
+def _zero_hessian_draws(config):
+    """Twistor-type fields with a zero at a seeded point m, one weight per
+    draw; m is the draw's one point."""
     key = "twistor-zero-hessian"
     weights = config.fractions()
     for n in config.dims:
@@ -913,9 +905,14 @@ def _zero_hessian_sweep(config):
             phi0 = Spinor(rep, -contract("a,ast,t->s", m, rep.gammas, phi1.comp))
             family = flat_twistor_family(phi0, phi1, weight=w)
             gauge, field, detail = _twistor_slice(config, rng, n, w, di, family)
-            res = hessian_identity_check(gauge, rep, field, m)
-            grad_rel = res["gradient"] / max(float(np.max(np.abs(res["expected"]))), 1e-300)
-            yield key, n, str(w), seed, di, detail, max(res["residual"], grad_rel)
+            yield _Draw((n, str(w), seed, di, detail), rep, [_Part(gauge, field, m[None])],
+                        _worst_per_check)
+
+
+def _zero_hessian(gauge, rep, field, pts):
+    res = hessian_identity_check(gauge, rep, field, pts)
+    scale = np.maximum(np.max(np.abs(res["expected"]), axis=(-2, -1)), 1e-300)
+    return {"twistor-zero-hessian": np.maximum(res["residual"], res["gradient"] / scale)}
 
 
 # -- sweeps: closed-form plane families ------------------------------------------------
@@ -962,7 +959,7 @@ CheckDef = namedtuple("CheckDef", ["sweep", "statement", "tolerance"])
 
 # Sweeps that feed several checks.
 _CURVATURE_ALGEBRA = _gauge_sweep("curvature-algebra", _curvature_algebra)
-_CURVATURE_SPINOR = _StackedSweep(_curvature_spinor_draws, _curvature_spinor)
+_CURVATURE_SPINOR = _StackedSweep(_curvature_spinor_draws, curvature_contraction_checks)
 _TWISTOR_EIGEN = _twistor_sweep("twistor-eigen", _twistor_eigen)
 
 CHECKS = {
@@ -1044,12 +1041,12 @@ CHECKS = {
         "when the weight is 1/2 or the Faraday action vanishes.",
         1e-8),
     "twistor-pair-parallel": CheckDef(
-        _StackedSweep(_pair_parallel_draws, _pair_parallel),
+        _StackedSweep(_pair_parallel_draws, pair_parallel_residuals),
         "The pair (field, Dirac image) is parallel for the coupled "
         "connection exactly on twistor-type fields (n >= 3).",
         1e-8),
     "twistor-zero-hessian": CheckDef(
-        _zero_hessian_sweep,
+        _StackedSweep(_zero_hessian_draws, _zero_hessian),
         "At a zero of a twistor-type field the norm density has vanishing "
         "gradient and Hessian 2/n^2 times the Dirac norm square times delta.",
         1e-10),
@@ -1082,9 +1079,7 @@ def resolve_checks(selection):
     """Expand a selection of check names (exact or prefix) in registry order."""
     if selection is None:
         return list(CHECKS)
-    if isinstance(selection, str):
-        selection = [selection]
-    names = list(selection)
+    names = list(_names(selection))
     if not names:
         raise ValueError("empty check selection (use None for all checks)")
     if any(not name.strip() for name in names):

@@ -206,12 +206,12 @@ def _dirac_stack(gauge, rep, field, x, hessian=True):
     return st, _cov_frame(st.pack, rep, st.dirac, field.weight - 1, conn=first.conn).v
 
 
-# The operators below, up to first_integrals, take one chart point or a
-# (P, n) array of points.  At a batch, component arrays carry a leading
-# point axis, residuals are arrays of per-point residuals, and a gate
-# fails if it fails at any point.  At a batch the field's weight may be a
-# float array of per-point weights: the harness's stacked passes join
-# several draws along the point axis and call these same operators once.
+# The operators below take one chart point or a (P, n) array of points.
+# At a batch, component arrays carry a leading point axis, residuals are
+# arrays of per-point residuals, and a gate fails if it fails at any
+# point.  At a batch the field's weight may be a float array of per-point
+# weights: the harness's stacked passes join several draws along the
+# point axis and call these same operators once.
 
 
 def spin_lc_derivative(gauge, rep, field, x):
@@ -489,30 +489,35 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
     Returns the relative residual, both matrices, the first-derivative
     norm of the density at the point, and a ``degenerate`` flag (True when
     the Dirac image vanishes too, so the zero is not isolated at the
-    numerical level).  Gated on the field actually vanishing at x.
+    numerical level); at a batch of zeros each is per point.  Gated on the
+    field actually vanishing at every point.
     """
     pack, _, psi, P = _first_order(gauge, rep, field, x)
-    n = gauge.n
-    w2 = float(2 * field.weight)
-    d = contract("ist,it->s", rep.gammas, P.v)
-    dnorm2 = float(np.real(np.vdot(d, d)))
-    if float(np.linalg.norm(psi.v)) > gate_tol * (1.0 + np.sqrt(dnorm2)):
+    nb, n = pack.G.nb, gauge.n
+    w2 = _weights(2 * field.weight)
+    d = contract("ist,...it->...s", rep.gammas, P.v)
+    # The Dirac norm as this product is np.vdot(d, d) bit for bit.
+    dnorm2 = contract("...s,...s->...", np.conj(d), d).real
+    size = np.linalg.norm(psi.v, axis=-1)
+    if np.any(size > gate_tol * (1.0 + np.sqrt(dnorm2))):
         raise GateError("the Hessian identity holds at zeros of the field; "
-                        f"|field| = {np.linalg.norm(psi.v):.3e} at this point")
+                        f"largest |field| = {np.max(size):.3e}")
     u = jet_einsum("s,s->", psi.conj(), psi).real()
     # The covariant derivative du + 2w theta u of the weight-2w density u,
-    # a chart 1-form, and its frame components V_j = V(s_j).
-    V = u.gradient() + w2 * pack.TH.truncate(1) * u.truncate(1)
+    # a chart 1-form, and its frame components V_j = V(s_j).  The weight
+    # scales theta's entries, per point at a batch, before u multiplies.
+    th = pack.TH.truncate(1)
+    V = u.gradient() + Jet._make(th.d * _per_point(w2, 2), th.n, th.nb) * u.truncate(1)
     Vf = jet_einsum("b,bj->j", V, pack.S.truncate(1))
     # H[i, j] = s_i(V_j) - sum_k omega[j, k, i] V_k + 2w theta(s_i) V_j
-    Hf = (contract("ai,ja->ij", pack.S.v, Vf.g)
-          - contract("jki,k->ij", pack.omega_weyl.v, Vf.v)
-          + w2 * np.multiply.outer(pack.theta_frame.v, Vf.v))
-    expected = (2.0 / n ** 2) * dnorm2 * np.eye(n)
+    Hf = (contract("...ai,...ja->...ij", pack.S.v, Vf.g)
+          - contract("...jki,...k->...ij", pack.omega_weyl.v, Vf.v)
+          + _per_point(w2, 2) * (pack.theta_frame.v[..., :, None] * Vf.v[..., None, :]))
+    expected = _per_point((2.0 / n ** 2) * dnorm2, 2) * np.eye(n)
     return {
-        "residual": relative_residual(Hf - expected, Hf, expected),
+        "residual": relative_residual(Hf - expected, Hf, expected, batch=nb),
         "hessian": Hf,
         "expected": expected,
-        "gradient": float(np.max(np.abs(V.v))),
-        "degenerate": bool(dnorm2 < 1e-12),
+        "gradient": _scalar(np.max(np.abs(V.v), axis=-1)),
+        "degenerate": dnorm2 < 1e-12 if nb else bool(dnorm2 < 1e-12),
     }

@@ -77,6 +77,12 @@ def test_config_defaults_and_canonical_weights():
     ("checks", dict(checks=("",))),
     ("checks", dict(checks=("lichnerowicz", " "))),
     ("tolerances", dict(tolerances={"bogus": 1e-9})),
+    ("margin", dict(margin=None)),
+    ("margin", dict(margin="abc")),
+    ("tolerances", dict(tolerances=5)),
+    ("tolerances", dict(tolerances=[1])),
+    ("checks", dict(checks=5)),
+    ("weights", dict(weights=5)),
 ])
 def test_config_field_validation(field, kwargs):
     with pytest.raises(ValueError, match=f"config field '{field}'"):
@@ -424,14 +430,17 @@ def test_record_identities_are_pinned():
 
 
 def test_shared_sweeps_run_once_across_single_check_runs(monkeypatch):
-    # The spinor sweeps evaluate in stacked passes: one call per chunk of
-    # joined draws.  Here every dimension's draws fill one chunk.
-    sizes = {"curvature_contraction_checks": [], "twistor_laplacian_residuals": []}
-    for name in sizes:
-        def counted(*args, _name=name, _fn=getattr(hz, name), **kwargs):
+    # The spinor sweeps evaluate in stacked passes: one kernel call, so one
+    # operator call, per chunk of joined draws.  Here every dimension's
+    # draws fill one chunk.
+    sweeps = {"curvature_contraction_checks": hz._CURVATURE_SPINOR,
+              "twistor_laplacian_residuals": hz._TWISTOR_EIGEN}
+    sizes = {name: [] for name in sweeps}
+    for name, sweep in sweeps.items():
+        def counted(*args, _name=name, _fn=sweep.kernel, **kwargs):
             sizes[_name].append(len(args[3]))
             return _fn(*args, **kwargs)
-        monkeypatch.setattr(hz, name, counted)
+        monkeypatch.setattr(sweep, "kernel", counted)
     cfg = tiny_config(dims=(2, 3))
     for key in CHECKS:
         run_suite(cfg, checks=[key])
@@ -452,17 +461,35 @@ STACKED = [k for k, cd in CHECKS.items() if isinstance(cd.sweep, hz._StackedSwee
 WIDE = SuiteConfig(gauges=2, dims=(2, 3, 4), weights=("-1", "0", "1/2", "1"))
 
 
-def test_every_random_gauge_sweep_but_the_zero_hessian_is_stacked():
-    # The Clifford sweeps draw spinors alone, the plane examples are closed
-    # forms, and the zero-Hessian identity holds at one point.
+def test_every_random_gauge_sweep_is_stacked():
+    # The Clifford sweeps draw spinors alone and the plane examples are
+    # closed forms; every other sweep draws, then evaluates stacked.
     clifford = {k for k in CHECKS if k.startswith("clifford-")}
     assert len(clifford) == 5
-    assert set(STACKED) == set(CHECKS) - clifford - {
-        "twistor-zero-hessian", "example-2d-killing", "example-2d-parallel"}
+    assert set(STACKED) == set(CHECKS) - clifford - {"example-2d-killing", "example-2d-parallel"}
+
+
+def test_the_stacked_zero_hessian_rows_are_the_single_point_checks():
+    # Each draw is its zero m alone; its row is, byte for byte, what the
+    # one-point operator gives at m: max(residual, gradient / max|expected|).
+    cfg = SuiteConfig(checks=("twistor-zero-hessian",))
+    sweep = CHECKS["twistor-zero-hessian"].sweep
+    rows = {row[1:-1]: row[-1] for row in sweep(cfg)}
+    draws = list(sweep.draws(cfg))
+    assert len(rows) == len(draws) == len(cfg.dims) * cfg.gauges
+    for d in draws:
+        (part,) = d.parts
+        assert part.pts.shape == (1, d.row[0])
+        res = hz.hessian_identity_check(part.gauge, d.rep, part.field, part.pts[0])
+        scale = max(float(np.max(np.abs(res["expected"]))), 1e-300)
+        want = max(res["residual"], res["gradient"] / scale)
+        assert isinstance(res["residual"], float) and isinstance(res["degenerate"], bool)
+        assert np.float64(rows[d.row]).tobytes() == np.float64(want).tobytes(), d.row
 
 
 # On WIDE, draws share chunks, and a draw cut where a chunk fills goes on
-# in the next; LONG has draws larger than a chunk at n = 4.
+# in the next; LONG has draws larger than a chunk at n = 4 where a draw
+# carries ``points`` points (a zero-Hessian draw is one point).
 LONG = SuiteConfig(gauges=1, dims=(3, 4), weights=("0", "1/2"), points=hz._chunk_points(4) + 10)
 
 
@@ -488,13 +515,15 @@ def test_stacked_passes_match_the_per_draw_operators(key, config, monkeypatch):
             single[(check, *d.row)] = r
     assert list(stacked) == list(single)
     # No chunk passes its cap.  On WIDE, draws share chunks; on LONG, at
-    # least one draw holds more points than its chunk.  (A draw past the
-    # n = 4 cap of 60 points leaves no room at n = 3 for two in a chunk
-    # of 120.)
+    # least one draw of ``points`` points per part holds more points than
+    # its chunk.  (A draw past the n = 4 cap of 60 points leaves no room at
+    # n = 3 for two in a chunk of 120.)
     assert all(size <= hz._chunk_points(n) for n, _, size in chunks)
     if config is LONG:
-        assert any(sum(len(p.pts) for p in d.parts) > hz._chunk_points(d.row[0])
-                   for d in sweep.draws(config))
+        draws = list(sweep.draws(config))
+        if all(len(p.pts) == config.points for d in draws for p in d.parts):
+            assert any(sum(len(p.pts) for p in d.parts) > hz._chunk_points(d.row[0])
+                       for d in draws)
     else:
         assert max(parts for _, parts, _ in chunks) > 1
     for ident, r in single.items():
@@ -630,6 +659,38 @@ def test_cli_config_errors(capsys):
     assert main(cli_args("check", "clifford-nu-trace",
                          "--tol", "clifford-nu-trace=x")) == 2
     assert "not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given,field", [
+    ({"checks": "gauge"}, None),
+    ({"weights": "1/2"}, None),
+    ({"margin": None}, "margin"),
+    ({"margin": "abc"}, "margin"),
+    ({"tolerances": 5}, "tolerances"),
+    ({"tolerances": [1]}, "tolerances"),
+    ({"checks": 5}, "checks"),
+], ids=["checks-string", "weights-string", "margin-null", "margin-text", "tolerances-number",
+        "tolerances-list", "checks-number"])
+def test_cli_config_values_run_or_name_their_field(given, field, tmp_path, capsys):
+    # A config file value either runs as its field reads it or exits 2
+    # with the field named, never with a traceback.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": [2], "gauges": 1, "points": 2, "trials": 5,
+                                "checks": ["clifford-nu-trace"], **given}))
+    code = main(["verify", "--config", str(path), "--format", "machine"])
+    captured = capsys.readouterr()
+    if field is not None:
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {path}: config field '{field}': ")
+        return
+    assert code == 0, captured.err
+    report = parse_report(captured.out)
+    if "checks" in given:
+        assert report.config["checks"] == ["gauge"]
+        assert {r.check for r in report.records} == {"gauge-covariance"}
+    else:
+        assert report.config["weights"] == ["1/2"]
+        assert {r.check for r in report.records} == {"clifford-nu-trace"}
 
 
 @pytest.mark.parametrize("error", [ValueError("metric is not positive definite"),

@@ -1,14 +1,15 @@
 """Spinor covariant derivatives, Dirac/twistor operators, and their identities."""
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 import weylspin.harness as hz
 from weylspin import spinops
-from weylspin.clifford import build_representation
-from weylspin.fields import ChartField, Poly, constant_field, jet_einsum, polynomial_field
+from weylspin.clifford import Density, Spinor, build_representation
+from weylspin.fields import ChartField, Jet, Poly, constant_field, jet_einsum, polynomial_field
 from weylspin.harness import SuiteConfig, random_gauge, run_suite
 from weylspin.killing import (KillingDatum, example_killing_half, example_parallel_zero,
                               flat_twistor_family, integrability_residual, killing_residual,
@@ -71,7 +72,6 @@ def unit_spinor(rng, dim):
 
 
 def family(rng, rep, weight=0):
-    from weylspin.clifford import Spinor
     phi0 = Spinor(rep, unit_spinor(rng, rep.dim))
     phi1 = Spinor(rep, unit_spinor(rng, rep.dim))
     return flat_twistor_family(phi0, phi1, weight=weight)
@@ -195,8 +195,8 @@ def test_metric_derivative_ignores_theta_and_the_weight_tag():
 
 
 def _killing_op(op):
-    def call(gauge, rep, field, x):
-        return op(gauge, KillingDatum(field, constant_field(0.0, weight=-1), rep), x)
+    def call(gauge, rep, field, x, **kwargs):
+        return op(gauge, KillingDatum(field, constant_field(0.0, weight=-1), rep), x, **kwargs)
     return call
 
 
@@ -237,6 +237,86 @@ def test_first_order_entry_points_check_the_representation_dimension(name):
     field = rand_spinor_field(np.random.default_rng(82), 3, rep.dim, weight="1/2")
     with pytest.raises(ValueError, match="representation dimension"):
         FIRST_ORDER_ENTRY_POINTS[name](g, rep, field, np.array([0.2, -0.1, 0.4]))
+
+
+def _leaves(out):
+    """The arrays an operator returns, in order: components, residuals,
+    values, jets' entries and flags (a frame pack is skipped)."""
+    if isinstance(out, Density):
+        return [np.asarray(out.value)]
+    if isinstance(out, Spinor):
+        return [out.comp]
+    if isinstance(out, Jet):
+        return [out.d]
+    if isinstance(out, dict):
+        return [a for v in out.values() for a in _leaves(v)]
+    if isinstance(out, tuple):
+        return [a for v in out for a in _leaves(v)]
+    if isinstance(out, (float, bool, np.ndarray, np.number, np.bool_)):
+        return [np.asarray(out)]
+    return []
+
+
+# Every gate open: the field is generic, and only the batch contract is checked.
+_GATED = ("twistor_laplacian_residuals", "nabla_dirac_residual", "first_integrals",
+          "hessian_identity_check", "integrability_residual")
+
+
+@pytest.mark.parametrize("name", sorted(set(FIRST_ORDER_ENTRY_POINTS) - {"killing_transport"}))
+def test_a_point_batch_gives_each_points_single_point_result(name):
+    # The operators that take one point or a (P, n) array: each point of a
+    # 4-point batch carries its single-point result, to 1e-13 of the
+    # result's size (residuals are relative, so size 1 at least).
+    n = 3
+    rng = np.random.default_rng(230)
+    gauge = random_gauge(231, n)
+    rep = build_representation(n)
+    field = rand_spinor_field(rng, n, rep.dim, weight="1/2")
+    pts = gauge.sample_points(rng, 4)
+    op = FIRST_ORDER_ENTRY_POINTS[name]
+    kwargs = {"gate_tol": np.inf} if name in _GATED else {}
+    batch = _leaves(op(gauge, rep, field, pts, **kwargs))
+    assert batch
+    for k, x in enumerate(pts):
+        single = _leaves(op(gauge, rep, field, x, **kwargs))
+        assert len(single) == len(batch)
+        for got, want in zip(batch, single):
+            assert got.shape == (len(pts),) + want.shape, name
+            if want.dtype == bool:
+                assert got[k] == want, name
+            else:
+                assert np.abs(got[k] - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0), name
+
+
+def test_the_hessian_identity_at_zeros_joined_over_draws():
+    # Three zero-Hessian draws of weights 0, 1/2 and 1 at n = 3, joined as
+    # a stacked pass joins them (per-point weights): each point's entries
+    # are the single call's at its zero, byte for byte.
+    cfg = SuiteConfig(dims=(3,), gauges=3, checks=("twistor-zero-hessian",))
+    draws = list(hz._zero_hessian_draws(cfg))
+    assert [d.row[1] for d in draws] == ["0", "1/2", "1"]
+    rep = draws[0].rep
+    parts = [d.parts[0] for d in draws]
+    joined = hz._evaluate_chunk(rep, parts, hessian_identity_check)
+    assert joined["degenerate"].dtype == bool
+    for k, p in enumerate(parts):
+        one = hessian_identity_check(p.gauge, rep, p.field, p.pts[0])
+        for key, want in one.items():
+            got = np.asarray(joined[key][k])
+            assert got.tobytes() == np.asarray(want).tobytes(), key
+    # One point moved off its zero closes the gate for the batch.
+    off = [p._replace(pts=p.pts + 0.3) if k == 1 else p for k, p in enumerate(parts)]
+    with pytest.raises(GateError, match="largest [|]field[|]"):
+        hz._evaluate_chunk(rep, off, hessian_identity_check)
+    # At a zero the weight terms vanish with u and du; off the zeros, with
+    # the gate open, each point's Hessian still takes its own weight.
+    off = [p._replace(pts=p.pts + 0.3) for p in parts]
+    joined = hz._evaluate_chunk(rep, off, partial(hessian_identity_check, gate_tol=np.inf))
+    for k, p in enumerate(off):
+        one = hessian_identity_check(p.gauge, rep, p.field, p.pts[0], gate_tol=np.inf)
+        assert np.abs(one["gradient"]) > 1e-2
+        assert np.abs(joined["hessian"][k] - one["hessian"]).max() <= 1e-13 * np.abs(
+            one["hessian"]).max()
 
 
 def test_flat_laplacian_is_minus_the_component_trace():
@@ -725,7 +805,6 @@ def test_hessian_identity_at_a_zero_of_the_family():
     for n in (2, 3):
         rep = build_representation(n)
         g = Gauge.flat(n)
-        from weylspin.clifford import Spinor
         phi1 = Spinor(rep, unit_spinor(rng, rep.dim))
         m = rng.uniform(-0.5, 0.5, n)
         phi0 = Spinor(rep, -np.einsum("a,ast,t->s", m, rep.gammas, phi1.comp))
@@ -751,7 +830,6 @@ def test_frame_hessian_matches_the_chart_hessian(n):
     # V = du + 2w theta u and the oracle's Weyl Christoffels, referred to
     # the frame, is the frame Hessian.  At m, V = 0 and only d_a V_b enters,
     # so the Hessian is also taken off the zero, with the gate open.
-    from weylspin.clifford import Spinor
     rng = np.random.default_rng(110 + n)
     rep = build_representation(n)
     f = bump(n)
