@@ -20,7 +20,7 @@ import json
 import math
 import operator
 from collections import namedtuple
-from dataclasses import dataclass, field as _field, fields as _fields
+from dataclasses import dataclass, field as _field, fields as _fields, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -31,7 +31,7 @@ from .fields import ChartField, Jet, as_fraction, contract, permute, polynomial_
 from .killing import (example_killing_half, example_parallel_zero,
                       flat_twistor_family, integrability_report,
                       killing_kernel_determinant)
-from .spinops import (_cov_frame, _first_order, _spin_connection,
+from .spinops import (_cov_frame, _spin_connection, _Stack,
                       curvature_contraction_checks, first_integrals,
                       gauge_transport_spinor, hessian_identity_check,
                       nabla_dirac_residual, pair_parallel_residuals,
@@ -403,7 +403,16 @@ def parse_report(text):
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ValueError(f"not a machine report: line {e.lineno}: {e.msg}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"not a machine report: a {type(payload).__name__}, not an object")
+    for key, kind in (("config", dict), ("records", list)):
+        if not isinstance(payload.get(key), kind):
+            raise ValueError(f"not a machine report: '{key}' is not a {kind.__name__}")
     names = [f.name for f in _fields(CheckRecord)]
+    for i, rec in enumerate(payload["records"]):
+        lacks = [k for k in names if k not in rec] if isinstance(rec, dict) else names
+        if lacks:
+            raise ValueError(f"not a machine report: record {i} lacks {', '.join(lacks)}")
     records = [CheckRecord(**{k: rec[k] for k in names}) for rec in payload["records"]]
     return Report(config=payload["config"], records=records)
 
@@ -789,8 +798,8 @@ def _gauge_covariance_draws(config):
 
 
 def _derivative_and_scalar(gauge, rep, field, pts):
-    pack, _, psi, P = _first_order(gauge, rep, field, pts)
-    return {"psi": psi.v, "P": P.v, "R": curvature(gauge, pts, pack=pack).scalar.value}
+    st = _Stack(gauge, rep, field, pts)
+    return {"psi": st.psi.v, "P": st.P.v, "R": st.bund.scalar.value}
 
 
 def _gauge_covariance(rep, wf, fv, results):
@@ -1076,7 +1085,7 @@ CHECKS = {
 
 
 def resolve_checks(selection):
-    """Expand a selection of check names (exact or prefix) in registry order."""
+    """Expand check names (exact, else prefix) in selection order, without repeats."""
     if selection is None:
         return list(CHECKS)
     names = list(_names(selection))
@@ -1084,18 +1093,13 @@ def resolve_checks(selection):
         raise ValueError("empty check selection (use None for all checks)")
     if any(not name.strip() for name in names):
         raise ValueError(f"blank check name in {names!r}")
-    out = []
+    out = {}
     for name in names:
-        matches = [k for k in CHECKS if k == name]
+        matches = [name] if name in CHECKS else [k for k in CHECKS if k.startswith(name)]
         if not matches:
-            matches = [k for k in CHECKS if k.startswith(name)]
-        if not matches:
-            raise ValueError(f"unknown check {name!r}; known checks: "
-                             + ", ".join(CHECKS))
-        for m in matches:
-            if m not in out:
-                out.append(m)
-    return out
+            raise ValueError(f"unknown check {name!r}; known checks: " + ", ".join(CHECKS))
+        out.update(dict.fromkeys(matches))
+    return list(out)
 
 
 # The rows of a sweep that feeds several checks are kept per sweep input,
@@ -1119,9 +1123,12 @@ def _sweep_rows(config, sweep):
 
 
 def run_suite(config=None, checks=None):
-    """Run the selected checks and return the sorted report."""
+    """Run the selected checks and return the sorted report.  ``checks``
+    replaces the config's selection, so the report's config replays it."""
     config = config if config is not None else SuiteConfig()
-    keys = resolve_checks(checks if checks is not None else config.checks)
+    if checks is not None:
+        config = replace(config, checks=checks)
+    keys = resolve_checks(config.checks)
     records = []
     for sweep in dict.fromkeys(CHECKS[k].sweep for k in keys):
         for check, n, weight, seed, index, detail, residual in _sweep_rows(config, sweep):

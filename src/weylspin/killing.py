@@ -20,8 +20,8 @@ from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 from .clifford import Spinor, _slot_action, build_representation
 from .fields import (ChartField, constant_field, contract, jet_einsum,
                      polynomial_field)
-from .spinops import GateError, _check_rep, _first_order, _per_point, _weighted_connection
-from .weyl import (Gauge, _einstein_weyl, curvature, relative_residual,
+from .spinops import GateError, _check_rep, _per_point, _Stack, _weighted_connection
+from .weyl import (Gauge, _einstein_weyl, relative_residual,
                    weyl_christoffels)
 
 __all__ = [
@@ -48,11 +48,11 @@ def _nabla_beta_frame(pack, b):
 
 
 def _killing_parts(gauge, d, x):
-    pack, _, psi, P = _first_order(gauge, d.rep, d.psi, x)
+    st = _Stack(gauge, d.rep, d.psi, x)
     b = d.beta.jet(x)
     rhs = (_per_point(np.asarray(b.v, dtype=complex), 2)
-           * contract("ist,...t->...is", d.rep.gammas, psi.v))
-    return pack, psi, b, P, rhs
+           * contract("ist,...t->...is", d.rep.gammas, st.psi.v))
+    return st, b, rhs
 
 
 def _killing_gate(P, rhs, psiv, gate_tol, what, nb=0):
@@ -88,18 +88,17 @@ def killing_residual(gauge, d, x):
     """The defect of the Killing equation: derivative minus the density
     times the Clifford insertion (slot i: the derivative along frame
     vector i minus beta times gamma_i acting on the field)."""
-    _, _, _, P, rhs = _killing_parts(gauge, d, x)
-    return Spinor(d.rep, P.v - rhs, d.psi.weight - 1)
+    st, _, rhs = _killing_parts(gauge, d, x)
+    return Spinor(d.rep, st.P.v - rhs, d.psi.weight - 1)
 
 
 def integrability_residual(gauge, d, x, gate_tol=1e-8):
     """Residual of the scalar integrability condition for Killing fields:
     curvature and Faraday action against the density square and the
     density gradient.  Gated on the Killing equation holding at x."""
-    pack, psi, b, P, rhs = _killing_parts(gauge, d, x)
-    _killing_gate(P, rhs, psi.v, gate_tol, "the integrability condition")
-    bund = curvature(gauge, x, pack=pack)
-    *_, terms = _integrability_terms(pack, bund, d.rep, psi.v, b, d.psi.weight)
+    st, b, rhs = _killing_parts(gauge, d, x)
+    _killing_gate(st.P, rhs, st.psi.v, gate_tol, "the integrability condition")
+    *_, terms = _integrability_terms(st.pack, st.bund, d.rep, st.psi.v, b, d.psi.weight)
     return Spinor(d.rep, sum(terms), d.psi.weight - 2)
 
 
@@ -130,8 +129,8 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
     n, w = gauge.n, d.psi.weight
     wf = float(w)
     gammas = rep.gammas
-    pack, psi, b, P, rhs = _killing_parts(gauge, d, points)
-    psiv = psi.v
+    st, b, rhs = _killing_parts(gauge, d, points)
+    pack, P, psiv = st.pack, st.P, st.psi.v
     killing = _killing_gate(P, rhs, psiv, gate_tol, "the integrability report", nb=1)
     betas = np.asarray(b.v, dtype=complex)
     cls = _classify(betas, class_tol)
@@ -148,7 +147,7 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
                      "of weight 0; treat them as diagnostics here")
     items["killing"] = killing
 
-    bund = curvature(gauge, points, pack=pack)
+    bund = st.bund
     fhat, nabla_b, grad_cliff, terms = _integrability_terms(pack, bund, rep, psiv, b, w)
     R = bund.scalar.value
     bv = _per_point(betas)
@@ -176,7 +175,7 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
         rhs_r = 4.0 * n * (n - 1) * (betas.real ** 2)
         denom = np.maximum(np.maximum(np.abs(R), np.abs(rhs_r)), 1.0)
         put("scalar-curvature", np.abs(R - rhs_r) / denom)
-        u = jet_einsum("s,s->", psi.conj(), psi).real()
+        u = jet_einsum("s,s->", st.psi.conj(), st.psi).real()
         gauge_part = 2.0 * wf * pack.TH.v * u.v[..., None]
         put("norm-gradient",
             relative_residual(u.g + gauge_part, u.g, gauge_part, u.v, batch=1))

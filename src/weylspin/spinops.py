@@ -11,7 +11,7 @@ when it fails, rather than reporting a meaningless residual.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
 
@@ -149,27 +149,6 @@ def _check_rep(gauge, rep):
         raise ValueError(f"representation dimension {rep.n} does not match gauge n={gauge.n}")
 
 
-_First = namedtuple("_First", ["pack", "conn", "psi", "P"])
-
-
-def _first_order(gauge, rep, field, x, pack=None):
-    """The frame pack, the spin connection, the field's jet and its
-    covariant derivative: the stage every spinor operator starts from.
-
-    ``x`` is one chart point or a (P, n) array of points; every array then
-    carries a leading point axis.
-    """
-    _check_rep(gauge, rep)
-    if pack is None:
-        pack = weyl_christoffels(gauge, x)
-    conn = _spin_connection(pack, rep)
-    psi = field.jet(x)
-    return _First(pack, conn, psi, _cov_frame(pack, rep, psi, field.weight, conn=conn))
-
-
-_Stack = namedtuple("_Stack", ["pack", "psi", "P", "H", "dirac"])
-
-
 def _per_point(a, axes=1):
     """A per-point scalar (float or point array) shaped to broadcast
     against per-point arrays with ``axes`` trailing axes."""
@@ -180,30 +159,61 @@ def _scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _second_order(first, rep, weight, hessian=True):
-    """The derivative stack from the first-order stage: the second
-    derivative H [i, j, s] (None without ``hessian``) and the Dirac
-    image, a jet."""
-    pack, conn, psi, P = first
-    H = _cov_frame(pack, rep, P, weight, conn=conn).v if hessian else None
-    return _Stack(pack, psi, P, H, jet_einsum("ist,it->s", rep.gammas, P))
+class _Stack:
+    """What the spinor operators read of a field at one chart point or a
+    (P, n) array of points (``nb``, 0 or 1, leading point axes).  The
+    representation is checked here; each other member is built on its
+    first read and then kept, every derivative on the one spin connection
+    ``conn``: the frame ``pack`` (unless given), the field's jet ``psi``,
+    its covariant derivative ``P`` (a jet [i, s]), the second derivative
+    ``H`` [i, j, s], the Dirac image ``dirac`` (a jet [s]), its derivative
+    ``vd`` [i, s] and the curvature bundle ``bund``."""
+
+    def __init__(self, gauge, rep, field, x, pack=None):
+        _check_rep(gauge, rep)
+        self.gauge, self.rep, self.field, self.x = gauge, rep, field, x
+        self.nb = np.ndim(x) - 1
+        if pack is not None:
+            self.pack = pack
+
+    @cached_property
+    def pack(self):
+        return weyl_christoffels(self.gauge, self.x)
+
+    @cached_property
+    def conn(self):
+        return _spin_connection(self.pack, self.rep)
+
+    @cached_property
+    def psi(self):
+        return self.field.jet(self.x)
+
+    @cached_property
+    def P(self):
+        return _cov_frame(self.pack, self.rep, self.psi, self.field.weight, conn=self.conn)
+
+    @cached_property
+    def H(self):
+        return _cov_frame(self.pack, self.rep, self.P, self.field.weight, conn=self.conn).v
+
+    @cached_property
+    def dirac(self):
+        return jet_einsum("ist,it->s", self.rep.gammas, self.P)
+
+    @cached_property
+    def vd(self):
+        return _cov_frame(self.pack, self.rep, self.dirac, self.field.weight - 1, conn=self.conn).v
+
+    @cached_property
+    def bund(self):
+        return curvature(self.gauge, self.x, pack=self.pack)
 
 
 def _derivative_stack(gauge, rep, field, x, pack=None):
-    """What the curvature identities read: the field, its first and
-    second covariant derivatives and its Dirac image, in one pass over
-    the first-order stage.  The spin connection is released on return."""
-    return _second_order(_first_order(gauge, rep, field, x, pack), rep, field.weight)
-
-
-def _dirac_stack(gauge, rep, field, x, hessian=True):
-    """The derivative stack, and vd [i, s]: the covariant derivative of
-    the Dirac image, taken on the same spin connection.  The Dirac
-    gradient identities read P, the Dirac image and vd only; they pass
-    ``hessian=False`` and get a stack whose H is None."""
-    first = _first_order(gauge, rep, field, x)
-    st = _second_order(first, rep, field.weight, hessian)
-    return st, _cov_frame(st.pack, rep, st.dirac, field.weight - 1, conn=first.conn).v
+    """The stack with H built, as the curvature and Laplacian identities read it."""
+    st = _Stack(gauge, rep, field, x, pack)
+    st.H
+    return st
 
 
 # The operators below take one chart point or a (P, n) array of points.
@@ -226,13 +236,12 @@ def weyl_spinor_derivative(gauge, rep, field, x, pack=None):
 
     ``pack`` may carry precomputed frame data for the same gauge and point.
     """
-    P = _first_order(gauge, rep, field, x, pack).P
-    return Spinor(rep, P.v, field.weight - 1)
+    return Spinor(rep, _Stack(gauge, rep, field, x, pack).P.v, field.weight - 1)
 
 
 def dirac(gauge, rep, field, x):
     """Clifford contraction of the covariant derivative."""
-    P = _first_order(gauge, rep, field, x).P
+    P = _Stack(gauge, rep, field, x).P
     return Spinor(rep, contract("ist,...it->...s", rep.gammas, P.v), field.weight - 1)
 
 
@@ -254,15 +263,13 @@ def sl_residual(gauge, rep, field, x):
     """Relative residual of the Lichnerowicz-type formula: the square of
     the Dirac operator against the Laplacian plus scalar-curvature and
     Faraday terms."""
-    st, vd = _dirac_stack(gauge, rep, field, x)
-    nb = st.pack.G.nb
-    n, w = gauge.n, _weights(field.weight)
-    bund = curvature(gauge, x, pack=st.pack)
+    st = _Stack(gauge, rep, field, x)
+    n, w, nb = gauge.n, _weights(field.weight), st.nb
     psi = st.psi.v
-    d2 = contract("ist,...it->...s", rep.gammas, vd)
+    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
     lap = -contract("...iis->...s", st.H)
-    rterm = 0.25 * _per_point(bund.scalar.value) * psi
-    fterm = _per_point(0.25 * (n - 2 + 2 * w)) * _slot_action(bund.faraday.comp, rep, psi)
+    rterm = 0.25 * _per_point(st.bund.scalar.value) * psi
+    fterm = _per_point(0.25 * (n - 2 + 2 * w)) * _slot_action(st.bund.faraday.comp, rep, psi)
     # The field norm joins the scale: on a flat structure in a rescaled
     # gauge every term vanishes analytically and the quotient would
     # otherwise compare rounding noise to rounding noise.
@@ -280,9 +287,7 @@ def curvature_contraction_checks(gauge, rep, field, x):
     (full contraction against scalar curvature and Faraday action).
     """
     st = _derivative_stack(gauge, rep, field, x)
-    nb = st.pack.G.nb
-    n, w = gauge.n, _weights(field.weight)
-    bund = curvature(gauge, x, pack=st.pack)
+    n, w, nb, bund = gauge.n, _weights(field.weight), st.nb, st.bund
     psi = st.psi.v
     F, rp = bund.faraday.comp, bund.rprime.comp
     fhat = _slot_action(F, rep, psi)
@@ -313,23 +318,23 @@ def curvature_contraction_checks(gauge, rep, field, x):
 
 def twistor(gauge, rep, field, x):
     """Trace-free part of the covariant derivative (twistor operator)."""
-    P = _first_order(gauge, rep, field, x).P
+    P = _Stack(gauge, rep, field, x).P
     d = contract("ist,...it->...s", rep.gammas, P.v)
     comp = P.v + (1.0 / gauge.n) * contract("ist,...t->...is", rep.gammas, d)
     return Spinor(rep, comp, field.weight - 1)
 
 
-def _twistor_defect(rep, n, P, dval, psiv, nb):
+def _twistor_defect(st):
     """Relative residual of the twistor equation: the derivative plus 1/n
     times the Clifford insertion of the Dirac image."""
     # The field norm joins the scale so that exactly parallel data (zero
     # derivative and zero Dirac image) does not divide noise by noise.
-    correction = (1.0 / n) * contract("ist,...t->...is", rep.gammas, dval)
-    return relative_residual(P.v + correction, P.v, correction, psiv, batch=nb)
+    correction = (1.0 / st.gauge.n) * contract("ist,...t->...is", st.rep.gammas, st.dirac.v)
+    return relative_residual(st.P.v + correction, st.P.v, correction, st.psi.v, batch=st.nb)
 
 
-def _twistor_gate(rep, n, P, dval, psiv, gate_tol, what, nb):
-    gate = float(np.max(_twistor_defect(rep, n, P, dval, psiv, nb)))
+def _twistor_gate(st, gate_tol, what):
+    gate = float(np.max(_twistor_defect(st)))
     if gate > gate_tol:
         raise GateError(f"{what} applies to twistor-type fields only; "
                         f"twistor residual {gate:.3e} exceeds gate {gate_tol:.1e}")
@@ -342,27 +347,24 @@ def twistor_laplacian_residuals(gauge, rep, field, x, gate_tol=1e-8):
     ``dirac-square``: the Dirac square against its curvature expression.
     Gated on the field being twistor-type.
     """
-    st, vd = _dirac_stack(gauge, rep, field, x)
-    nb = st.pack.G.nb
-    n, w = gauge.n, _weights(field.weight)
+    st = _Stack(gauge, rep, field, x)
+    n, w, nb = gauge.n, _weights(field.weight), st.nb
     psi = st.psi.v
-    _twistor_gate(rep, n, st.P, st.dirac.v, psi, gate_tol, "the eigen identity", nb)
-    bund = curvature(gauge, x, pack=st.pack)
-    d2 = contract("ist,...it->...s", rep.gammas, vd)
+    _twistor_gate(st, gate_tol, "the eigen identity")
+    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
     lap = -contract("...iis->...s", st.H)
     r_lap = relative_residual(lap - d2 / n, lap, d2 / n, psi, batch=nb)
     coef = n / (4.0 * (n - 1))
-    rterm = coef * _per_point(bund.scalar.value) * psi
-    fterm = _per_point(coef * (n - 2 + 2 * w)) * _slot_action(bund.faraday.comp, rep, psi)
+    rterm = coef * _per_point(st.bund.scalar.value) * psi
+    fterm = _per_point(coef * (n - 2 + 2 * w)) * _slot_action(st.bund.faraday.comp, rep, psi)
     r_d2 = relative_residual(d2 - rterm - fterm, d2, rterm, fterm, psi, batch=nb)
     return {"laplacian": r_lap, "dirac-square": r_d2}
 
 
-def _dirac_gradient_rhs(gauge, rep, bund, psi, w):
+def _dirac_gradient_rhs(st):
     """Algebraic expression for the derivative of the Dirac image of a
-    twistor-type field; entry [i, s].  ``psi`` is bare components and
-    ``w`` a float or per-point floats."""
-    n = gauge.n
+    twistor-type field, from the stack's field and curvature; entry [i, s]."""
+    n, rep, bund, psi, w = st.gauge.n, st.rep, st.bund, st.psi.v, _weights(st.field.weight)
     ricp1 = _slot_action(bund.ric_prime.comp, rep, psi, slots=(2,))
     f1 = _slot_action(bund.faraday.comp, rep, psi, slots=(2,))
     fhat = _slot_action(bund.faraday.comp, rep, psi)
@@ -376,13 +378,11 @@ def _dirac_gradient_rhs(gauge, rep, bund, psi, w):
     )
 
 
-def _dirac_gradient_defect(gauge, rep, st, vd, x, weight):
-    """Relative residual of the derivative ``vd`` of the Dirac image
-    against ``_dirac_gradient_rhs``, from ``_dirac_stack``."""
-    bund = curvature(gauge, x, pack=st.pack)
-    rhs = _dirac_gradient_rhs(gauge, rep, bund, st.psi.v, _weights(weight))
-    return relative_residual(vd - rhs, vd, rhs, st.dirac.v, st.psi.v,
-                             batch=st.pack.G.nb)
+def _dirac_gradient_defect(st):
+    """Relative residual of the stack's derivative vd of the Dirac image
+    against ``_dirac_gradient_rhs``."""
+    rhs = _dirac_gradient_rhs(st)
+    return relative_residual(st.vd - rhs, st.vd, rhs, st.dirac.v, st.psi.v, batch=st.nb)
 
 
 def nabla_dirac_residual(gauge, rep, field, x, gate_tol=1e-8):
@@ -390,10 +390,9 @@ def nabla_dirac_residual(gauge, rep, field, x, gate_tol=1e-8):
     against its algebraic curvature expression (n >= 3, twistor-type)."""
     if gauge.n < 3:
         raise ValueError("the Dirac gradient identity needs n >= 3")
-    st, vd = _dirac_stack(gauge, rep, field, x, hessian=False)
-    _twistor_gate(rep, gauge.n, st.P, st.dirac.v, st.psi.v, gate_tol,
-                  "the Dirac gradient identity", st.pack.G.nb)
-    return _dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)
+    st = _Stack(gauge, rep, field, x)
+    _twistor_gate(st, gate_tol, "the Dirac gradient identity")
+    return _dirac_gradient_defect(st)
 
 
 def ew_connection_apply(gauge, rep, field, x, X=None):
@@ -405,13 +404,10 @@ def ew_connection_apply(gauge, rep, field, x, X=None):
     """
     if gauge.n < 3:
         raise ValueError("the connection correction needs n >= 3")
-    _check_rep(gauge, rep)
-    pack = weyl_christoffels(gauge, x)
-    bund = curvature(gauge, x, pack=pack)
-    psi = field.jet(x).v
-    comp = -_dirac_gradient_rhs(gauge, rep, bund, psi, _weights(field.weight))
+    st = _Stack(gauge, rep, field, x)
+    comp = -_dirac_gradient_rhs(st)
     if X is not None:
-        comp = contract("...i,...is->...s", pack.frame_components(X), comp)
+        comp = contract("...i,...is->...s", st.pack.frame_components(X), comp)
     return Spinor(rep, comp, field.weight - 2)
 
 
@@ -426,9 +422,8 @@ def pair_parallel_residuals(gauge, rep, field, x):
     """
     if gauge.n < 3:
         raise ValueError("the pair system needs n >= 3")
-    st, vd = _dirac_stack(gauge, rep, field, x, hessian=False)
-    top = _twistor_defect(rep, gauge.n, st.P, st.dirac.v, st.psi.v, st.pack.G.nb)
-    return {"top": top, "bottom": _dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)}
+    st = _Stack(gauge, rep, field, x)
+    return {"top": _twistor_defect(st), "bottom": _dirac_gradient_defect(st)}
 
 
 def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
@@ -441,11 +436,9 @@ def first_integrals(gauge, rep, field, x, gate_tol=1e-8):
     residuals of the parallel-density equations.  Gated on the field
     being twistor-type and on weight 1/2 or vanishing Faraday action.
     """
-    pack, _, psi, P = _first_order(gauge, rep, field, x)
-    nb = pack.G.nb
-    w = field.weight
-    dj = jet_einsum("ist,it->s", rep.gammas, P)
-    _twistor_gate(rep, gauge.n, P, dj.v, psi.v, gate_tol, "the conserved densities", nb)
+    st = _Stack(gauge, rep, field, x)
+    pack, psi, dj, nb, w = st.pack, st.psi, st.dirac, st.nb, field.weight
+    _twistor_gate(st, gate_tol, "the conserved densities")
     # The Faraday gate applies at the points whose weight is not 1/2.
     gated = _weights(w) != 0.5
     if np.any(gated):
@@ -492,8 +485,8 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
     numerical level); at a batch of zeros each is per point.  Gated on the
     field actually vanishing at every point.
     """
-    pack, _, psi, P = _first_order(gauge, rep, field, x)
-    nb, n = pack.G.nb, gauge.n
+    st = _Stack(gauge, rep, field, x)
+    pack, psi, P, nb, n = st.pack, st.psi, st.P, st.nb, gauge.n
     w2 = _weights(2 * field.weight)
     d = contract("ist,...it->...s", rep.gammas, P.v)
     # The Dirac norm as this product is np.vdot(d, d) bit for bit.

@@ -367,6 +367,17 @@ def test_report_emission_and_round_trip():
         emit_report(report, "xml")
     with pytest.raises(ValueError, match="machine report"):
         parse_report("not json {")
+    # Valid JSON that is not a machine report names what is wrong.
+    lacking = json.loads(text)
+    del lacking["records"][1]["residual"]
+    for bad, what in (("{}", "'config' is not a dict"), ("[]", "a list, not an object"),
+                      ('{"config": {}}', "'records' is not a list"),
+                      ('{"config": {}, "records": 5}', "'records' is not a list"),
+                      ('{"config": 5, "records": []}', "'config' is not a dict"),
+                      ('{"config": {}, "records": [5]}', "record 0 lacks check, "),
+                      (json.dumps(lacking), "record 1 lacks residual$")):
+        with pytest.raises(ValueError, match="^not a machine report: " + what):
+            parse_report(bad)
 
 
 def test_records_are_sorted_and_stable():
@@ -612,6 +623,37 @@ def test_config_checks_field_restricts_the_run():
     assert report.records
     assert {r.check for r in report.records} == {"example-2d-parallel"}
     assert report.config["checks"] == ["example-2d-parallel"]
+
+
+def test_selected_reports_replay_from_their_config(capsys):
+    # A run with a check selection records it, so the report's config
+    # alone gives the same records; without it the config replays the
+    # whole suite.
+    report = run_suite(SuiteConfig(gauges=1), checks=["clifford-nu"])
+    assert report.config["checks"] == ["clifford-nu"] and len(report.records) == 3
+    reports = [report, run_example("parallel-zero", tiny_config())]
+    for argv in (("check", "clifford-nu-trace", "lichnerowicz"), ("example", "killing-half")):
+        assert main(cli_args(*argv, "--format", "machine")) == 0
+        reports.append(parse_report(capsys.readouterr().out))
+    for report in reports:
+        replay = run_suite(SuiteConfig.from_dict(report.config))
+        assert replay.config == report.config
+        assert replay.records == report.records
+
+
+def test_the_sweep_cache_stays_bounded_and_a_clear_changes_no_row():
+    # A shared sweep's rows are kept per sweep input; past 8 entries the
+    # cache is emptied before the next goes in, and rows computed again
+    # after a clear are the rows from before it.
+    configs = [tiny_config(seed=s) for s in range(12)]
+    before = run_suite(configs[0], checks=["first-bianchi"]).records
+    sizes = []
+    for cfg in configs[1:]:
+        run_suite(cfg, checks=["first-bianchi"])
+        sizes.append(len(hz._GROUP_CACHE))
+    assert sizes == [2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 3]
+    assert run_suite(configs[0], checks=["first-bianchi"]).records == before
+    assert len(hz._GROUP_CACHE) == 4
 
 
 def test_run_example_routes_to_the_covering_checks():

@@ -255,6 +255,19 @@ def test_report_over_points_is_the_max_of_one_point_reports(n, beta_factor):
         assert abs(val - expected) <= 1e-12 * abs(expected) + 1e-15, (key, val, expected)
 
 
+@pytest.mark.parametrize("beta_factor,cls", [(0.0, "zero"), (1.0, "real"), (1j, "imaginary"),
+                                             (1.0 + 1.0j, "mixed")])
+def test_the_report_classifies_the_density(beta_factor, cls):
+    # A density with both a real and an imaginary part is "mixed": it gets
+    # neither the pairing items nor the real-density items.
+    gauge, d = random_datum(90, 3, beta_factor)
+    out = integrability_report(gauge, d, sample(91, n=3, count=4), gate_tol=np.inf)
+    assert out["beta_class"] == cls
+    assert ("pairing-coefficient" in out["items"]) == (cls in ("imaginary", "zero"))
+    assert ("scalar-curvature" in out["items"]) == (cls in ("real", "zero"))
+    assert "ric-contraction" in out["items"]
+
+
 def round_killing_datum(n, family, sign, seed):
     """The round sphere or the hyperbolic ball in a stereographic chart,
     metric exp(2 f) delta with theta = 0, carrying the flat twistor family

@@ -33,7 +33,7 @@ from weylspin.spinops import (
     twistor_laplacian_residuals,
     weyl_spinor_derivative,
 )
-from weylspin.spinops import _cov_frame, _derivative_stack, _dirac_stack
+from weylspin.spinops import _cov_frame, _derivative_stack, _Stack
 from weylspin.weyl import FramePack, Gauge, change_gauge, curvature, weyl_christoffels
 
 from oracles import chart_christoffels, written_out_connection
@@ -104,7 +104,7 @@ def test_point_batches_match_single_point_calls(n):
     pack = weyl_christoffels(gauge, pts)
     bund = curvature(gauge, pts, pack=pack)
     st = _derivative_stack(gauge, rep, field, pts, pack=pack)
-    vd = _dirac_stack(gauge, rep, field, pts)[1]
+    vd = _Stack(gauge, rep, field, pts).vd
 
     def close(batched, single):
         single = np.asarray(single)
@@ -130,7 +130,7 @@ def test_point_batches_match_single_point_calls(n):
             for arr_b, arr_s in zip((b.v, b.g), (s.v, s.g)):
                 close(arr_b[i], arr_s)
         close(st.H[i], st1.H)
-        close(vd[i], _dirac_stack(gauge, rep, field, x)[1])
+        close(vd[i], _Stack(gauge, rep, field, x).vd)
     # Batched residuals are the per-point residuals.
     res = sl_residual(gauge, rep, field, pts)
     assert res.shape == (5,)
@@ -220,7 +220,7 @@ FIRST_ORDER_ENTRY_POINTS = {
     "first_integrals": first_integrals,
     "hessian_identity_check": hessian_identity_check,
     "_derivative_stack": _derivative_stack,
-    "_dirac_stack": _dirac_stack,
+    "_Stack": _Stack,
     "killing_residual": _killing_op(killing_residual),
     "integrability_residual": _killing_op(integrability_residual),
     "ew_connection_apply": ew_connection_apply,
@@ -241,7 +241,10 @@ def test_first_order_entry_points_check_the_representation_dimension(name):
 
 def _leaves(out):
     """The arrays an operator returns, in order: components, residuals,
-    values, jets' entries and flags (a frame pack is skipped)."""
+    values, jets' entries and flags (a frame pack is skipped; a stack
+    gives its field, derivatives, Dirac image and vd)."""
+    if isinstance(out, _Stack):
+        return _leaves((out.psi, out.P, out.H, out.dirac, out.vd))
     if isinstance(out, Density):
         return [np.asarray(out.value)]
     if isinstance(out, Spinor):
@@ -618,8 +621,9 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
                         lambda *a, **k: built.append(a) or spin_connection(*a, **k))
     st = _derivative_stack(gauge, rep, field, pts, pack=pack)
     assert len(built) == 1
-    # The Dirac image's derivative vd is taken on the same connection.
-    with_vd, vd_got = _dirac_stack(gauge, rep, field, pts)
+    # A stack's H and the Dirac image's derivative vd take one connection.
+    with_vd = _Stack(gauge, rep, field, pts)
+    vd_got, _ = with_vd.vd, with_vd.H
     assert len(built) == 2
     monkeypatch.undo()
 
@@ -638,16 +642,15 @@ def test_derivative_stack_builds_one_spin_connection(weight, monkeypatch):
 
 
 def _from_the_stack_with_h(op, gauge, rep, field, x):
-    """The residuals of a Dirac gradient identity read from the full
-    stack, H included; the identity's own stack, without H, must give
-    the same bytes."""
-    st, vd = _dirac_stack(gauge, rep, field, x)
-    assert st.H is not None
-    bottom = spinops._dirac_gradient_defect(gauge, rep, st, vd, x, field.weight)
+    """The residuals of a Dirac gradient identity read from the stack
+    with H built; the identity's own stack, without H, must give the same
+    bytes."""
+    st = _derivative_stack(gauge, rep, field, x)
+    assert "H" in vars(st)
+    bottom = spinops._dirac_gradient_defect(st)
     if op is nabla_dirac_residual:
         return bottom
-    top = spinops._twistor_defect(rep, gauge.n, st.P, st.dirac.v, st.psi.v, st.pack.G.nb)
-    return {"top": top, "bottom": bottom}
+    return {"top": spinops._twistor_defect(st), "bottom": bottom}
 
 
 @pytest.mark.parametrize("op, calls, data", [
@@ -692,6 +695,48 @@ def test_only_the_dirac_gradient_readers_take_a_third_derivative(op, calls, data
         for key in want:
             assert got[key].dtype == want[key].dtype and got[key].shape == (6,)
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+@pytest.mark.parametrize("op", [curvature_contraction_checks, spinorial_curvature,
+                                spinor_laplacian])
+def test_the_second_derivative_readers_build_no_dirac_image(op, monkeypatch):
+    # These identities read psi, P, H and the curvature, never the Dirac
+    # image: no jet_einsum of the Clifford contraction of P is made.
+    n = 3
+    rng = np.random.default_rng(85)
+    rep = build_representation(n)
+    gauge = random_gauge(86, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=Fraction(1, 2))
+    specs = []
+    einsum = spinops.jet_einsum
+    monkeypatch.setattr(spinops, "jet_einsum",
+                        lambda spec, *ops: specs.append(spec) or einsum(spec, *ops))
+    op(gauge, rep, field, gauge.sample_points(rng, 4))
+    assert specs and "ist,it->s" not in specs
+
+
+def test_a_stack_builds_each_member_on_its_first_read(monkeypatch):
+    n = 3
+    rng = np.random.default_rng(87)
+    rep = build_representation(n)
+    gauge = random_gauge(88, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=1)
+    pts = gauge.sample_points(rng, 4)
+    calls = []
+    cov_frame = spinops._cov_frame
+    monkeypatch.setattr(spinops, "_cov_frame",
+                        lambda *a, **k: calls.append(a) or cov_frame(*a, **k))
+    st = _Stack(gauge, rep, field, pts)
+    assert st.nb == 1 and not vars(st).keys() & {"pack", "conn", "psi", "P"}
+    P = st.P
+    assert len(calls) == 1 and {"pack", "conn", "psi", "P"} <= vars(st).keys()
+    assert not vars(st).keys() & {"H", "dirac", "vd", "bund"}
+    # vd builds the Dirac image and one more derivative, once; H stays unbuilt.
+    assert st.vd is st.vd and st.P is P and len(calls) == 2
+    assert "dirac" in vars(st) and "H" not in vars(st)
+    # A given pack is the stack's own.
+    pack = weyl_christoffels(gauge, pts)
+    assert _Stack(gauge, rep, field, pts, pack).pack is pack
 
 
 def test_cov_frame_takes_every_term_at_the_derivative_order():
