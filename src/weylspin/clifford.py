@@ -246,8 +246,17 @@ def _slot_action(comp, rep, psi, slots=None):
                     comp, rep.slot_products(len(slots)), psi)
 
 
+def _insertion(gammas, psi):
+    """The insertion psi -> (gamma_i psi)_i on bare arrays, slot i last but one."""
+    return contract("ist,...t->...is", gammas, psi)
+
+
+def _trace(gammas, Q):
+    """The gamma-trace sum_i gamma_i Q_i on bare arrays, slot i last but one."""
+    return contract("ist,...it->...s", gammas, Q)
+
+
 def nu(psi):
     """Prepend a frame slot whose i-th entry is gamma_i psi (weight preserved)."""
-    comp = contract("iab,...b->i...a", psi.rep.gammas, psi.comp)
-    return Spinor(psi.rep, comp, psi.weight)
+    return Spinor(psi.rep, np.moveaxis(_insertion(psi.rep.gammas, psi.comp), -2, 0), psi.weight)
 

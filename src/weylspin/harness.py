@@ -26,13 +26,13 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .clifford import SlotTensor, Spinor, build_representation, tensor_clifford
+from .clifford import (SlotTensor, Spinor, _insertion, _trace, build_representation,
+                       tensor_clifford)
 from .fields import ChartField, Jet, as_fraction, contract, permute, polynomial_field, zyk
 from .killing import (example_killing_half, example_parallel_zero,
                       flat_twistor_family, integrability_report,
                       killing_kernel_determinant)
-from .spinops import (_cov_frame, _spin_connection, _Stack,
-                      curvature_contraction_checks, first_integrals,
+from .spinops import (_Stack, curvature_contraction_checks, first_integrals,
                       gauge_transport_spinor, hessian_identity_check,
                       nabla_dirac_residual, pair_parallel_residuals,
                       polynomial_spinor, sl_residual, twistor_laplacian_residuals)
@@ -696,7 +696,7 @@ def _reorder(rng, rep, psi):
 
 
 def _frame_pairing(rng, rep, psi):
-    nug = contract("iab,tb->tia", rep.gammas, psi)
+    nug = _insertion(rep.gammas, psi)
     gram = contract("tia,tja->tij", np.conj(nug), nug).real
     norms = contract("ta,ta->t", np.conj(psi), psi).real
     target = norms[:, None, None] * np.eye(rep.n)
@@ -704,7 +704,7 @@ def _frame_pairing(rng, rep, psi):
 
 
 def _nu_trace(rng, rep, psi):
-    mn = contract("iab,ibc,tc->ta", rep.gammas, rep.gammas, psi)
+    mn = _trace(rep.gammas, _insertion(rep.gammas, psi))
     return {"clifford-nu-trace": relative_residual(mn + rep.n * psi, mn, rep.n * psi)}
 
 
@@ -715,7 +715,7 @@ def _two_form_exchange(rng, rep, psi):
     F = A - np.transpose(A, (0, 2, 1))
     fh = contract("tkl,klab->tab", F, g2)
     lhs = contract("tab,ibc,tc->tia", fh, g, psi)
-    nu_f = contract("iab,tb->tia", g, contract("tab,tb->ta", fh, psi))
+    nu_f = _insertion(g, contract("tab,tb->ta", fh, psi))
     single = 4.0 * contract("til,lab,tb->tia", F, g, psi)
     return {"clifford-two-form-exchange":
             relative_residual(lhs - nu_f - single, lhs, nu_f, single)}
@@ -749,18 +749,13 @@ def _curvature_spinor_draws(config):
 
 
 def _weight_shift(gauge, rep, field, pts):
-    # One pack, spin connection and field jet serve both weights: the
-    # curvature actions at weights 1 and 0 (``spinorial_curvature``) differ
-    # only in the weight each _cov_frame takes.
+    # The curvature actions at weights 1 and 0 (``spinorial_curvature``) differ only
+    # in _cov_frame's weight: the weight-0 stack shares pack, connection and field jet.
     pack = weyl_christoffels(gauge, pts)
-    conn, psi = _spin_connection(pack, rep), field.jet(pts)
-
-    def action(w):
-        H = _cov_frame(pack, rep, _cov_frame(pack, rep, psi, w, conn=conn), w, conn=conn).v
-        return H - np.swapaxes(H, -3, -2)
-
-    rs1, rs0 = action(field.weight), action(0)
-    fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, psi.v)
+    st, st0 = (_Stack(gauge, rep, f, pts, pack) for f in (field, field.with_weight(0)))
+    st0.conn, st0.psi = st.conn, st.psi
+    rs1, rs0 = (s.H - np.swapaxes(s.H, -3, -2) for s in (st, st0))
+    fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, st.psi.v)
     return {"spinor-curvature-weight-shift":
             relative_residual(rs1 - rs0 - fpsi, rs1, rs0, fpsi, batch=1)}
 
@@ -794,20 +789,18 @@ def _gauge_covariance_draws(config):
             parts = [_Part(gauge, field, pts),
                      _Part(change_gauge(gauge, f), gauge_transport_spinor(field, f), pts)]
             yield _Draw((n, str(w), seed, 0, ""), rep, parts,
-                        partial(_gauge_covariance, rep, float(w), f(pts)))
+                        partial(_gauge_covariance, float(w), f(pts)))
 
 
 def _derivative_and_scalar(gauge, rep, field, pts):
     st = _Stack(gauge, rep, field, pts)
-    return {"psi": st.psi.v, "P": st.P.v, "R": st.bund.scalar.value}
+    return {"psi": st.psi.v, "P": st.P.v, "D": st.dirac.v, "R": st.bund.scalar.value}
 
 
-def _gauge_covariance(rep, wf, fv, results):
-    (v1, p1, r1), (v2, p2, r2) = ((r["psi"], r["P"], r["R"]) for r in results)
+def _gauge_covariance(wf, fv, results):
+    (v1, p1, d1, r1), (v2, p2, d2, r2) = ((r["psi"], r["P"], r["D"], r["R"]) for r in results)
     fac = np.exp((1.0 - wf) * fv)
     p2s = p2 * fac[:, None, None]
-    d1 = contract("ist,pit->ps", rep.gammas, p1)
-    d2 = contract("ist,pit->ps", rep.gammas, p2)
     d2s = d2 * fac[:, None]
     c1 = contract("ps,ps->p", np.conj(v1), d1).real
     c2 = contract("ps,ps->p", np.conj(v2), d2).real

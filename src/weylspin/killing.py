@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.chebyshev import chebint, chebpts1, chebvander
 
-from .clifford import Spinor, _slot_action, build_representation
+from .clifford import Spinor, _insertion, _slot_action, build_representation
 from .fields import (ChartField, constant_field, contract, jet_einsum,
                      polynomial_field)
 from .spinops import GateError, _check_rep, _per_point, _Stack, _weighted_connection
@@ -50,8 +50,7 @@ def _nabla_beta_frame(pack, b):
 def _killing_parts(gauge, d, x):
     st = _Stack(gauge, d.rep, d.psi, x)
     b = d.beta.jet(x)
-    rhs = (_per_point(np.asarray(b.v, dtype=complex), 2)
-           * contract("ist,...t->...is", d.rep.gammas, st.psi.v))
+    rhs = _per_point(np.asarray(b.v, dtype=complex), 2) * _insertion(d.rep.gammas, st.psi.v)
     return st, b, rhs
 
 
@@ -128,9 +127,8 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
     rep = d.rep
     n, w = gauge.n, d.psi.weight
     wf = float(w)
-    gammas = rep.gammas
     st, b, rhs = _killing_parts(gauge, d, points)
-    pack, P, psiv = st.pack, st.P, st.psi.v
+    pack, P, psiv, dvals = st.pack, st.P, st.psi.v, st.dirac.v
     killing = _killing_gate(P, rhs, psiv, gate_tol, "the integrability report", nb=1)
     betas = np.asarray(b.v, dtype=complex)
     cls = _classify(betas, class_tol)
@@ -156,11 +154,9 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
     # rounding noise is not divided by itself.
     put("integrability", relative_residual(sum(terms), *terms, psiv, batch=1))
 
-    dvals = contract("ist,...it->...s", gammas, P.v)
     put("dirac-eigen",
         relative_residual(dvals + n * bv * psiv, dvals, n * bv * psiv, psiv, batch=1))
-    tw = P.v + (1.0 / n) * contract("ist,...t->...is", gammas, dvals)
-    put("twistor", relative_residual(tw, P.v, np.abs(dvals), psiv, batch=1))
+    put("twistor", relative_residual(P.v + st.correction, P.v, np.abs(dvals), psiv, batch=1))
 
     if cls in ("imaginary", "zero"):
         pair = np.abs(contract("...s,...s->...", fhat.conj(), psiv))
@@ -183,10 +179,10 @@ def integrability_report(gauge, d, points, gate_tol=1e-8, class_tol=1e-10):
         ric1 = _slot_action(bund.ric_prime.comp, rep, psiv, slots=(2,))
         f1 = _slot_action(bund.faraday.comp, rep, psiv, slots=(2,))
         outer = contract("...i,...s->...is", nabla_b, psiv)
-        nb_nu = contract("...j,jst,itu,...u->...is", nabla_b, gammas, gammas, psiv)
-        nupsi = contract("ist,...t->...is", gammas, psiv)
-        nu_fhat = contract("ist,...t->...is", gammas, fhat)
-        nu_grad = contract("ist,...t->...is", gammas, grad_cliff)
+        nb_nu = contract("...j,jst,itu,...u->...is", nabla_b, rep.gammas, rep.gammas, psiv)
+        nupsi = _insertion(rep.gammas, psiv)
+        nu_fhat = _insertion(rep.gammas, fhat)
+        nu_grad = _insertion(rep.gammas, grad_cliff)
         bv2 = _per_point(betas, 2)
         R2 = _per_point(R, 2)
         rhs14 = (2.0 * n * outer + 2.0 * nb_nu

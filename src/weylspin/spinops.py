@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .clifford import Density, Spinor, _slot_action
+from .clifford import Density, Spinor, _insertion, _slot_action, _trace
 from .fields import ChartField, Jet, contract, jet_einsum, polynomial_field
 from .weyl import _theta_free, curvature, relative_residual, weyl_christoffels
 
@@ -167,7 +167,8 @@ class _Stack:
     ``conn``: the frame ``pack`` (unless given), the field's jet ``psi``,
     its covariant derivative ``P`` (a jet [i, s]), the second derivative
     ``H`` [i, j, s], the Dirac image ``dirac`` (a jet [s]), its derivative
-    ``vd`` [i, s] and the curvature bundle ``bund``."""
+    ``vd`` [i, s], the curvature bundle ``bund``, the twistor ``correction``
+    (1/n) (gamma_i dirac)_i, the ``dirac_square`` tr(gamma vd) and the ``laplacian`` -tr H."""
 
     def __init__(self, gauge, rep, field, x, pack=None):
         _check_rep(gauge, rep)
@@ -205,12 +206,24 @@ class _Stack:
         return _cov_frame(self.pack, self.rep, self.dirac, self.field.weight - 1, conn=self.conn).v
 
     @cached_property
+    def correction(self):
+        return (1.0 / self.gauge.n) * _insertion(self.rep.gammas, self.dirac.v)
+
+    @cached_property
+    def dirac_square(self):
+        return _trace(self.rep.gammas, self.vd)
+
+    @cached_property
+    def laplacian(self):
+        return -contract("...iis->...s", self.H)
+
+    @cached_property
     def bund(self):
         return curvature(self.gauge, self.x, pack=self.pack)
 
 
 def _derivative_stack(gauge, rep, field, x, pack=None):
-    """The stack with H built, as the curvature and Laplacian identities read it."""
+    """The stack with H built, as the curvature identities read it."""
     st = _Stack(gauge, rep, field, x, pack)
     st.H
     return st
@@ -241,22 +254,19 @@ def weyl_spinor_derivative(gauge, rep, field, x, pack=None):
 
 def dirac(gauge, rep, field, x):
     """Clifford contraction of the covariant derivative."""
-    P = _Stack(gauge, rep, field, x).P
-    return Spinor(rep, contract("ist,...it->...s", rep.gammas, P.v), field.weight - 1)
+    return Spinor(rep, _Stack(gauge, rep, field, x).dirac.v, field.weight - 1)
 
 
 def spinor_laplacian(gauge, rep, field, x):
     """Negative trace of the second covariant derivative."""
-    st = _derivative_stack(gauge, rep, field, x)
-    return Spinor(rep, -contract("...iis->...s", st.H), field.weight - 2)
+    return Spinor(rep, _Stack(gauge, rep, field, x).laplacian, field.weight - 2)
 
 
 def spinorial_curvature(gauge, rep, field, x, pack=None):
     """Antisymmetrized second derivative: entry [i, j] is R(s_i, s_j) acting
     on the field."""
-    st = _derivative_stack(gauge, rep, field, x, pack=pack)
-    comp = st.H - np.swapaxes(st.H, -3, -2)
-    return Spinor(rep, comp, field.weight - 2)
+    H = _derivative_stack(gauge, rep, field, x, pack=pack).H
+    return Spinor(rep, H - np.swapaxes(H, -3, -2), field.weight - 2)
 
 
 def sl_residual(gauge, rep, field, x):
@@ -265,9 +275,7 @@ def sl_residual(gauge, rep, field, x):
     Faraday terms."""
     st = _Stack(gauge, rep, field, x)
     n, w, nb = gauge.n, _weights(field.weight), st.nb
-    psi = st.psi.v
-    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
-    lap = -contract("...iis->...s", st.H)
+    psi, d2, lap = st.psi.v, st.dirac_square, st.laplacian
     rterm = 0.25 * _per_point(st.bund.scalar.value) * psi
     fterm = _per_point(0.25 * (n - 2 + 2 * w)) * _slot_action(st.bund.faraday.comp, rep, psi)
     # The field norm joins the scale: on a flat structure in a rescaled
@@ -300,7 +308,7 @@ def curvature_contraction_checks(gauge, rep, field, x):
     lhs3 = _slot_action(rp, rep, psi, slots=(2, 3, 4))
     ricp1 = _slot_action(bund.ric_prime.comp, rep, psi, slots=(2,))
     f1 = _slot_action(F, rep, psi, slots=(2,))
-    nf = contract("ist,...t->...is", rep.gammas, fhat)
+    nf = _insertion(rep.gammas, fhat)
     r_partial = relative_residual(lhs3 + 2 * ricp1 + 2 * f1 + nf,
                                   lhs3, 2 * ricp1, 2 * f1, nf, batch=nb)
 
@@ -318,10 +326,8 @@ def curvature_contraction_checks(gauge, rep, field, x):
 
 def twistor(gauge, rep, field, x):
     """Trace-free part of the covariant derivative (twistor operator)."""
-    P = _Stack(gauge, rep, field, x).P
-    d = contract("ist,...it->...s", rep.gammas, P.v)
-    comp = P.v + (1.0 / gauge.n) * contract("ist,...t->...is", rep.gammas, d)
-    return Spinor(rep, comp, field.weight - 1)
+    st = _Stack(gauge, rep, field, x)
+    return Spinor(rep, st.P.v + st.correction, field.weight - 1)
 
 
 def _twistor_defect(st):
@@ -329,8 +335,7 @@ def _twistor_defect(st):
     times the Clifford insertion of the Dirac image."""
     # The field norm joins the scale so that exactly parallel data (zero
     # derivative and zero Dirac image) does not divide noise by noise.
-    correction = (1.0 / st.gauge.n) * contract("ist,...t->...is", st.rep.gammas, st.dirac.v)
-    return relative_residual(st.P.v + correction, st.P.v, correction, st.psi.v, batch=st.nb)
+    return relative_residual(st.P.v + st.correction, st.P.v, st.correction, st.psi.v, batch=st.nb)
 
 
 def _twistor_gate(st, gate_tol, what):
@@ -349,10 +354,8 @@ def twistor_laplacian_residuals(gauge, rep, field, x, gate_tol=1e-8):
     """
     st = _Stack(gauge, rep, field, x)
     n, w, nb = gauge.n, _weights(field.weight), st.nb
-    psi = st.psi.v
     _twistor_gate(st, gate_tol, "the eigen identity")
-    d2 = contract("ist,...it->...s", rep.gammas, st.vd)
-    lap = -contract("...iis->...s", st.H)
+    psi, d2, lap = st.psi.v, st.dirac_square, st.laplacian
     r_lap = relative_residual(lap - d2 / n, lap, d2 / n, psi, batch=nb)
     coef = n / (4.0 * (n - 1))
     rterm = coef * _per_point(st.bund.scalar.value) * psi
@@ -368,8 +371,8 @@ def _dirac_gradient_rhs(st):
     ricp1 = _slot_action(bund.ric_prime.comp, rep, psi, slots=(2,))
     f1 = _slot_action(bund.faraday.comp, rep, psi, slots=(2,))
     fhat = _slot_action(bund.faraday.comp, rep, psi)
-    gam_psi = contract("ist,...t->...is", rep.gammas, psi)
-    gam_fhat = contract("ist,...t->...is", rep.gammas, fhat)
+    gam_psi = _insertion(rep.gammas, psi)
+    gam_fhat = _insertion(rep.gammas, fhat)
     R = _per_point(bund.scalar.value, 2)
     return (n / (n - 2.0)) * (
         -0.5 * ricp1
@@ -486,9 +489,8 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
     field actually vanishing at every point.
     """
     st = _Stack(gauge, rep, field, x)
-    pack, psi, P, nb, n = st.pack, st.psi, st.P, st.nb, gauge.n
+    pack, psi, d, nb, n = st.pack, st.psi, st.dirac.v, st.nb, gauge.n
     w2 = _weights(2 * field.weight)
-    d = contract("ist,...it->...s", rep.gammas, P.v)
     # The Dirac norm as this product is np.vdot(d, d) bit for bit.
     dnorm2 = contract("...s,...s->...", np.conj(d), d).real
     size = np.linalg.norm(psi.v, axis=-1)
@@ -499,9 +501,8 @@ def hessian_identity_check(gauge, rep, field, x, gate_tol=1e-8):
     # The covariant derivative du + 2w theta u of the weight-2w density u,
     # a chart 1-form, and its frame components V_j = V(s_j).  The weight
     # scales theta's entries, per point at a batch, before u multiplies.
-    th = pack.TH.truncate(1)
-    V = u.gradient() + Jet._make(th.d * _per_point(w2, 2), th.n, th.nb) * u.truncate(1)
-    Vf = jet_einsum("b,bj->j", V, pack.S.truncate(1))
+    V = u.gradient() + Jet._make(pack.TH.d * _per_point(w2, 2), n, nb) * u.truncate(1)
+    Vf = jet_einsum("b,bj->j", V, pack.S)
     # H[i, j] = s_i(V_j) - sum_k omega[j, k, i] V_k + 2w theta(s_i) V_j
     Hf = (contract("...ai,...ja->...ij", pack.S.v, Vf.g)
           - contract("...jki,...k->...ij", pack.omega_weyl.v, Vf.v)

@@ -137,7 +137,7 @@ class FramePack:
     The pack holds the metric and theta jets ``G`` and ``TH``; every other
     member is built from them on its first read and then kept.  Jets
     (value + derivatives) unless noted:
-      G, TH            metric and theta
+      G, TH            metric and theta (first order: no member reads more)
       cholesky         the ``CholeskyDifferential`` of G: the values of L
                        and S, X_a = Sᵀ ∂_aG S, F_a = Phi(X_a) and ∂_bX_a
       L, S             Cholesky factor and its inverse transpose; the
@@ -168,7 +168,7 @@ class FramePack:
     reads the first-order pack's frame, omega_weyl and theta_frame.  The
     chart Christoffels live in the test oracles only.
 
-    Orders follow the input jets.  L takes the order of G and TH; S is
+    Orders follow the metric jet.  L takes the order of G; S is
     built to first order at most, since no reader takes its second
     derivatives (``cholesky.inverse_transpose()`` gives the full jet);
     the connection members one order less than G, since they read first
@@ -186,13 +186,13 @@ class FramePack:
         self.G, self.TH = G, TH
 
     def truncate(self, order):
-        """The pack of the input jets without the derivatives above
-        ``order`` (at least 1): its members carry one order less."""
+        """The pack of the metric jet without the derivatives above ``order``
+        (at least 1), and the same theta jet: its members carry one order less."""
         if order >= self.G.order:
             return self
         if order < 1:
             raise ValueError("a frame pack needs first derivatives of the metric")
-        return FramePack(self.G.truncate(order), self.TH.truncate(order))
+        return FramePack(self.G.truncate(order), self.TH)
 
     def frame_components(self, X):
         """Chart vector -> components in the orthonormal frame."""
@@ -212,11 +212,11 @@ class FramePack:
 
     @cached_property
     def theta_frame(self):
-        # Value and ∂_btheta_a S[a, i] in one product of TH's first-order
-        # slots, the same view in every pack, so a first-order pack's
-        # values are the second-order pack's bit for bit.
+        # Value and ∂_btheta_a S[a, i] in one product of TH's slots, the
+        # same array in every pack, so a first-order pack's values are the
+        # second-order pack's bit for bit.
         chol, nb = self.cholesky, self.G.nb
-        d = contract("...az,...ai->...iz", self.TH.truncate(1).d, chol.S)
+        d = contract("...az,...ai->...iz", self.TH.d, chol.S)
         if self.G.order < 2:
             return Jet._make(d[..., :1], None, nb)
         d[..., 1:] -= contract("...bim,...m->...ib", chol.F, d[..., 0])
@@ -238,7 +238,7 @@ class FramePack:
 
     @cached_property
     def faraday_chart(self):
-        THg = self.TH.truncate(1).gradient()  # [a, c] = d_c theta_a
+        THg = self.TH.gradient()  # [a, c] = d_c theta_a
         return jet_transpose(THg, (1, 0)) - THg  # [a, b] = d_a theta_b - d_b theta_a
 
     @cached_property
@@ -248,14 +248,14 @@ class FramePack:
 
 
 def weyl_christoffels(gauge, point):
-    """Frame and connection data of the gauge at a chart point: the
-    second-order pack of the metric and theta jets there.
+    """The frame-pack builder (``frame_pack`` is the same function): the pack of
+    the metric's second-order jet at a chart point and theta's jet cut to first order.
 
     ``point`` may also be a (P, n) array: every jet of the pack then
     carries one leading point axis.
     """
     point = np.asarray(point, dtype=float)
-    return FramePack(gauge.metric.jet(point), gauge.theta.jet(point))
+    return FramePack(gauge.metric.jet(point), gauge.theta.jet(point).truncate(1))
 
 
 frame_pack = weyl_christoffels

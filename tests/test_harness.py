@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import weylspin.harness as hz
-from weylspin import GateError, fields
+from weylspin import GateError, clifford, fields, spinops
 from weylspin.cli import main
 from weylspin.harness import (
     CHECKS,
@@ -541,10 +541,22 @@ def test_stacked_passes_match_the_per_draw_operators(key, config, monkeypatch):
         assert abs(stacked[ident] - r) <= 1e-3 * CHECKS[ident[0]].tolerance, ident
 
 
+def test_the_clifford_checks_read_the_package_insertion(monkeypatch):
+    # clifford-frame-pairing and clifford-nu-trace take the insertion from
+    # clifford's kernel, so a wrong kernel (2 gamma_i psi) fails them both.
+    insertion = clifford._insertion
+    assert hz._insertion is insertion and hz._trace is clifford._trace
+    monkeypatch.setattr(hz, "_insertion", lambda gammas, psi: 2.0 * insertion(gammas, psi))
+    checks = ["clifford-frame-pairing", "clifford-nu-trace"]
+    report = run_suite(SuiteConfig(gauges=1, seed=1), checks=checks)
+    assert {r.check for r in report.records} == set(checks)
+    assert not any(r.passed for r in report.records)
+
+
 def test_the_weight_shift_builds_one_connection_and_one_field_jet_per_chunk(monkeypatch):
     # Both weights share the chunk's pack, spin connection and field jet.
     built, jets, chunks = [], [], []
-    spin_connection, joined, evaluate = hz._spin_connection, hz._joined, hz._evaluate_chunk
+    spin_connection, joined, evaluate = spinops._spin_connection, hz._joined, hz._evaluate_chunk
 
     def counted_connection(*args):
         built.append(args)
@@ -560,7 +572,7 @@ def test_the_weight_shift_builds_one_connection_and_one_field_jet_per_chunk(monk
         chunks.append(args)
         return evaluate(*args)
 
-    monkeypatch.setattr(hz, "_spin_connection", counted_connection)
+    monkeypatch.setattr(spinops, "_spin_connection", counted_connection)
     monkeypatch.setattr(hz, "_joined", counted_joined)
     monkeypatch.setattr(hz, "_evaluate_chunk", counted_chunk)
     report = run_suite(SuiteConfig(gauges=1, seed=1), checks=["spinor-curvature-weight-shift"])

@@ -737,6 +737,41 @@ def test_a_stack_builds_each_member_on_its_first_read(monkeypatch):
     # A given pack is the stack's own.
     pack = weyl_christoffels(gauge, pts)
     assert _Stack(gauge, rep, field, pts, pack).pack is pack
+    # The derived members: the Lichnerowicz formula reads the Dirac square
+    # and the Laplacian, not the twistor correction; the twistor eigen
+    # identities read all three (the correction through their gate).
+    assert not vars(st).keys() & {"correction", "dirac_square", "laplacian"}
+    stacks = []
+    monkeypatch.setattr(spinops, "_Stack", lambda *a: stacks.append(_Stack(*a)) or stacks[-1])
+    sl_residual(gauge, rep, field, pts)
+    phi0, phi1 = (Spinor(rep, unit_spinor(rng, rep.dim)) for _ in range(2))
+    twistor_laplacian_residuals(Gauge.flat(n), rep, flat_twistor_family(phi0, phi1), pts)
+    derived = [vars(s).keys() & {"correction", "dirac_square", "laplacian"} for s in stacks]
+    assert derived == [{"dirac_square", "laplacian"}, {"correction", "dirac_square", "laplacian"}]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_the_operators_read_the_stack(n):
+    # dirac, twistor and spinor_laplacian return the stack's Dirac image,
+    # P plus its twistor correction and its Laplacian, bit for bit; those
+    # members match their definitions written with np.einsum.
+    rng = np.random.default_rng(150 + n)
+    rep = build_representation(n)
+    gauge = random_gauge(151 + n, n)
+    field = rand_spinor_field(rng, n, rep.dim, weight=Fraction(1, 2))
+    pts = gauge.sample_points(rng, 7)
+    st = _Stack(gauge, rep, field, pts)
+    assert np.array_equal(dirac(gauge, rep, field, pts).comp, st.dirac.v)
+    assert np.array_equal(twistor(gauge, rep, field, pts).comp, st.P.v + st.correction)
+    assert np.array_equal(spinor_laplacian(gauge, rep, field, pts).comp, st.laplacian)
+    g = rep.gammas
+    d = np.einsum("ist,pit->ps", g, st.P.v)
+    for got, want in ((st.dirac.v, d),
+                      (st.correction, np.einsum("ist,pt->pis", g, d) / n),
+                      (st.dirac_square, np.einsum("ist,pit->ps", g, st.vd)),
+                      (st.laplacian, -np.einsum("piis->ps", st.H))):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_cov_frame_takes_every_term_at_the_derivative_order():

@@ -270,7 +270,7 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
     g = random_gauge(24, 3)
     pts = g.sample_points(np.random.default_rng(3), 4)
     pack = weyl_christoffels(g, pts)
-    orders = {"G": 2, "TH": 2, "L": 2, "theta_frame": 1, "omega_weyl": 1,
+    orders = {"G": 2, "L": 2, "theta_frame": 1, "omega_weyl": 1,
               "faraday_chart": 0, "faraday_frame": 0}
     assert {name: getattr(pack, name).order for name in orders} == orders
     # No reader takes S's second derivatives: the pack builds S to first
@@ -282,6 +282,9 @@ def test_frame_pack_builds_each_jet_to_the_order_it_is_read():
     assert low.G.order == 1 and pack.truncate(2) is pack
     assert {name: getattr(low, name).order for name in orders} == {
         name: max(order - 1, 0) for name, order in orders.items()}
+    # No reader takes theta's second derivatives: both packs hold its
+    # first-order jet, the same one.
+    assert pack.TH.order == low.TH.order == 1 and low.TH is pack.TH
     assert low.S.order == 1 and low.cholesky.inverse_transpose().order == 1
     with pytest.raises(ValueError, match="first derivatives"):
         pack.truncate(0)
