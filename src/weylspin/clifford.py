@@ -37,9 +37,11 @@ Density = namedtuple("Density", ["value", "weight"])
 
 
 def _kron_chain(mats):
+    # np.kron's products, a[i, j] b[k, l], in its operand order.
     out = np.eye(1, dtype=complex)
     for m in mats:
-        out = np.kron(out, m)
+        (r, c), (p, q) = out.shape, m.shape
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(r * p, c * q)
     return out
 
 
@@ -73,9 +75,8 @@ class CliffordRep:
     def slot_products(self, k):
         """Cached products gamma_{i_1} ... gamma_{i_k}, shape (n,) * k + (N, N)."""
         if k not in self._products:
-            op = np.eye(self.dim, dtype=complex)
-            for _ in range(k):
-                op = contract("pab,...bc->p...ac", self.gammas, op)
+            op = (np.eye(self.dim, dtype=complex) if k == 0 else
+                  contract("pab,...bc->p...ac", self.gammas, self.slot_products(k - 1)))
             op.flags.writeable = False
             self._products[k] = op
         return self._products[k]

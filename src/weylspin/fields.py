@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 
 import numpy as np
 
@@ -47,11 +48,15 @@ def as_fraction(w):
     """Coerce a weight to an exact rational (int, Fraction, or '1/2' string)."""
     if isinstance(w, Fraction):
         return w
-    if isinstance(w, (int, np.integer)):
-        return Fraction(int(w))
-    if isinstance(w, str):
-        return Fraction(w)
+    if isinstance(w, (int, np.integer, str)):
+        return _fraction(w)
     raise TypeError(f"weights must be exact rationals, got {w!r}")
+
+
+@lru_cache(maxsize=256, typed=True)
+def _fraction(w):
+    # Every field and spinor tags its weight; a run uses a handful of them.
+    return Fraction(w) if isinstance(w, str) else Fraction(int(w))
 
 
 def _const(x):
@@ -319,15 +324,18 @@ def constant_jet(values, X):
     return Jet._make(np.broadcast_to(packed, X.d.shape[:X.nb] + packed.shape), X.n, X.nb)
 
 
+# "..." axes are spelled out as these reserved labels, the last one for
+# the last axis, so that they align from the right as numpy broadcasts.
+_ELLIPSIS = "".join(map(chr, range(0x100, 0x140)))
+
+
 def _expand(sub, ndim):
-    """The labels of one subscript, with "..." spelled out as negative
-    integers aligned from the right as numpy broadcasts them; None if the
-    subscript does not fit ``ndim`` axes."""
+    """The labels of one subscript as a string, with "..." spelled out
+    from ``_ELLIPSIS``; None if the subscript does not fit ``ndim`` axes."""
     if "..." not in sub:
-        return list(sub) if len(sub) == ndim else None
-    head, tail = sub.split("...")
-    k = ndim - len(head) - len(tail)
-    return list(head) + list(range(-k, 0)) + list(tail) if k >= 0 else None
+        return sub if len(sub) == ndim else None
+    k = ndim - len(sub) + 3
+    return sub.replace("...", _ELLIPSIS[len(_ELLIPSIS) - k:]) if k >= 0 else None
 
 
 def _perm(src, dst):
@@ -348,75 +356,89 @@ def _contraction_form(spec, ndims):
     free), whichever assignment moves fewer axes, and both are reshaped
     to three axes, or two without batch labels.
 
-    Returns the operand labels, with "..." spelled out, and ``(steps,
-    perm)``: per step the accumulator's transpose and the label groups of
-    its reshape, the next operand's transpose and reshape groups, whether
-    the accumulator is the left factor, and the labels of the product's
-    reshape, each None where it would do nothing; then the transpose to
-    the output order.  Returns None when the spec is not a chain of
-    products: a single operand, a label repeated in one operand (a trace
-    or a diagonal) or a label summed out of one operand alone; and for a
-    malformed spec, which ``np.einsum`` then rejects.
+    Sizes are read from the operands' extents laid end to end, extended
+    by the size of every reshape group of other than one label.  Returns
+    the getters that check the extents (every repeated label at its
+    first and its later positions), those groups' positions, and
+    ``(steps, perm)``: per step the accumulator's transpose and the
+    getter of its reshape sizes, the next operand's transpose and
+    reshape getter, whether the accumulator is the left factor, and the
+    getter of the product's reshape sizes, each None where it would do
+    nothing; then the transpose to the output order.  Returns None when
+    the spec is not a chain of products: a single operand, a label
+    repeated in one operand (a trace or a diagonal) or a label summed out
+    of one operand alone; and for a malformed spec, which ``np.einsum``
+    then rejects.
     """
     lhs, out = spec.split("->")
     subs = lhs.split(",")
     if len(subs) < 2 or len(subs) != len(ndims):
         return None
     labels = [_expand(sub, ndim) for sub, ndim in zip(subs, ndims)]
-    if None in labels or any(len(set(lab)) != len(lab) for lab in labels):
+    if None in labels:
         return None
-    every = [lbl for lab in labels for lbl in lab]
+    every = "".join(labels)
     if "..." in out:
         width = max(ndim - len(sub) + 3 if "..." in sub else 0
                     for sub, ndim in zip(subs, ndims))
         out = _expand(out, len(out) - 3 + width)
-    else:
-        out = list(out)
-    if len(set(out)) != len(out) or not set(out) <= set(every):
+    # Every label's first position, and each later one.
+    pos = dict(zip(reversed(every), range(len(every) - 1, -1, -1)))
+    repeats = [(pos[lbl], k) for k, lbl in enumerate(every) if pos[lbl] != k]
+    outs = set(out)
+    if (len(outs) != len(out) or not outs <= pos.keys()
+            or not pos.keys() - {every[k] for _, k in repeats} <= outs
+            or any([len(set(lab)) != len(lab) for lab in labels])):
         return None
-    if any(every.count(lbl) == 1 for lbl in every if lbl not in out):
-        return None
+    merged, base = {}, len(every)
 
-    def direct(batch, first, second):
-        # Single-label groups already have the shape a reshape would give.
-        return len(batch) <= 1 and len(first) == 1 and len(second) == 1
+    def sizes(groups):
+        # A getter of one tuple: a single-label group reads its extent,
+        # any other group the merged size appended after the extents.
+        at = [pos[g] if len(g) == 1 else base + merged.setdefault(g, len(merged))
+              for g in groups]
+        if len(at) > 1:
+            return itemgetter(*at)
+        return itemgetter(slice(at[0], at[0] + 1) if at else slice(0))
 
     steps = []
-    acc = labels[0]
-    last = len(labels) - 1
-    for k in range(1, last + 1):
+    acc, final = labels[0], len(labels) - 1
+    for k in range(1, final + 1):
         opd = labels[k]
-        later = set(out)
-        for lab in labels[k + 1:]:
-            later.update(lab)
-        in_acc, in_opd = set(acc), set(opd)
+        later = outs.union(*labels[k + 1:])
         # Shared labels keep the order of the side with more axes, which
         # then more often needs no copy.
-        batch, con = [], []
-        for lbl in opd if len(opd) > len(acc) else acc:
-            if lbl in in_acc and lbl in in_opd:
-                (batch if lbl in later else con).append(lbl)
-        free_a = [lbl for lbl in acc if lbl not in in_opd]
-        free_b = [lbl for lbl in opd if lbl not in in_acc]
-        # Accumulator as the left factor, then as the right one.
-        options = []
-        for fl, fr in ((free_a, free_b), (free_b, free_a)):
-            left = fl is free_a
-            lay_a = batch + (free_a + con if left else con + free_a)
-            lay_b = batch + (con + free_b if left else free_b + con)
-            res = batch + fl + fr
-            moved = ((lay_a != acc) * len(acc) + (lay_b != opd) * len(opd)
-                     + (k == last and res != out) * len(res))
-            options.append((moved, not left, lay_a, lay_b, res, fl, fr))
-        _, right, lay_a, lay_b, res, fl, fr = min(options)
+        shared = [lbl for lbl in (opd if len(opd) > len(acc) else acc)
+                  if lbl in acc and lbl in opd]
+        batch = "".join([lbl for lbl in shared if lbl in later])
+        con = "".join([lbl for lbl in shared if lbl not in later])
+        free_a = "".join([lbl for lbl in acc if lbl not in opd])
+        free_b = "".join([lbl for lbl in opd if lbl not in acc])
+        # The accumulator is the left factor unless the right one moves
+        # fewer axes.
+        lay_a, lay_b, res = batch + free_a + con, batch + con + free_b, batch + free_a + free_b
+        r_a, r_b, r_res = batch + con + free_a, batch + free_b + con, batch + free_b + free_a
+        na, nb, nr, last = len(acc), len(opd), len(res), k == final
+        right = ((r_a != acc) * na + (r_b != opd) * nb + (last and r_res != out) * nr
+                 < (lay_a != acc) * na + (lay_b != opd) * nb + (last and res != out) * nr)
+        if right:
+            lay_a, lay_b, res = r_a, r_b, r_res
+        # Single-label groups already have the shape a reshape would give.
         lead = (batch,) if batch else ()
-        groups_a = lead + ((con, free_a) if right else (free_a, con))
-        groups_b = lead + ((free_b, con) if right else (con, free_b))
-        steps.append((_perm(acc, lay_a), None if direct(batch, free_a, con) else groups_a,
-                      _perm(opd, lay_b), None if direct(batch, free_b, con) else groups_b,
-                      not right, None if direct(batch, fl, fr) else res))
+        single = len(batch) <= 1 and len(con) == 1
+        steps.append((_perm(acc, lay_a),
+                      None if single and len(free_a) == 1 else
+                      sizes(lead + ((con, free_a) if right else (free_a, con))),
+                      _perm(opd, lay_b),
+                      None if single and len(free_b) == 1 else
+                      sizes(lead + ((free_b, con) if right else (con, free_b))),
+                      not right,
+                      None if len(batch) <= 1 and len(free_a) == len(free_b) == 1 else
+                      sizes(res)))
         acc = res
-    return labels, tuple(steps), _perm(acc, out)
+    check = repeats and tuple([itemgetter(*side) for side in zip(*repeats)])
+    return (check, tuple([tuple(map(pos.__getitem__, g)) for g in merged]),
+            (tuple(steps), _perm(acc, out)))
 
 
 @lru_cache(maxsize=4096)
@@ -428,21 +450,14 @@ def _contraction_plan(spec, shapes):
     form = _contraction_form(spec, tuple(map(len, shapes)))
     if form is None:
         return None
-    labels, steps, perm = form
-    size = {}
-    for lab, shape in zip(labels, shapes):
-        for lbl, extent in zip(lab, shape):
-            if size.setdefault(lbl, extent) != extent:
-                return None
-
-    def sized(groups):
-        if groups is None:
-            return None
-        return tuple([math.prod([size[lbl] for lbl in g]) for g in groups])
-
-    return tuple((pa, sized(ga), pb, sized(gb), left,
-                  None if res is None else tuple([size[lbl] for lbl in res]))
-                 for pa, ga, pb, gb, left, res in steps), perm
+    check, merged, (steps, perm) = form
+    ext = sum(shapes, ())
+    if check and check[0](ext) != check[1](ext):
+        return None
+    if merged:
+        ext += tuple([math.prod(map(ext.__getitem__, g)) for g in merged])
+    return tuple([(pa, ga and ga(ext), pb, gb and gb(ext), left, gr and gr(ext))
+                  for pa, ga, pb, gb, left, gr in steps]), perm
 
 
 def _matmul(a, b):
@@ -786,38 +801,64 @@ def constant_field(values, weight=0):
     return ChartField(weight, lambda X: constant_jet(arr, X))
 
 
+class _Layout:
+    """How coefficients over one support become the monomial coefficient
+    matrix of packed jets (``_layout``).
+
+    powers  the powers 0..max exponent of each coordinate's power table
+    gather  per monomial, the positions of its variables' powers in the
+            flattened (variable, power) table
+    col, e, f  per entry, the support index of its coefficient c and the
+            float multipliers it enters with, as (c e) f
+    """
+
+    __slots__ = ("powers", "gather", "col", "e", "f", "_row", "_slot", "_width", "_scatter")
+
+    def __init__(self, n, powers, gather, row, col, slot, e, f):
+        self.powers, self.gather, self.col = powers, gather, np.array(col, dtype=np.intp)
+        self.e, self.f = np.array(e, dtype=float), np.array(f, dtype=float)
+        self._row, self._slot = np.array(row, dtype=np.intp), np.array(slot, dtype=np.intp)
+        self._width, self._scatter = _width(n, 2), {}
+
+    def scatter(self, k):
+        """The flat positions [component, entry] of the entries of k
+        components in the (monomial, component, packed slot) coefficient
+        matrix, built once per k."""
+        if k not in self._scatter:
+            kw = k * self._width
+            self._scatter[k] = self._row * kw + self._slot + np.arange(0, kw, self._width)[:, None]
+        return self._scatter[k]
+
+
 @lru_cache(maxsize=256)
 def _layout(n, support):
-    """How coefficients over ``support`` (distinct exponent tuples) become
-    the monomial coefficient matrix of packed jets.
+    """The ``_Layout`` of ``support`` (distinct exponent tuples).
 
     Monomials are numbered in increasing order of their integer keys in
-    base (max exponent + 1) with the last variable most significant.
-    Returns the powers 0..max exponent; per monomial, the positions of its
-    variables' powers in the flattened (variable, power) table; and the
-    (row, support index, packed slot, integer multipliers e, f) of every
-    entry, coefficient c entering as (c e) f: c at the monomial itself,
-    c e_a at the monomial minus unit a, and (c e_a) (e_b - delta_ab) at
-    the monomial minus units a and b.
+    base (max exponent + 1) with the last variable most significant.  The
+    entries are c at the monomial itself, c e_a at the monomial minus unit
+    a, and (c e_a) (e_b - delta_ab) at the monomial minus units a and b.
     """
     if len(set(support)) < len(support):
         raise ValueError("a polynomial support lists a monomial twice")
-    exps = np.array(support, dtype=np.int64).reshape(-1, n)
-    unit = np.eye(n, dtype=np.int64)
-    e1 = exps[:, None, :] - unit
-    e2 = e1[:, :, None, :] - unit
-    m1, a1 = np.nonzero((e1 >= 0).all(axis=-1))
-    m2, a2, b2 = np.nonzero((e2 >= 0).all(axis=-1))
-    every = np.concatenate([exps, e1[m1, a1], e2[m2, a2, b2]])
-    base = int(every.max(initial=0)) + 1
-    place = base ** np.arange(n, dtype=np.int64)
-    keys, row = np.unique(every @ place, return_inverse=True)
-    gather = np.arange(n) * base + keys[:, None] // place % base
-    m0, one = np.arange(len(exps)), np.ones(len(exps) + len(m1), dtype=np.int64)
-    return (np.arange(base), gather, row, np.concatenate([m0, m1, m2]),
-            np.concatenate([0 * m0, 1 + a1, 1 + n + n * a2 + b2]),
-            np.concatenate([one[:len(m0)], exps[m1, a1], exps[m2, a2]]),
-            np.concatenate([one, exps[m2, b2] - (a2 == b2)]))
+    entries = []  # (monomial, support index, packed slot, e, f)
+    for m, ex in enumerate(map(tuple, support)):
+        entries.append((ex, m, 0, 1, 1))
+        for a in range(n):
+            if ex[a]:
+                d1 = ex[:a] + (ex[a] - 1,) + ex[a + 1:]
+                entries.append((d1, m, 1 + a, ex[a], 1))
+                for b in range(n):
+                    if d1[b]:
+                        d2 = d1[:b] + (d1[b] - 1,) + d1[b + 1:]
+                        entries.append((d2, m, 1 + n + n * a + b, ex[a], d1[b]))
+    mono, col, slot, e, f = zip(*entries) if entries else [()] * 5
+    # Reversed exponent tuples sort as the integer keys do.
+    rows = sorted(set(mono), key=lambda x: x[::-1])
+    index = {x: r for r, x in enumerate(rows)}
+    base = max(map(max, support), default=0) + 1
+    gather = np.array(rows, dtype=np.int64).reshape(-1, n) + np.arange(0, n * base, base)
+    return _Layout(n, np.arange(base), gather, [index[x] for x in mono], col, slot, e, f)
 
 
 def _monomial_values(x, powers, gather):
@@ -875,13 +916,15 @@ def polynomial_field(polys, weight=0, support=None):
         if coeffs.shape[-1:] != (len(support),):
             raise ValueError(f"coefficients of shape {coeffs.shape} do not run "
                              f"over a support of {len(support)} monomials")
-    powers, gather, row, col, slot, e, f = _layout(n, support)
-    vshape = coeffs.shape[:-1]
+    lay = _layout(n, support)
+    powers, gather, vshape = lay.powers, lay.gather, coeffs.shape[:-1]
     c = coeffs.reshape(math.prod(vshape), len(support))
-    rows, k, width = len(gather), len(c), _width(n, 2)
-    cd = np.zeros((rows, k, width))
-    cd[row, :, slot] = ((c[:, col] * e) * f).T
-    cd = cd.reshape(rows, k * width)
+    k, width = len(c), _width(n, 2)
+    vals = c.take(lay.col, axis=1)
+    vals *= lay.e
+    vals *= lay.f
+    cd = np.zeros((len(gather), k * width))
+    cd.reshape(-1)[lay.scatter(k)] = vals
 
     def fn(X):
         x = np.asarray(X.v, dtype=float)

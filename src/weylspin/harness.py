@@ -137,7 +137,7 @@ def _unit_spinor(rng, dim):
 @lru_cache(maxsize=None)
 def _triu(n):
     """``np.triu_indices(n)``, built once per n and read-only."""
-    i, j = np.triu_indices(n)
+    i, j = np.array([(a, b) for a in range(n) for b in range(a, n)]).T
     i.flags.writeable = j.flags.writeable = False
     return i, j
 
@@ -754,7 +754,7 @@ def _weight_shift(gauge, rep, field, pts):
     pack = weyl_christoffels(gauge, pts)
     st, st0 = (_Stack(gauge, rep, f, pts, pack) for f in (field, field.with_weight(0)))
     st0.conn, st0.psi = st.conn, st.psi
-    rs1, rs0 = (s.H - np.swapaxes(s.H, -3, -2) for s in (st, st0))
+    rs1, rs0 = st.curvature_action, st0.curvature_action
     fpsi = contract("pij,ps->pijs", pack.faraday_frame.v, st.psi.v)
     return {"spinor-curvature-weight-shift":
             relative_residual(rs1 - rs0 - fpsi, rs1, rs0, fpsi, batch=1)}

@@ -166,7 +166,8 @@ class _Stack:
     first read and then kept, every derivative on the one spin connection
     ``conn``: the frame ``pack`` (unless given), the field's jet ``psi``,
     its covariant derivative ``P`` (a jet [i, s]), the second derivative
-    ``H`` [i, j, s], the Dirac image ``dirac`` (a jet [s]), its derivative
+    ``H`` [i, j, s], the ``curvature_action`` H - Hᵀ [i, j, s] (R(s_i, s_j)
+    on the field), the Dirac image ``dirac`` (a jet [s]), its derivative
     ``vd`` [i, s], the curvature bundle ``bund``, the twistor ``correction``
     (1/n) (gamma_i dirac)_i, the ``dirac_square`` tr(gamma vd) and the ``laplacian`` -tr H."""
 
@@ -196,6 +197,10 @@ class _Stack:
     @cached_property
     def H(self):
         return _cov_frame(self.pack, self.rep, self.P, self.field.weight, conn=self.conn).v
+
+    @cached_property
+    def curvature_action(self):
+        return self.H - np.swapaxes(self.H, -3, -2)
 
     @cached_property
     def dirac(self):
@@ -265,8 +270,8 @@ def spinor_laplacian(gauge, rep, field, x):
 def spinorial_curvature(gauge, rep, field, x, pack=None):
     """Antisymmetrized second derivative: entry [i, j] is R(s_i, s_j) acting
     on the field."""
-    H = _derivative_stack(gauge, rep, field, x, pack=pack).H
-    return Spinor(rep, H - np.swapaxes(H, -3, -2), field.weight - 2)
+    st = _derivative_stack(gauge, rep, field, x, pack=pack)
+    return Spinor(rep, st.curvature_action, field.weight - 2)
 
 
 def sl_residual(gauge, rep, field, x):
@@ -300,7 +305,7 @@ def curvature_contraction_checks(gauge, rep, field, x):
     F, rp = bund.faraday.comp, bund.rprime.comp
     fhat = _slot_action(F, rep, psi)
 
-    rs = st.H - np.swapaxes(st.H, -3, -2)
+    rs = st.curvature_action
     quarter = 0.25 * _slot_action(rp, rep, psi, slots=(3, 4))
     wf = _per_point(w, 3) * contract("...ij,...s->...ijs", F, psi)
     r_action = relative_residual(rs - quarter - wf, rs, quarter, wf, batch=nb)

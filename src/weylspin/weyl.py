@@ -20,7 +20,6 @@ from .fields import (
     ChartField,
     CholeskyDifferential,
     Jet,
-    _half_lower,
     constant_field,
     contract,
     jet_einsum,
@@ -113,20 +112,22 @@ def _omega_gather(n):
     each Y entry is read at its index with the last two axes sorted; terms
     that meet at one index merge and zero terms drop, which leaves at most
     three per entry."""
-    half, E, m = 0.5 - _half_lower(n), np.eye(n), n ** 3
-    j, k, i = np.indices((n, n, n)).reshape(3, m)
+    m = n ** 3
+    e = np.arange(m)
+    j, k, i = e // (n * n), e // n % n, e % n
 
     def y(a, b, c):
         return (a * n + np.minimum(b, c)) * n + np.maximum(b, c)
 
-    # Six terms per entry, [entry, term], added in that order.
-    src = np.stack([y(i, j, k), y(j, k, i), y(k, i, j), m + i, m + j, m + k], axis=1)
-    c = np.stack([half[j, k], np.full(m, 0.5), np.full(m, -0.5), E[j, k], E[k, i], -E[i, j]], axis=1)
+    # The six terms of every entry [j, k, i], added in this order; the
+    # first coefficient is 1/2 - Phi's mask at [j, k].
     M = np.zeros((m, m + n))  # [entry, position in Z]
-    np.add.at(M, (np.arange(m)[:, None], src), c)
+    for src, c in ((y(i, j, k), 0.5 * np.sign(k - j)), (y(j, k, i), 0.5), (y(k, i, j), -0.5),
+                   (m + i, 1.0 * (j == k)), (m + j, 1.0 * (k == i)), (m + k, -1.0 * (i == j))):
+        M[e, src] += c
     # Each row's nonzero positions first, then zero-coefficient padding.
-    idx = np.argsort(M == 0, axis=1, kind="stable")[:, :np.count_nonzero(M, axis=1).max()]
-    coef = np.take_along_axis(M, idx, axis=1)
+    idx = (M == 0).argsort(axis=1, kind="stable")[:, :(M != 0).sum(axis=1).max()]
+    coef = M[e[:, None], idx]
     idx.flags.writeable = coef.flags.writeable = False
     return idx, coef
 
