@@ -57,7 +57,7 @@ def _relation_residuals(gammas):
 class CliffordRep:
     """n anticommuting skew-hermitian generators on C^(2^(n//2))."""
 
-    __slots__ = ("n", "gammas", "_products")
+    __slots__ = ("n", "gammas", "_products", "_quarter")
 
     def __init__(self, n, gammas):
         self.n = int(n)
@@ -66,7 +66,7 @@ class CliffordRep:
         self.gammas.flags.writeable = False
         if self.gammas.shape != (self.n, self.dim, self.dim):
             raise ValueError(f"expected {self.n} square matrices, got shape {self.gammas.shape}")
-        self._products = {}
+        self._products, self._quarter = {}, None
 
     @property
     def dim(self):
@@ -80,6 +80,14 @@ class CliffordRep:
             op.flags.writeable = False
             self._products[k] = op
         return self._products[k]
+
+    @property
+    def quarter_pairs(self):
+        """(1/4) slot_products(2), built once and read-only: the spin connection's factor."""
+        if self._quarter is None:
+            self._quarter = 0.25 * self.slot_products(2)
+            self._quarter.flags.writeable = False
+        return self._quarter
 
     def __repr__(self):
         return f"CliffordRep(n={self.n}, dim={self.dim})"

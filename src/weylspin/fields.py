@@ -303,23 +303,27 @@ class Jet:
         return Jet._make(self.d.imag, self.n, self.nb)
 
 
-def coordinate_jets(point):
-    """Order-2 jet of the identity chart map at ``point``.
+def coordinate_jets(point, order=2):
+    """Jet of the identity chart map at ``point``, to ``order`` (0, 1 or 2).
 
     A (P, n) array of points gives a batched jet with one leading point axis.
     """
     point = np.asarray(point, dtype=float)
     n = point.shape[-1]
-    d = np.zeros(point.shape + (_width(n, 2),))
+    k = _width(n, order)
+    d = np.zeros(point.shape + (k,))
     d[..., 0] = point
-    d[..., 1:1 + n] = np.eye(n)
+    if order:
+        # The unit gradients, d[..., a, 1 + a] = 1, as a strided view.
+        d.reshape(point.shape[:-1] + (n * k,))[..., 1::k + 1] = 1.0
     return Jet._make(d, n, point.ndim - 1)
 
 
 def constant_jet(values, X):
-    """Jet of constant components at the point(s) of the coordinate jet X."""
+    """Jet of constant components at the point(s) of the coordinate jet X,
+    to X's order."""
     arr = np.asarray(values)
-    packed = np.zeros(arr.shape + (_width(X.n, 2),), dtype=arr.dtype)
+    packed = np.zeros(arr.shape + X.d.shape[-1:], dtype=arr.dtype)
     packed[..., 0] = arr
     return Jet._make(np.broadcast_to(packed, X.d.shape[:X.nb] + packed.shape), X.n, X.nb)
 
@@ -613,13 +617,21 @@ def _half_lower(n):
     return np.tril(np.ones((n, n)), -1) + 0.5 * np.eye(n)
 
 
+@lru_cache(maxsize=None)
+def _lower_mask(n):
+    mask = np.tri(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def _lower_inverse(L):
-    return np.tril(np.linalg.inv(L))
+    # np.tril's own where, with its mask built once per n.
+    return np.where(_lower_mask(L.shape[-1]), np.linalg.inv(L), 0.0)
 
 
 def _slots_first(jet):
     """A matrix jet's derivative slots in front of its matrix axes: [..., z, i, j]."""
-    return np.moveaxis(jet.d[..., 1:], -1, -3)
+    return jet.d[..., 1:].swapaxes(-1, -2).swapaxes(-2, -3)
 
 
 def _from_slots(v, slots, nb):
@@ -784,8 +796,11 @@ class ChartField:
         self.weight = weight
         self.fn = fn
 
-    def jet(self, point):
-        return self.fn(coordinate_jets(point))
+    def jet(self, point, order=2):
+        """The components' jet at ``point``, to ``order``: ``fn`` of the
+        coordinate jet of that order.  A map that takes k gradients of its
+        argument gives a jet k orders lower, and none below order k."""
+        return self.fn(coordinate_jets(point, order))
 
     def __call__(self, point):
         return self.jet(point).v
@@ -869,7 +884,7 @@ def _monomial_values(x, powers, gather):
     table = np.ones(x.shape + (len(powers),))
     for k in range(1, len(powers)):
         np.multiply(table[..., k - 1], x, out=table[..., k])
-    return np.prod(table.reshape(x.shape[:-1] + (-1,))[..., gather], axis=-1)
+    return table.reshape(x.shape[:-1] + (-1,))[..., gather].prod(axis=-1)
 
 
 def _poly_coefficients(polys):
@@ -906,7 +921,8 @@ def polynomial_field(polys, weight=0, support=None):
     points is one (P, M) monomial table times one coefficient matrix,
     filled from a layout cached per support.  The monomials are products
     of entries of a table of each coordinate's powers, each power the
-    previous one times the coordinate.
+    previous one times the coordinate.  A coordinate jet of lower order
+    reads the matrix's columns of that order, a copy made on first use.
     """
     if support is None:
         n, support, coeffs = _poly_coefficients(np.asarray(polys, dtype=object))
@@ -925,11 +941,14 @@ def polynomial_field(polys, weight=0, support=None):
     vals *= lay.f
     cd = np.zeros((len(gather), k * width))
     cd.reshape(-1)[lay.scatter(k)] = vals
+    by_width = {width: cd}
 
     def fn(X):
-        x = np.asarray(X.v, dtype=float)
+        x, w = np.asarray(X.v, dtype=float), X.d.shape[-1]
+        if w not in by_width:
+            by_width[w] = cd.reshape(-1, k, width)[..., :w].reshape(-1, k * w)
         mono = _monomial_values(x, powers, gather)
-        return Jet._make((mono @ cd).reshape(x.shape[:-1] + vshape + (width,)), n, X.nb)
+        return Jet._make((mono @ by_width[w]).reshape(x.shape[:-1] + vshape + (w,)), n, X.nb)
 
     return ChartField(weight, fn)
 

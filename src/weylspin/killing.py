@@ -352,19 +352,19 @@ def _path_coefficient(gauge, d, x0, v, length):
     A = sum_i v_i (beta gamma_i - A_i), v_i the frame components of v and
     A_i the weight-w spin connection (``_weighted_connection``).  Each
     trial degree samples A at its Chebyshev points with one batched frame
-    pack; only connection values are read, so the pack is the first-order
-    one.  The leading axis of the result is the degree.  Raises
-    RuntimeError if the cap leaves A unresolved.
+    pack; only connection values are read, so the pack and the density
+    are built from first-order jets.  The leading axis of the result is
+    the degree.  Raises RuntimeError if the cap leaves A unresolved.
     """
     rep = d.rep
 
     def fit_at(deg):
         s, _, fit, _, _ = _cheb_rule(deg)
         pts = x0 + np.multiply.outer(0.5 * length * (s + 1.0), v)
-        pack = weyl_christoffels(gauge, pts).truncate(1)
+        pack = weyl_christoffels(gauge, pts, order=1)
         vf = pack.frame_components(v)
         A = _weighted_connection(pack, rep, d.psi.weight, 0).v
-        beta = np.asarray(d.beta(pts), dtype=complex)
+        beta = np.asarray(d.beta.jet(pts, 1).v, dtype=complex)
         coeff = contract("pi,pist->pst", vf, beta[:, None, None, None] * rep.gammas - A)
         coef = contract("kp,pst->kst", fit, coeff)
 
@@ -392,7 +392,11 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
     noise), the solution's at more points if needed, with A taken from its
     series there; a path the degree cap cannot resolve (a kinked
     coefficient, a fast oscillation) raises RuntimeError.  The field itself
-    enters only at the two ends, evaluated as one batch.
+    enters only at the two ends, evaluated as one batch.  Every field is
+    read from first-order jets: the metric and theta at the path points
+    (their values and first derivatives), the density there and the
+    field at its ends (values only).  So a field or density whose map
+    takes two gradients of the coordinate jet cannot be transported.
 
     Returns the endpoint, the transported components, the field's own
     components there, and their relative gap.
@@ -404,15 +408,18 @@ def killing_transport(gauge, d, x0, direction, length=1.0):
     length = float(length)
     coef = _path_coefficient(gauge, d, x0, v, length)
     end = x0 + length * v
-    psi0, field_val = np.asarray(d.psi(np.stack([x0, end])), dtype=complex)
+    psi0, field_val = np.asarray(d.psi.jet(np.array([x0, end]), 1).v, dtype=complex)
 
     def fit_at(deg):
         s, vander, fit, integrate, weights = _cheb_rule(deg)
         A = contract("pk,kst->pst", vander[:, :len(coef)], coef)
-        # Row (j, a), column (k, b): c_j - (length / 2) integrate[j, k] A_k c_k.
-        system = np.eye(len(s) * N) - (0.5 * length) * (
-            integrate[:, None, :, None] * A.transpose(1, 0, 2)).reshape(len(s) * N, -1)
-        c = np.linalg.solve(system, np.tile(psi0, len(s))).reshape(-1, N)
+        # Row (j, a), column (k, b): c_j - (length / 2) integrate[j, k] A_k c_k,
+        # the 1 added on the diagonal as a strided view.
+        m = len(s) * N
+        system = (-0.5 * length) * (
+            integrate[:, None, :, None] * A.transpose(1, 0, 2)).reshape(m, m)
+        system.reshape(-1)[::m + 1] += 1.0
+        c = np.linalg.solve(system, psi0[None].repeat(len(s), axis=0).reshape(m)).reshape(-1, N)
         end = psi0 + (0.5 * length) * (weights @ contract("pst,pt->ps", A, c))
         return fit @ c, end, lambda: 0.0
 

@@ -94,7 +94,7 @@ def _spin_connection(pack, rep):
     (From omega_weyl = omega_lc + theta's part and gamma_j gamma_i =
     -gamma_i gamma_j - 2 delta_ij, this is the metric spin connection
     (1/4) omega_lc gamma gamma - (1/2) gamma_i theta, plus w theta_i.)"""
-    return jet_einsum("jki,jkst->ist", pack.omega_weyl, 0.25 * rep.slot_products(2))
+    return jet_einsum("jki,jkst->ist", pack.omega_weyl, rep.quarter_pairs)
 
 
 def _weights(w):

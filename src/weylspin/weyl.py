@@ -57,16 +57,24 @@ def relative_residual(diff, *terms, batch=0):
     difference norm.  With ``batch`` leading point axes the norms are
     taken per point and the result is an array of per-point residuals;
     arrays with no more axes than ``batch`` count as per-point scalars
-    (or constants, if they broadcast).
+    (or constants, if they broadcast).  Without ``batch`` the norms are
+    Python floats, and the division is the same IEEE division.
     """
+    if not batch:
+        d, scale = float(np.abs(diff).max(initial=0.0)), 0.0
+        for t in terms:
+            # An empty term gives 0.0, which leaves the scale as it is;
+            # a NaN wins, as it does in np.maximum.
+            s = float(np.abs(t).max(initial=0.0))
+            scale = max(scale, s) if s == s else s
+        return d / scale if scale > 0 else d
     d = _pointwise_max(diff, batch)
     scale = 0.0
     for t in terms:
         if np.size(t):
             scale = np.maximum(scale, _pointwise_max(t, batch))
     d, scale = np.broadcast_arrays(d, scale)
-    res = np.divide(d, scale, out=np.array(d, dtype=float), where=scale > 0)
-    return res if batch else float(res)
+    return np.divide(d, scale, out=np.array(d, dtype=float), where=scale > 0)
 
 
 class Gauge:
@@ -174,9 +182,9 @@ class FramePack:
     derivatives (``cholesky.inverse_transpose()`` gives the full jet);
     the connection members one order less than G, since they read first
     derivatives of the metric; the Faraday forms are values at either
-    order.  ``weyl_christoffels`` builds second-order packs, and
-    ``truncate(1)`` gives the first-order pack, whose connection members
-    are values, bit for bit those of the second-order pack.
+    order.  ``weyl_christoffels`` builds the pack at the order its reader
+    asks for, 1 for connection values; ``truncate(1)`` cuts a second-order
+    pack to first order, whose connection members are its values bit for bit.
 
     A pack built at a (P, n) array of points holds batched jets (one
     leading point axis).
@@ -232,9 +240,9 @@ class FramePack:
         idx, coef = _omega_gather(n)
         # One table term at a time, in the order a sum over the term axis
         # takes them: the same bits, at a cost linear in the point count.
-        om = np.take(Z, idx[:, 0], axis=-2) * coef[:, 0, None]
+        om = Z.take(idx[:, 0], axis=-2) * coef[:, 0, None]
         for t in range(1, idx.shape[1]):
-            om += np.take(Z, idx[:, t], axis=-2) * coef[:, t, None]
+            om += Z.take(idx[:, t], axis=-2) * coef[:, t, None]
         return Jet._make(om.reshape(lead + (n, n, n, -1)), n, nb)
 
     @cached_property
@@ -248,15 +256,17 @@ class FramePack:
         return jet_einsum("ab,ai,bj->ij", self.faraday_chart, S, S)
 
 
-def weyl_christoffels(gauge, point):
+def weyl_christoffels(gauge, point, order=2):
     """The frame-pack builder (``frame_pack`` is the same function): the pack of
-    the metric's second-order jet at a chart point and theta's jet cut to first order.
+    the metric's jet at a chart point to ``order`` (1 or 2) and theta's jet
+    at that order, cut to first order.  Readers of connection values only
+    ask for order 1; curvature needs order 2.
 
     ``point`` may also be a (P, n) array: every jet of the pack then
     carries one leading point axis.
     """
     point = np.asarray(point, dtype=float)
-    return FramePack(gauge.metric.jet(point), gauge.theta.jet(point).truncate(1))
+    return FramePack(gauge.metric.jet(point, order), gauge.theta.jet(point, order).truncate(1))
 
 
 frame_pack = weyl_christoffels
@@ -398,7 +408,7 @@ def connection_residuals(gauge, point):
     At a (P, n) array of points each entry is an array of per-point
     residuals.
     """
-    pack = weyl_christoffels(gauge, point).truncate(1)
+    pack = weyl_christoffels(gauge, point, order=1)
     nb = pack.G.nb
     om, th, S = pack.omega_weyl.v, pack.theta_frame.v, pack.S
     delta_th = np.eye(gauge.n)[:, :, None] * th[..., None, None, :]  # [j, k, i]

@@ -214,6 +214,57 @@ def test_polynomial_field_over_a_support_matches_the_poly_route():
         polynomial_field(coeffs[..., :3], support=support)
 
 
+def _fields_of_every_kind():
+    """(name, field, n, orders lost to gradients) for each kind of chart
+    field the package builds."""
+    rng = np.random.default_rng(15)
+    g = harness.random_gauge(15, 3)
+    support = ((0, 0, 0), (1, 0, 0), (0, 2, 1), (1, 1, 1), (0, 0, 3))
+    f = polynomial_field(0.2 * rng.uniform(-1, 1, len(support)), support=support)
+    psi = spinops.polynomial_spinor(rng.uniform(-1, 1, (2, len(support))),
+                                    rng.uniform(-1, 1, (2, len(support))),
+                                    weight=Fraction(1, 2), support=support)
+    rep = clifford.build_representation(3)
+    phi0, phi1 = (clifford.Spinor(rep, rng.normal(size=2) + 1j * rng.normal(size=2))
+                  for _ in range(2))
+    fields_ = [("metric", g.metric, 3, 0), ("theta", g.theta, 3, 0),
+               ("constant", constant_field(np.array([1.5 - 2j, 0.25])), 3, 0),
+               ("polynomial_spinor", psi, 3, 0),
+               ("real_polynomial_spinor",
+                spinops.polynomial_spinor(rng.uniform(-1, 1, (2, len(support))),
+                                          support=support), 3, 0),
+               ("gauge_transport_spinor", spinops.gauge_transport_spinor(psi, f), 3, 0),
+               ("flat_twistor_family", killing.flat_twistor_family(phi0, phi1), 3, 0),
+               ("rescaled_metric", weyl.change_gauge(g, f).metric, 3, 0),
+               ("rescaled_theta", weyl.change_gauge(g, f).theta, 3, 1)]
+    for family, args in (("killing_half", (0.7 - 0.2j,)), ("parallel_zero", (1.0, 0.25j))):
+        gauge, d, _ = getattr(killing, f"example_{family}")(*args)
+        fields_ += [(f"{family}.{name}", field, 2, 0) for name, field in
+                    (("metric", gauge.metric), ("theta", gauge.theta),
+                     ("psi", d.psi), ("beta", d.beta))]
+    return fields_
+
+
+@pytest.mark.parametrize("name, field, n, lost", _fields_of_every_kind(),
+                         ids=[case[0] for case in _fields_of_every_kind()])
+def test_a_lower_order_jet_is_the_second_order_jet_cut(name, field, n, lost):
+    # A field read at order k (0 or 1) is its second-order jet cut to
+    # order k, up to the last bits a narrower polynomial product moves; a
+    # map that takes a gradient comes back one order lower, and is not
+    # read at order 0.
+    pts = np.random.default_rng(16).uniform(-0.8, 0.8, (7, n))
+    for x in (pts, pts[3]):
+        full = field.jet(x)
+        for k in range(lost, 2):
+            low = field.jet(x, k)
+            want = full.truncate(k - lost)
+            assert low.order == want.order == k - lost and low.nb == want.nb
+            assert low.d.shape == want.d.shape and low.d.dtype == want.d.dtype
+            assert np.abs(low.d - want.d).max() <= 1e-15 * np.abs(want.d).max(), (name, k)
+    assert coordinate_jets(pts, 0).d.shape == (7, n, 1)
+    assert np.array_equal(coordinate_jets(pts, 1).d, coordinate_jets(pts).d[..., :1 + n])
+
+
 def test_power_table_is_the_repeated_product_on_every_suite_support(monkeypatch):
     # The monomials are products of gathered entries of one table of each
     # coordinate's powers, t_0 = 1 and t_k = t_{k-1} x.  At every support a

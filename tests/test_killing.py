@@ -11,7 +11,7 @@ from numpy.polynomial.chebyshev import chebval
 from scipy.integrate import solve_ivp
 
 import weylspin
-from weylspin import killing, spinops, weyl
+from weylspin import fields, killing, spinops
 from weylspin.clifford import Spinor, build_representation
 from weylspin.harness import random_gauge
 from weylspin.killing import (
@@ -375,41 +375,66 @@ def test_transport_builds_one_frame_pack(monkeypatch):
     gauge, d, rep = example_parallel_zero(1.0, 0.25j)
     calls = []
 
-    def counted(g, x):
-        calls.append(np.shape(x))
-        return weyl_christoffels(g, x)
+    def counted(g, x, order=2):
+        calls.append((np.shape(x), order))
+        return weyl_christoffels(g, x, order)
 
     monkeypatch.setattr(killing, "weyl_christoffels", counted)
     out = killing_transport(gauge, d, np.array([-0.3, 0.1]), np.array([0.6, 0.8]),
                             length=0.8)
     assert out["residual"] < 1e-6
-    assert calls == [(17, 2)]
+    assert calls == [((17, 2), 1)]
+
+
+def test_a_transport_reads_every_field_to_first_order(monkeypatch):
+    # The metric and theta at the path points, the density there and the
+    # field at its two ends: every coordinate jet is first order at most.
+    orders = []
+    coordinate_jets = fields.coordinate_jets
+
+    def recorded(point, order=2):
+        orders.append(order)
+        return coordinate_jets(point, order)
+
+    monkeypatch.setattr(fields, "coordinate_jets", recorded)
+    gauge, d = random_datum(97, 3, 0.5 + 0.1j)
+    x0, v, length = random_path(98, 3)
+    killing_transport(gauge, d, x0, v, length=length)
+    for family in (example_parallel_zero(1.0, 0.25j), example_killing_half(0.3 + 0.4j)):
+        gauge, d, _ = family
+        out = killing_transport(gauge, d, np.array([-0.3, 0.1]), np.array([0.6, 0.8]),
+                                length=0.8)
+        assert out["residual"] < 1e-6
+    assert len(orders) >= 12 and set(orders) == {1}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_first_order_pack_gives_the_full_packs_coefficient(n, monkeypatch):
+    # The coefficient from first-order jets against the one from the
+    # second-order pack cut to first order: the narrower polynomial
+    # product may move last bits, nothing more.
     gauge, d = random_datum(95 + n, n, 0.6 - 0.4j)
     x0, v, length = random_path(96 + n, n)
     coef = killing._path_coefficient(gauge, d, x0, v, length)
-    monkeypatch.setattr(weyl.FramePack, "truncate", lambda pack, order: pack)
+    monkeypatch.setattr(killing, "weyl_christoffels",
+                        lambda g, x, order=2: weyl_christoffels(g, x).truncate(order))
     full = killing._path_coefficient(gauge, d, x0, v, length)
-    assert coef.shape == full.shape and np.array_equal(coef, full)
+    assert coef.shape == full.shape
+    assert np.abs(coef - full).max() <= 1e-15 * np.abs(full).max()
 
 
 def test_transport_builds_only_the_connection_members(monkeypatch):
     gauge, d = random_datum(99, 3, 0.3 + 0.2j)
     x0, v, length = random_path(100, 3)
     packs = []
-    truncate = weyl.FramePack.truncate
 
-    def kept(pack, order):
-        packs.extend([pack, truncate(pack, order)])
+    def kept(g, x, order=2):
+        packs.append(weyl_christoffels(g, x, order))
         return packs[-1]
 
-    monkeypatch.setattr(weyl.FramePack, "truncate", kept)
+    monkeypatch.setattr(killing, "weyl_christoffels", kept)
     killing_transport(gauge, d, x0, v, length=length)
-    assert packs and all(low.G.order == 1 for low in packs[1::2])
-    assert all(set(vars(full)) == {"n", "G", "TH"} for full in packs[::2])
+    assert packs and all(pack.G.order == 1 for pack in packs)
     # The connection comes from the Cholesky differential alone: no jet
     # of the frame S or of the factor L.
     built = set().union(*map(vars, packs))

@@ -1,6 +1,8 @@
 """Source lint: each Clifford operation on the spinor derivative is written
-in one place, so a hand copy cannot come back unnoticed."""
+in one place, so a hand copy cannot come back unnoticed; and no reader cuts
+a frame pack to the order it needs."""
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,24 @@ def test_the_stack_builds_the_only_dirac_image():
     # of the gammas against the covariant derivative.
     sites = {p.name: p.read_text(encoding="utf-8").count('"ist,it->s"') for p in SOURCES}
     assert {name: k for name, k in sites.items() if k} == {"spinops.py": 1}
+
+
+# The frame-pack builders: a reader asks one for the order it needs.
+PACK_BUILDERS = {"weyl_christoffels", "frame_pack", "FramePack"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_reader_truncates_a_frame_pack(path):
+    # A ``.truncate`` call on a pack builder's result, or on a name that
+    # holds a pack (``pack``, ``low_pack``, ...).
+    cut = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "truncate"):
+            continue
+        target = node.func.value
+        target = target.func if isinstance(target, ast.Call) else target
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+        if name in PACK_BUILDERS or name.endswith("pack"):
+            cut.append(node.lineno)
+    assert cut == []

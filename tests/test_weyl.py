@@ -57,6 +57,28 @@ def test_relative_residual_semantics():
     assert relative_residual(np.array([]), np.array([1.0])) == 0.0
 
 
+def test_the_scalar_residual_is_the_one_point_batch_bit_for_bit():
+    rng = np.random.default_rng(52)
+    z = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    cases = [(z[0] - z[1], (z[0], z[1])),               # complex input
+             (z[0].real, (np.zeros(2),)),                # zero scale
+             (np.zeros(3), (np.zeros(3), 0.0)),          # zero over zero
+             (z[2], (2.5, z[0].imag, 1e-3)),             # scalar terms
+             (z[2][0], (np.array([]), 0.3 * z[1][1])),   # an empty term
+             (z[2], ()),                                 # no terms
+             (np.array([]), (z[0],)),                    # an empty difference
+             (z[1], (1e-300,)),
+             (np.array([1.0, np.nan]), (z[0],)),         # a NaN difference
+             (z[1], (z[0], np.array([np.nan]), 2.0))]    # a NaN term
+    for diff, terms in cases:
+        one = relative_residual(diff, *terms)
+        batched = relative_residual(np.asarray(diff)[None],
+                                    *[t if np.ndim(t) == 0 else np.asarray(t)[None]
+                                      for t in terms], batch=1)
+        assert type(one) is float and batched.shape == (1,)
+        assert np.float64(one).tobytes() == batched[0].tobytes(), (diff, terms)
+
+
 def test_gauge_constructors_and_domain():
     g = Gauge.flat(3)
     assert g.n == 3 and g.name == "flat"
